@@ -7,10 +7,10 @@
 #ifndef MWL_BENCH_BENCH_COMMON_HPP
 #define MWL_BENCH_BENCH_COMMON_HPP
 
+#include "cli.hpp"
 #include "report/table.hpp"
 
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -26,45 +26,26 @@ struct bench_options {
     std::string out;              ///< optional artifact path (bench-specific)
 };
 
+/// The shared bench flags, through the tools' flag layer (tools/cli.hpp):
+/// a malformed or negative number is a diagnostic and exit 2.
 inline bench_options parse_options(int argc, char** argv,
                                    const char* bench_name)
 {
     bench_options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next_value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << bench_name << ": missing value for " << arg
-                          << '\n';
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--graphs") {
-            opt.graphs = std::stoul(next_value());
-        } else if (arg == "--seed") {
-            opt.seed = std::stoull(next_value());
-        } else if (arg == "--csv") {
-            opt.csv = true;
-        } else if (arg == "--ilp-time-limit") {
-            opt.ilp_time_limit = std::stod(next_value());
-        } else if (arg == "--max-size") {
-            opt.max_size = std::stoul(next_value());
-        } else if (arg == "--out") {
-            opt.out = next_value();
-        } else if (arg == "--help" || arg == "-h") {
-            std::cout << bench_name
-                      << " [--graphs N] [--seed S] [--csv]"
-                         " [--ilp-time-limit SEC] [--max-size N]"
-                         " [--out FILE]\n"
-                         "Defaults are scaled for quick runs; use"
-                         " --graphs 200 for the paper's corpus size.\n";
-            std::exit(0);
-        } else {
-            std::cerr << bench_name << ": unknown option " << arg << '\n';
-            std::exit(2);
-        }
-    }
+    cli::tool cli(bench_name,
+                  std::string(bench_name) +
+                      " [--graphs N] [--seed S] [--csv]"
+                      " [--ilp-time-limit SEC] [--max-size N]"
+                      " [--out FILE]\n"
+                      "Defaults are scaled for quick runs; use"
+                      " --graphs 200 for the paper's corpus size.\n");
+    cli.value("--graphs", opt.graphs);
+    cli.value("--seed", opt.seed);
+    cli.flag("--csv", opt.csv);
+    cli.value("--ilp-time-limit", opt.ilp_time_limit);
+    cli.value("--max-size", opt.max_size);
+    cli.value("--out", opt.out);
+    cli.parse(argc, argv);
     return opt;
 }
 

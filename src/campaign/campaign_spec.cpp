@@ -5,134 +5,37 @@
 #include "support/rng.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
+#include <type_traits>
 #include <unordered_set>
 
 namespace mwl {
 
 namespace {
 
-[[noreturn]] void fail_line(std::size_t line_no, const std::string& message)
+/// `1,2,4` or `1e-6,1e-5`: distinct values > 0.
+template <typename T>
+std::vector<T> positive_list(const line_reader& line, const key_value& kv)
 {
-    throw spec_error("spec line " + std::to_string(line_no) + ": " +
-                     message);
-}
-
-int parse_int(const std::string& text, std::size_t line_no,
-              const std::string& what)
-{
-    try {
-        std::size_t used = 0;
-        const int value = std::stoi(text, &used);
-        if (used != text.size()) {
-            throw std::invalid_argument(text);
-        }
-        return value;
-    } catch (const std::exception&) {
-        fail_line(line_no, "bad " + what + " value '" + text + "'");
-    }
-}
-
-std::uint64_t parse_u64(const std::string& text, std::size_t line_no,
-                        const std::string& what)
-{
-    try {
-        std::size_t used = 0;
-        if (!text.empty() && text[0] == '-') {
-            throw std::invalid_argument(text);
-        }
-        const std::uint64_t value = std::stoull(text, &used);
-        if (used != text.size()) {
-            throw std::invalid_argument(text);
-        }
-        return value;
-    } catch (const std::exception&) {
-        fail_line(line_no, "bad " + what + " value '" + text + "'");
-    }
-}
-
-/// `1,2,4` -> {1, 2, 4}; each element a positive int.
-std::vector<int> parse_int_list(const std::string& text, std::size_t line_no,
-                                const std::string& what)
-{
-    std::vector<int> values;
+    std::vector<T> values;
     std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const std::size_t comma = std::min(text.find(',', pos), text.size());
-        const int value =
-            parse_int(text.substr(pos, comma - pos), line_no, what);
-        if (value < 1) {
-            fail_line(line_no, what + " values must be >= 1");
+    while (pos <= kv.value.size()) {
+        const std::size_t comma =
+            std::min(kv.value.find(',', pos), kv.value.size());
+        const std::string item = kv.value.substr(pos, comma - pos);
+        const T value = line.number<T>(item, kv.token);
+        if (!(value > 0)) {
+            line.fail(kv.key + (std::is_integral_v<T>
+                                    ? " values must be >= 1"
+                                    : " values must be positive"));
         }
         if (std::find(values.begin(), values.end(), value) != values.end()) {
-            fail_line(line_no, "duplicate " + what + " value " +
-                                   std::to_string(value));
+            line.fail("duplicate " + kv.key + " value '" + item + "'");
         }
         values.push_back(value);
         pos = comma + 1;
     }
     return values;
-}
-
-/// Split `lo..hi` around the dots; both halves are ints.
-void parse_range(const std::string& text, std::size_t line_no, int& lo,
-                 int& hi)
-{
-    const std::size_t dots = text.find("..");
-    if (dots == std::string::npos) {
-        // A single value is the degenerate range lo..lo.
-        lo = hi = parse_int(text, line_no, "slack");
-        return;
-    }
-    lo = parse_int(text.substr(0, dots), line_no, "slack");
-    hi = parse_int(text.substr(dots + 2), line_no, "slack");
-}
-
-/// `1e-6,1e-5` -> {1e-6, 1e-5}; each element a positive double, no
-/// duplicates (the budget list of a tune line).
-std::vector<double> parse_double_list(const std::string& text,
-                                      std::size_t line_no,
-                                      const std::string& what)
-{
-    std::vector<double> values;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const std::size_t comma = std::min(text.find(',', pos), text.size());
-        const std::string token = text.substr(pos, comma - pos);
-        double value = 0.0;
-        try {
-            std::size_t used = 0;
-            value = std::stod(token, &used);
-            if (used != token.size() || !std::isfinite(value)) {
-                throw std::invalid_argument(token);
-            }
-        } catch (const std::exception&) {
-            fail_line(line_no, "bad " + what + " value '" + token + "'");
-        }
-        if (value <= 0.0) {
-            fail_line(line_no, what + " values must be positive");
-        }
-        if (std::find(values.begin(), values.end(), value) != values.end()) {
-            fail_line(line_no, "duplicate " + what + " value '" + token +
-                                   "'");
-        }
-        values.push_back(value);
-        pos = comma + 1;
-    }
-    return values;
-}
-
-/// key=value splitter for the lambda/model/perturb keyword lines.
-bool split_kv(const std::string& token, std::string& key, std::string& value)
-{
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
-        return false;
-    }
-    key = token.substr(0, eq);
-    value = token.substr(eq + 1);
-    return true;
 }
 
 } // namespace
@@ -141,26 +44,15 @@ campaign_spec campaign_spec::parse(std::istream& in)
 {
     campaign_spec spec;
     std::unordered_set<std::string> seen_scenarios;
-    bool saw_lambda = false;
-    bool saw_model = false;
-    bool saw_perturb = false;
-    bool saw_tune = false;
-
     const std::vector<std::string> known = scenario_names();
-    std::string raw;
-    std::size_t line_no = 0;
-    while (std::getline(in, raw)) {
-        ++line_no;
-        std::istringstream line(raw);
-        std::string keyword;
-        if (!(line >> keyword) || keyword.front() == '#') {
-            continue;
-        }
+    line_reader line(in, "spec");
+    while (line.next()) {
+        const std::string& keyword = line.keyword();
         if (keyword == "scenario") {
-            std::string name;
-            bool any = false;
-            while (line >> name) {
-                any = true;
+            if (line.tokens().empty()) {
+                line.fail("expected 'scenario NAME ...'");
+            }
+            for (const std::string& name : line.tokens()) {
                 if (name == "all") {
                     for (const std::string& each : known) {
                         if (seen_scenarios.insert(each).second) {
@@ -171,139 +63,101 @@ campaign_spec campaign_spec::parse(std::istream& in)
                 }
                 if (std::find(known.begin(), known.end(), name) ==
                     known.end()) {
-                    fail_line(line_no, "unknown scenario '" + name + "'");
+                    line.fail("unknown scenario '" + name + "'");
                 }
                 if (!seen_scenarios.insert(name).second) {
-                    fail_line(line_no, "duplicate scenario '" + name + "'");
+                    line.fail("duplicate scenario '" + name + "'");
                 }
                 spec.scenarios.push_back(name);
             }
-            if (!any) {
-                fail_line(line_no, "expected 'scenario NAME ...'");
-            }
         } else if (keyword == "lambda") {
-            if (saw_lambda) {
-                fail_line(line_no, "duplicate lambda line");
-            }
-            saw_lambda = true;
-            std::string token;
-            std::string key;
-            std::string value;
-            while (line >> token) {
-                if (!split_kv(token, key, value)) {
-                    fail_line(line_no, "expected key=value, got '" + token +
-                                           "'");
-                }
-                if (key == "slack") {
-                    parse_range(value, line_no, spec.slack_lo,
-                                spec.slack_hi);
-                } else if (key == "step") {
-                    spec.slack_step = parse_int(value, line_no, "step");
+            line.once();
+            for (const key_value& kv : line.key_values()) {
+                if (kv.key == "slack") {
+                    // `lo..hi`, or a single value as the range lo..lo.
+                    const std::size_t dots = kv.value.find("..");
+                    spec.slack_lo =
+                        line.number<int>(kv.value.substr(0, dots), kv.token);
+                    spec.slack_hi =
+                        dots == std::string::npos
+                            ? spec.slack_lo
+                            : line.number<int>(kv.value.substr(dots + 2),
+                                               kv.token);
+                } else if (kv.key == "step") {
+                    spec.slack_step = line.number<int>(kv.value, kv.token);
                 } else {
-                    fail_line(line_no, "unknown lambda key '" + key + "'");
+                    line.fail("unknown lambda key '" + kv.key + "'");
                 }
             }
             if (spec.slack_lo < 0 || spec.slack_hi < spec.slack_lo) {
-                fail_line(line_no, "slack range must be 0 <= lo <= hi");
+                line.fail("slack range must be 0 <= lo <= hi");
             }
             if (spec.slack_step < 1) {
-                fail_line(line_no, "step must be >= 1");
+                line.fail("step must be >= 1");
             }
         } else if (keyword == "model") {
-            if (saw_model) {
-                fail_line(line_no, "duplicate model line");
-            }
-            saw_model = true;
-            std::string token;
-            std::string key;
-            std::string value;
-            while (line >> token) {
-                if (!split_kv(token, key, value)) {
-                    fail_line(line_no, "expected key=value, got '" + token +
-                                           "'");
-                }
-                if (key == "adder-latency") {
-                    spec.adder_latencies =
-                        parse_int_list(value, line_no, "adder-latency");
-                } else if (key == "mul-bits-per-cycle") {
-                    spec.mul_bits_per_cycle =
-                        parse_int_list(value, line_no, "mul-bits-per-cycle");
+            line.once();
+            for (const key_value& kv : line.key_values()) {
+                if (kv.key == "adder-latency") {
+                    spec.adder_latencies = positive_list<int>(line, kv);
+                } else if (kv.key == "mul-bits-per-cycle") {
+                    spec.mul_bits_per_cycle = positive_list<int>(line, kv);
                 } else {
-                    fail_line(line_no, "unknown model key '" + key + "'");
+                    line.fail("unknown model key '" + kv.key + "'");
                 }
             }
         } else if (keyword == "perturb") {
-            if (saw_perturb) {
-                fail_line(line_no, "duplicate perturb line");
-            }
-            saw_perturb = true;
-            std::string token;
-            std::string key;
-            std::string value;
-            while (line >> token) {
-                if (!split_kv(token, key, value)) {
-                    fail_line(line_no, "expected key=value, got '" + token +
-                                           "'");
-                }
-                if (key == "count") {
-                    spec.perturb_count = parse_u64(value, line_no, "count");
-                } else if (key == "flips") {
-                    spec.perturb_flips = parse_int(value, line_no, "flips");
+            line.once();
+            for (const key_value& kv : line.key_values()) {
+                if (kv.key == "count") {
+                    spec.perturb_count =
+                        line.number<std::size_t>(kv.value, kv.token);
+                } else if (kv.key == "flips") {
+                    spec.perturb_flips = line.number<int>(kv.value, kv.token);
                     if (spec.perturb_flips < 1) {
-                        fail_line(line_no, "flips must be >= 1");
+                        line.fail("flips must be >= 1");
                     }
-                } else if (key == "seed") {
-                    spec.perturb_seed = parse_u64(value, line_no, "seed");
+                } else if (kv.key == "seed") {
+                    spec.perturb_seed =
+                        line.number<std::uint64_t>(kv.value, kv.token);
                 } else {
-                    fail_line(line_no, "unknown perturb key '" + key + "'");
+                    line.fail("unknown perturb key '" + kv.key + "'");
                 }
             }
             if (spec.perturb_count < 1) {
-                fail_line(line_no, "perturb needs count=N (>= 1)");
+                line.fail("perturb needs count=N (>= 1)");
             }
         } else if (keyword == "tune") {
-            if (saw_tune) {
-                fail_line(line_no, "duplicate tune line");
-            }
-            saw_tune = true;
-            std::string token;
-            std::string key;
-            std::string value;
-            while (line >> token) {
-                if (!split_kv(token, key, value)) {
-                    fail_line(line_no, "expected key=value, got '" + token +
-                                           "'");
-                }
-                if (key == "budget") {
-                    spec.tune_budgets =
-                        parse_double_list(value, line_no, "budget");
-                } else if (key == "min-frac") {
-                    spec.tune_min_frac = parse_int(value, line_no,
-                                                   "min-frac");
-                } else if (key == "max-frac") {
-                    spec.tune_max_frac = parse_int(value, line_no,
-                                                   "max-frac");
-                } else if (key == "seed") {
-                    spec.tune_seed = parse_u64(value, line_no, "seed");
-                } else if (key == "max-steps") {
+            line.once();
+            for (const key_value& kv : line.key_values()) {
+                if (kv.key == "budget") {
+                    spec.tune_budgets = positive_list<double>(line, kv);
+                } else if (kv.key == "min-frac") {
+                    spec.tune_min_frac = line.number<int>(kv.value, kv.token);
+                } else if (kv.key == "max-frac") {
+                    spec.tune_max_frac = line.number<int>(kv.value, kv.token);
+                } else if (kv.key == "seed") {
+                    spec.tune_seed =
+                        line.number<std::uint64_t>(kv.value, kv.token);
+                } else if (kv.key == "max-steps") {
                     spec.tune_max_steps =
-                        parse_u64(value, line_no, "max-steps");
-                } else if (key == "anneal") {
-                    spec.tune_anneal = parse_u64(value, line_no, "anneal");
+                        line.number<std::size_t>(kv.value, kv.token);
+                } else if (kv.key == "anneal") {
+                    spec.tune_anneal =
+                        line.number<std::size_t>(kv.value, kv.token);
                 } else {
-                    fail_line(line_no, "unknown tune key '" + key + "'");
+                    line.fail("unknown tune key '" + kv.key + "'");
                 }
             }
             if (spec.tune_budgets.empty()) {
-                fail_line(line_no, "tune needs budget=LIST");
+                line.fail("tune needs budget=LIST");
             }
             if (spec.tune_min_frac < 0 ||
                 spec.tune_max_frac < spec.tune_min_frac) {
-                fail_line(line_no,
-                          "tune frac range must be 0 <= min <= max");
+                line.fail("tune frac range must be 0 <= min <= max");
             }
         } else {
-            fail_line(line_no, "unknown keyword '" + keyword + "'");
+            line.fail("unknown keyword '" + keyword + "'");
         }
     }
     if (spec.scenarios.empty()) {

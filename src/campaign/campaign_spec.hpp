@@ -4,8 +4,8 @@
 // sweeps around this paper's allocator (FpSynt's cost-in-the-loop search,
 // linaii's largedse driver): named scenarios x a lambda-relaxation range
 // x a hardware-model parameter grid x optional wordlength perturbations.
-// The spec is a small line-based text format (diagnostics carry 1-based
-// line numbers, like mwl_batch manifests):
+// The spec is a line grammar read by io/line_reader.hpp (diagnostics carry
+// 1-based line numbers, like mwl_batch manifests):
 //
 //   # comment
 //   scenario fir4 fir8 dct8      one or more lines; 'all' = whole registry
@@ -33,7 +33,7 @@
 #define MWL_CAMPAIGN_CAMPAIGN_SPEC_HPP
 
 #include "dfg/sequencing_graph.hpp"
-#include "support/error.hpp"
+#include "io/line_reader.hpp"
 
 #include <cstdint>
 #include <iosfwd>
@@ -42,11 +42,9 @@
 
 namespace mwl {
 
-/// A campaign spec that does not parse; `what()` carries "spec line N".
-class spec_error : public error {
-public:
-    using error::error;
-};
+/// A campaign or tune spec that does not parse; `what()` carries
+/// "spec line N" (io/line_reader.hpp).
+using spec_error = line_error;
 
 struct campaign_spec {
     /// Scenario names in declaration order (validated against the

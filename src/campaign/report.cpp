@@ -1,28 +1,13 @@
 #include "campaign/report.hpp"
 
+#include "support/json.hpp"
+
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
 
 namespace mwl {
-
-namespace {
-
-std::string json_escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
 
 campaign_status status_of(const std::vector<campaign_point>& points,
                           const result_store& store)
@@ -124,15 +109,15 @@ std::string report_json(const std::vector<campaign_point>& points,
     bool first = true;
     for (const auto& [index, result] : store.results()) {
         json << (first ? "" : ",") << "{\"index\":" << index
-             << ",\"key\":\"" << json_escape(result.key)
-             << "\",\"lambda\":" << result.lambda;
+             << ",\"key\":" << json_quote(result.key)
+             << ",\"lambda\":" << result.lambda;
         if (result.ok()) {
             json << ",\"latency\":" << result.latency
                  << ",\"area\":" << format_double(result.area)
                  << ",\"status\":\"ok\"}";
         } else {
-            json << ",\"status\":\"error\",\"error\":\""
-                 << json_escape(result.error) << "\"}";
+            json << ",\"status\":\"error\",\"error\":"
+                 << json_quote(result.error) << "}";
         }
         first = false;
     }
@@ -140,14 +125,13 @@ std::string report_json(const std::vector<campaign_point>& points,
     first = true;
     for (const auto& [scenario, front] :
          merge_scenario_frontiers(points, store)) {
-        json << (first ? "" : ",") << "\"" << json_escape(scenario)
-             << "\":[";
+        json << (first ? "" : ",") << json_quote(scenario) << ":[";
         bool inner_first = true;
         for (const frontier_entry& entry : front) {
             json << (inner_first ? "" : ",") << "{\"latency\":"
                  << entry.latency << ",\"area\":"
-                 << format_double(entry.area) << ",\"key\":\""
-                 << json_escape(entry.key) << "\"}";
+                 << format_double(entry.area)
+                 << ",\"key\":" << json_quote(entry.key) << "}";
             inner_first = false;
         }
         json << "]";

@@ -1,6 +1,7 @@
 #include "campaign/result_store.hpp"
 
 #include "support/atomic_write.hpp"
+#include "support/json.hpp"
 
 #include <cerrno>
 #include <cinttypes>
@@ -136,13 +137,6 @@ header parse_header(const std::string& payload, const std::string& where)
 }
 
 } // namespace
-
-std::string format_double(double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    return buf;
-}
 
 std::string to_payload(const point_result& result)
 {

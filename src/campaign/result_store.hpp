@@ -151,10 +151,6 @@ private:
 [[nodiscard]] std::string to_payload(const point_result& result);
 [[nodiscard]] point_result parse_point_payload(const std::string& payload);
 
-/// Exact-round-trip double formatting shared by the store and the
-/// campaign report JSON, so equal results serialise byte-identically.
-[[nodiscard]] std::string format_double(double value);
-
 } // namespace mwl
 
 #endif // MWL_CAMPAIGN_RESULT_STORE_HPP

@@ -6,263 +6,31 @@
 #include "dfg/analysis.hpp"
 #include "ilp/formulation.hpp"
 #include "rtl/netlist.hpp"
+#include "support/json.hpp"
 #include "tgff/corpus.hpp"
 
-#include <cctype>
 #include <cmath>
-#include <iomanip>
 #include <sstream>
 #include <utility>
 
 namespace mwl {
 namespace {
 
-// ---------------------------------------------------------- JSON writing --
-
-/// Shortest representation that round-trips through stod.
-std::string json_number(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(17) << value;
-    return out.str();
-}
-
-std::string escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    return out;
-}
-
-// ---------------------------------------------------------- JSON parsing --
-//
-// A minimal recursive-descent reader for the subset to_json emits
-// (objects, arrays, strings without exotic escapes, numbers, booleans).
-// Self-contained on purpose: goldens are repo-internal artifacts and the
-// container has no JSON library to lean on.
-
-struct json_value {
-    enum class kind { object, array, string, number, boolean };
-    kind what = kind::number;
-    double number = 0.0;
-    bool boolean = false;
-    std::string string;
-    std::vector<json_value> array;
-    std::vector<std::pair<std::string, json_value>> object;
-};
-
-class json_parser {
-public:
-    explicit json_parser(const std::string& text) : text_(text) {}
-
-    json_value parse()
-    {
-        json_value v = value();
-        skip_space();
-        if (at_ != text_.size()) {
-            fail("trailing characters after the top-level value");
-        }
-        return v;
-    }
-
-private:
-    [[noreturn]] void fail(const std::string& message) const
-    {
-        throw quality_format_error("quality report JSON, offset " +
-                                   std::to_string(at_) + ": " + message);
-    }
-
-    void skip_space()
-    {
-        while (at_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[at_]))) {
-            ++at_;
-        }
-    }
-
-    char peek()
-    {
-        skip_space();
-        if (at_ >= text_.size()) {
-            fail("unexpected end of input");
-        }
-        return text_[at_];
-    }
-
-    void expect(char c)
-    {
-        if (peek() != c) {
-            fail(std::string("expected '") + c + "'");
-        }
-        ++at_;
-    }
-
-    std::string string_literal()
-    {
-        expect('"');
-        std::string out;
-        while (at_ < text_.size() && text_[at_] != '"') {
-            char c = text_[at_++];
-            if (c == '\\') {
-                if (at_ >= text_.size()) {
-                    fail("unterminated escape");
-                }
-                c = text_[at_++];
-                if (c != '"' && c != '\\') {
-                    fail("unsupported escape sequence");
-                }
-            }
-            out += c;
-        }
-        if (at_ >= text_.size()) {
-            fail("unterminated string");
-        }
-        ++at_; // closing quote
-        return out;
-    }
-
-    json_value value()
-    {
-        const char c = peek();
-        json_value v;
-        if (c == '{') {
-            ++at_;
-            v.what = json_value::kind::object;
-            if (peek() == '}') {
-                ++at_;
-                return v;
-            }
-            while (true) {
-                std::string key = string_literal();
-                expect(':');
-                v.object.emplace_back(std::move(key), value());
-                if (peek() == ',') {
-                    ++at_;
-                    continue;
-                }
-                expect('}');
-                return v;
-            }
-        }
-        if (c == '[') {
-            ++at_;
-            v.what = json_value::kind::array;
-            if (peek() == ']') {
-                ++at_;
-                return v;
-            }
-            while (true) {
-                v.array.push_back(value());
-                if (peek() == ',') {
-                    ++at_;
-                    continue;
-                }
-                expect(']');
-                return v;
-            }
-        }
-        if (c == '"') {
-            v.what = json_value::kind::string;
-            v.string = string_literal();
-            return v;
-        }
-        if (text_.compare(at_, 4, "true") == 0) {
-            at_ += 4;
-            v.what = json_value::kind::boolean;
-            v.boolean = true;
-            return v;
-        }
-        if (text_.compare(at_, 5, "false") == 0) {
-            at_ += 5;
-            v.what = json_value::kind::boolean;
-            return v;
-        }
-        std::size_t end = at_;
-        while (end < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[end])) ||
-                text_[end] == '-' || text_[end] == '+' || text_[end] == '.' ||
-                text_[end] == 'e' || text_[end] == 'E')) {
-            ++end;
-        }
-        if (end == at_) {
-            fail("expected a value");
-        }
-        try {
-            v.number = std::stod(text_.substr(at_, end - at_));
-        } catch (const std::exception&) {
-            fail("malformed number");
-        }
-        at_ = end;
-        return v;
-    }
-
-    const std::string& text_;
-    std::size_t at_ = 0;
-};
-
-const json_value& member(const json_value& obj, const char* key)
-{
-    if (obj.what != json_value::kind::object) {
-        throw quality_format_error(
-            std::string("expected an object around key '") + key + "'");
-    }
-    for (const auto& [name, value] : obj.object) {
-        if (name == key) {
-            return value;
-        }
-    }
-    throw quality_format_error(std::string("missing key '") + key + "'");
-}
-
-double number_of(const json_value& obj, const char* key)
-{
-    const json_value& v = member(obj, key);
-    if (v.what != json_value::kind::number) {
-        throw quality_format_error(std::string("key '") + key +
-                                   "' is not a number");
-    }
-    return v.number;
-}
+// ---------------------------------------------------------- JSON reading --
 
 int int_of(const json_value& obj, const char* key)
 {
-    return static_cast<int>(number_of(obj, key));
+    return static_cast<int>(obj.number_at(key));
 }
 
 std::size_t size_of(const json_value& obj, const char* key)
 {
-    const double v = number_of(obj, key);
+    const double v = obj.number_at(key);
     if (v < 0) {
-        throw quality_format_error(std::string("key '") + key +
-                                   "' must be non-negative");
+        throw json_error(std::string("key '") + key +
+                         "' must be non-negative");
     }
     return static_cast<std::size_t>(v);
-}
-
-bool bool_of(const json_value& obj, const char* key)
-{
-    const json_value& v = member(obj, key);
-    if (v.what != json_value::kind::boolean) {
-        throw quality_format_error(std::string("key '") + key +
-                                   "' is not a boolean");
-    }
-    return v.boolean;
-}
-
-std::string string_of(const json_value& obj, const char* key)
-{
-    const json_value& v = member(obj, key);
-    if (v.what != json_value::kind::string) {
-        throw quality_format_error(std::string("key '") + key +
-                                   "' is not a string");
-    }
-    return v.string;
 }
 
 // ------------------------------------------------------------- diffing ----
@@ -344,11 +112,12 @@ std::string to_json(const quality_report& report)
     std::ostringstream out;
     out << "{\n"
         << "  \"format_version\": " << quality_format_version << ",\n"
-        << "  \"scenario\": \"" << escape(report.scenario) << "\",\n"
+        << "  \"scenario\": " << json_quote(report.scenario) << ",\n"
         << "  \"ops\": " << report.ops << ",\n"
         << "  \"edges\": " << report.edges << ",\n"
         << "  \"lambda_min\": " << report.lambda_min << ",\n"
-        << "  \"options\": {\"slack\": " << json_number(report.options.slack)
+        << "  \"options\": {\"slack\": "
+        << format_double(report.options.slack)
         << ", \"ilp_max_ops\": " << report.options.ilp_max_ops
         << ", \"ilp_max_nodes\": " << report.options.ilp_max_nodes
         << ", \"use_dpalloc\": "
@@ -361,16 +130,16 @@ std::string to_json(const quality_report& report)
     for (std::size_t i = 0; i < report.allocators.size(); ++i) {
         const allocator_quality& a = report.allocators[i];
         const quality_metrics& m = a.metrics;
-        out << (i == 0 ? "" : ",") << "\n    {\"name\": \""
-            << escape(a.allocator) << "\", \"lambda\": " << m.lambda
+        out << (i == 0 ? "" : ",") << "\n    {\"name\": "
+            << json_quote(a.allocator) << ", \"lambda\": " << m.lambda
             << ", \"latency\": " << m.latency
             << ", \"fu_count\": " << m.fu_count
-            << ", \"fu_area\": " << json_number(m.fu_area)
+            << ", \"fu_area\": " << format_double(m.fu_area)
             << ", \"register_count\": " << m.register_count
-            << ", \"register_area\": " << json_number(m.register_area)
+            << ", \"register_area\": " << format_double(m.register_area)
             << ", \"mux_count\": " << m.mux_count
-            << ", \"mux_area\": " << json_number(m.mux_area)
-            << ", \"ext_area\": " << json_number(m.ext_area) << "}";
+            << ", \"mux_area\": " << format_double(m.mux_area)
+            << ", \"ext_area\": " << format_double(m.ext_area) << "}";
     }
     out << "\n  ]\n}\n";
     return out.str();
@@ -378,46 +147,47 @@ std::string to_json(const quality_report& report)
 
 quality_report parse_quality_report(const std::string& text)
 {
-    const json_value root = json_parser(text).parse();
-    const int version = int_of(root, "format_version");
-    if (version != quality_format_version) {
-        throw quality_format_error(
-            "golden format_version " + std::to_string(version) +
-            " does not match this build's version " +
-            std::to_string(quality_format_version) +
-            " (refresh with mwl_scenarios --update-goldens)");
+    try {
+        const json_value root = parse_json(text);
+        const int version = int_of(root, "format_version");
+        if (version != quality_format_version) {
+            throw quality_format_error(
+                "golden format_version " + std::to_string(version) +
+                " does not match this build's version " +
+                std::to_string(quality_format_version) +
+                " (refresh with mwl_scenarios --update-goldens)");
+        }
+        quality_report report;
+        report.scenario = root.string_at("scenario");
+        report.ops = size_of(root, "ops");
+        report.edges = size_of(root, "edges");
+        report.lambda_min = int_of(root, "lambda_min");
+        const json_value& options = root.at("options");
+        report.options.slack = options.number_at("slack");
+        report.options.ilp_max_ops = size_of(options, "ilp_max_ops");
+        report.options.ilp_max_nodes = size_of(options, "ilp_max_nodes");
+        report.options.use_dpalloc = options.boolean_at("use_dpalloc");
+        report.options.use_two_stage = options.boolean_at("use_two_stage");
+        report.options.use_descending = options.boolean_at("use_descending");
+        for (const json_value& entry : root.array_at("allocators")) {
+            allocator_quality a;
+            a.allocator = entry.string_at("name");
+            a.metrics.lambda = int_of(entry, "lambda");
+            a.metrics.latency = int_of(entry, "latency");
+            a.metrics.fu_count = size_of(entry, "fu_count");
+            a.metrics.fu_area = entry.number_at("fu_area");
+            a.metrics.register_count = size_of(entry, "register_count");
+            a.metrics.register_area = entry.number_at("register_area");
+            a.metrics.mux_count = size_of(entry, "mux_count");
+            a.metrics.mux_area = entry.number_at("mux_area");
+            a.metrics.ext_area = entry.number_at("ext_area");
+            report.allocators.push_back(std::move(a));
+        }
+        return report;
+    } catch (const json_error& e) {
+        throw quality_format_error(std::string("quality report ") +
+                                   e.what());
     }
-    quality_report report;
-    report.scenario = string_of(root, "scenario");
-    report.ops = size_of(root, "ops");
-    report.edges = size_of(root, "edges");
-    report.lambda_min = int_of(root, "lambda_min");
-    const json_value& options = member(root, "options");
-    report.options.slack = number_of(options, "slack");
-    report.options.ilp_max_ops = size_of(options, "ilp_max_ops");
-    report.options.ilp_max_nodes = size_of(options, "ilp_max_nodes");
-    report.options.use_dpalloc = bool_of(options, "use_dpalloc");
-    report.options.use_two_stage = bool_of(options, "use_two_stage");
-    report.options.use_descending = bool_of(options, "use_descending");
-    const json_value& allocators = member(root, "allocators");
-    if (allocators.what != json_value::kind::array) {
-        throw quality_format_error("key 'allocators' is not an array");
-    }
-    for (const json_value& entry : allocators.array) {
-        allocator_quality a;
-        a.allocator = string_of(entry, "name");
-        a.metrics.lambda = int_of(entry, "lambda");
-        a.metrics.latency = int_of(entry, "latency");
-        a.metrics.fu_count = size_of(entry, "fu_count");
-        a.metrics.fu_area = number_of(entry, "fu_area");
-        a.metrics.register_count = size_of(entry, "register_count");
-        a.metrics.register_area = number_of(entry, "register_area");
-        a.metrics.mux_count = size_of(entry, "mux_count");
-        a.metrics.mux_area = number_of(entry, "mux_area");
-        a.metrics.ext_area = number_of(entry, "ext_area");
-        report.allocators.push_back(std::move(a));
-    }
-    return report;
 }
 
 std::vector<metric_drift> diff_quality(const quality_report& golden,

@@ -1,38 +1,11 @@
 #include "support/finding.hpp"
 
-#include <cstdio>
+#include "support/json.hpp"
+
 #include <ostream>
 #include <sstream>
 
 namespace mwl {
-namespace {
-
-/// JSON string escaping for the subset of characters findings can carry
-/// (rule ids and locations are ASCII; messages may quote user text).
-void append_escaped(std::string& out, const std::string& text)
-{
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-} // namespace
 
 const char* to_string(finding_severity severity)
 {
@@ -55,17 +28,11 @@ std::string finding::to_string() const
 
 std::string finding::to_json() const
 {
-    std::string out = "{\"rule\":";
-    append_escaped(out, rule);
-    out += ",\"severity\":\"";
-    out += mwl::to_string(severity);
-    out += "\",\"node\":";
-    append_escaped(out, location);
-    out += ",\"bits\":[" + std::to_string(bit_lo) + "," +
-           std::to_string(bit_hi) + "],\"message\":";
-    append_escaped(out, message);
-    out += '}';
-    return out;
+    return "{\"rule\":" + json_quote(rule) + ",\"severity\":\"" +
+           mwl::to_string(severity) + "\",\"node\":" + json_quote(location) +
+           ",\"bits\":[" + std::to_string(bit_lo) + "," +
+           std::to_string(bit_hi) + "],\"message\":" + json_quote(message) +
+           '}';
 }
 
 std::ostream& operator<<(std::ostream& os, const finding& f)

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 namespace mwl {
 
@@ -37,6 +38,25 @@ namespace mwl {
 /// fraction in this codebase wants them).
 [[nodiscard]] double parse_double_checked(const std::string& text,
                                           const std::string& context = {});
+
+/// The checked parser for `T` (int, double, std::size_t or
+/// std::uint64_t), for callers that are generic over the target type.
+template <typename T>
+[[nodiscard]] T parse_checked(const std::string& text,
+                              const std::string& context = {})
+{
+    if constexpr (std::is_same_v<T, int>) {
+        return parse_int_checked(text, context);
+    } else if constexpr (std::is_same_v<T, double>) {
+        return parse_double_checked(text, context);
+    } else if constexpr (std::is_same_v<T, std::size_t>) {
+        return parse_size_checked(text, context);
+    } else {
+        static_assert(std::is_same_v<T, std::uint64_t>,
+                      "parse_checked: unsupported target type");
+        return parse_u64_checked(text, context);
+    }
+}
 
 } // namespace mwl
 

@@ -1,73 +1,26 @@
 #include "wordlength/tune_spec.hpp"
 
 #include "scenarios/scenarios.hpp"
-#include "support/parse_num.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <unordered_set>
 
 namespace mwl {
 
-namespace {
-
-[[noreturn]] void fail_line(std::size_t line_no, const std::string& message)
-{
-    throw spec_error("spec line " + std::to_string(line_no) + ": " +
-                     message);
-}
-
-/// Run one of the checked numeric parsers, turning its
-/// `precondition_error` into a line-numbered `spec_error`.
-template <typename Parse>
-auto on_line(std::size_t line_no, Parse&& parse)
-{
-    try {
-        return parse();
-    } catch (const error& e) {
-        fail_line(line_no, e.what());
-    }
-}
-
-bool split_kv(const std::string& token, std::string& key, std::string& value)
-{
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
-        return false;
-    }
-    key = token.substr(0, eq);
-    value = token.substr(eq + 1);
-    return true;
-}
-
-} // namespace
-
 tune_spec tune_spec::parse(std::istream& in)
 {
     tune_spec spec;
     std::unordered_set<std::string> seen_names;
-    bool saw_budget = false;
-    bool saw_frac = false;
-    bool saw_search = false;
-    bool saw_gain = false;
-    bool saw_lambda = false;
-
     const std::vector<std::string> known = scenario_names();
-    std::string raw;
-    std::size_t line_no = 0;
-    while (std::getline(in, raw)) {
-        ++line_no;
-        std::istringstream line(raw);
-        std::string keyword;
-        if (!(line >> keyword) || keyword.front() == '#') {
-            continue;
-        }
+    line_reader line(in, "spec");
+    while (line.next()) {
+        const std::string& keyword = line.keyword();
         if (keyword == "scenario") {
-            std::string name;
-            bool any = false;
-            while (line >> name) {
-                any = true;
+            if (line.tokens().empty()) {
+                line.fail("expected 'scenario NAME ...'");
+            }
+            for (const std::string& name : line.tokens()) {
                 if (name == "all") {
                     for (const std::string& each : known) {
                         if (seen_names.insert(each).second) {
@@ -78,185 +31,115 @@ tune_spec tune_spec::parse(std::istream& in)
                 }
                 if (std::find(known.begin(), known.end(), name) ==
                     known.end()) {
-                    fail_line(line_no, "unknown scenario '" + name + "'");
+                    line.fail("unknown scenario '" + name + "'");
                 }
                 if (!seen_names.insert(name).second) {
-                    fail_line(line_no, "duplicate design '" + name + "'");
+                    line.fail("duplicate design '" + name + "'");
                 }
                 spec.entries.push_back({name, {}});
             }
-            if (!any) {
-                fail_line(line_no, "expected 'scenario NAME ...'");
-            }
         } else if (keyword == "graph") {
-            std::string file;
-            bool any = false;
-            while (line >> file) {
-                any = true;
+            if (line.tokens().empty()) {
+                line.fail("expected 'graph FILE ...'");
+            }
+            for (const std::string& file : line.tokens()) {
                 if (!seen_names.insert(file).second) {
-                    fail_line(line_no, "duplicate design '" + file + "'");
+                    line.fail("duplicate design '" + file + "'");
                 }
                 spec.entries.push_back({{}, file});
             }
-            if (!any) {
-                fail_line(line_no, "expected 'graph FILE ...'");
-            }
         } else if (keyword == "budget") {
-            if (saw_budget) {
-                fail_line(line_no, "duplicate budget line");
+            line.once();
+            if (line.tokens().empty()) {
+                line.fail("expected 'budget VALUE ...'");
             }
-            saw_budget = true;
-            std::string token;
-            while (line >> token) {
-                const double value = on_line(line_no, [&] {
-                    return parse_double_checked(token);
-                });
+            for (const std::string& token : line.tokens()) {
+                const double value = line.number<double>(token);
                 if (value <= 0.0) {
-                    fail_line(line_no, "budgets must be positive, got '" +
-                                           token + "'");
+                    line.fail("budgets must be positive, got '" + token +
+                              "'");
                 }
                 if (std::find(spec.budgets.begin(), spec.budgets.end(),
                               value) != spec.budgets.end()) {
-                    fail_line(line_no,
-                              "duplicate budget '" + token + "'");
+                    line.fail("duplicate budget '" + token + "'");
                 }
                 spec.budgets.push_back(value);
             }
-            if (spec.budgets.empty()) {
-                fail_line(line_no, "expected 'budget VALUE ...'");
-            }
         } else if (keyword == "frac") {
-            if (saw_frac) {
-                fail_line(line_no, "duplicate frac line");
-            }
-            saw_frac = true;
-            std::string token;
-            std::string key;
-            std::string value;
-            while (line >> token) {
-                if (!split_kv(token, key, value)) {
-                    fail_line(line_no,
-                              "expected key=value, got '" + token + "'");
-                }
-                if (key == "min") {
-                    spec.min_frac_bits = on_line(line_no, [&] {
-                        return parse_int_checked(value, token);
-                    });
-                } else if (key == "max") {
-                    spec.max_frac_bits = on_line(line_no, [&] {
-                        return parse_int_checked(value, token);
-                    });
+            line.once();
+            for (const key_value& kv : line.key_values()) {
+                if (kv.key == "min") {
+                    spec.min_frac_bits = line.number<int>(kv.value, kv.token);
+                } else if (kv.key == "max") {
+                    spec.max_frac_bits = line.number<int>(kv.value, kv.token);
                 } else {
-                    fail_line(line_no, "unknown frac key '" + key + "'");
+                    line.fail("unknown frac key '" + kv.key + "'");
                 }
             }
             if (spec.min_frac_bits < 0 ||
                 spec.max_frac_bits < spec.min_frac_bits) {
-                fail_line(line_no, "frac range must be 0 <= min <= max");
+                line.fail("frac range must be 0 <= min <= max");
             }
         } else if (keyword == "search") {
-            if (saw_search) {
-                fail_line(line_no, "duplicate search line");
-            }
-            saw_search = true;
-            std::string token;
-            std::string key;
-            std::string value;
-            while (line >> token) {
-                if (!split_kv(token, key, value)) {
-                    fail_line(line_no,
-                              "expected key=value, got '" + token + "'");
-                }
-                if (key == "seed") {
-                    spec.seed = on_line(line_no, [&] {
-                        return parse_u64_checked(value, token);
-                    });
-                } else if (key == "max-steps") {
-                    spec.max_steps = on_line(line_no, [&] {
-                        return parse_size_checked(value, token);
-                    });
-                } else if (key == "anneal") {
-                    spec.anneal_iterations = on_line(line_no, [&] {
-                        return parse_size_checked(value, token);
-                    });
-                } else if (key == "temp") {
-                    spec.anneal_temp = on_line(line_no, [&] {
-                        return parse_double_checked(value, token);
-                    });
+            line.once();
+            for (const key_value& kv : line.key_values()) {
+                if (kv.key == "seed") {
+                    spec.seed = line.number<std::uint64_t>(kv.value, kv.token);
+                } else if (kv.key == "max-steps") {
+                    spec.max_steps =
+                        line.number<std::size_t>(kv.value, kv.token);
+                } else if (kv.key == "anneal") {
+                    spec.anneal_iterations =
+                        line.number<std::size_t>(kv.value, kv.token);
+                } else if (kv.key == "temp") {
+                    spec.anneal_temp = line.number<double>(kv.value, kv.token);
                     if (spec.anneal_temp <= 0.0) {
-                        fail_line(line_no, "temp must be positive");
+                        line.fail("temp must be positive");
                     }
                 } else {
-                    fail_line(line_no, "unknown search key '" + key + "'");
+                    line.fail("unknown search key '" + kv.key + "'");
                 }
             }
         } else if (keyword == "gain") {
-            if (saw_gain) {
-                fail_line(line_no, "duplicate gain line");
-            }
-            saw_gain = true;
-            std::string token;
-            std::string key;
-            std::string value;
-            while (line >> token) {
-                if (!split_kv(token, key, value)) {
-                    fail_line(line_no,
-                              "expected key=value, got '" + token + "'");
-                }
-                if (key == "model") {
-                    if (value == "unit") {
+            line.once();
+            for (const key_value& kv : line.key_values()) {
+                if (kv.key == "model") {
+                    if (kv.value == "unit") {
                         spec.gains = gain_model::unit;
-                    } else if (value == "attenuating") {
+                    } else if (kv.value == "attenuating") {
                         spec.gains = gain_model::attenuating;
                     } else {
-                        fail_line(line_no, "unknown gain model '" + value +
-                                               "' (unit | attenuating)");
+                        line.fail("unknown gain model '" + kv.value +
+                                  "' (unit | attenuating)");
                     }
-                } else if (key == "base-frac") {
-                    spec.base_frac_bits = on_line(line_no, [&] {
-                        return parse_int_checked(value, token);
-                    });
+                } else if (kv.key == "base-frac") {
+                    spec.base_frac_bits = line.number<int>(kv.value, kv.token);
                     if (spec.base_frac_bits < 0) {
-                        fail_line(line_no, "base-frac must be >= 0");
+                        line.fail("base-frac must be >= 0");
                     }
-                } else if (key == "cap") {
-                    spec.width_cap = on_line(line_no, [&] {
-                        return parse_int_checked(value, token);
-                    });
+                } else if (kv.key == "cap") {
+                    spec.width_cap = line.number<int>(kv.value, kv.token);
                     if (spec.width_cap < 4 || spec.width_cap > 48) {
-                        fail_line(line_no, "cap must be in [4, 48]");
+                        line.fail("cap must be in [4, 48]");
                     }
                 } else {
-                    fail_line(line_no, "unknown gain key '" + key + "'");
+                    line.fail("unknown gain key '" + kv.key + "'");
                 }
             }
         } else if (keyword == "lambda") {
-            if (saw_lambda) {
-                fail_line(line_no, "duplicate lambda line");
-            }
-            saw_lambda = true;
-            std::string token;
-            std::string key;
-            std::string value;
-            while (line >> token) {
-                if (!split_kv(token, key, value)) {
-                    fail_line(line_no,
-                              "expected key=value, got '" + token + "'");
+            line.once();
+            for (const key_value& kv : line.key_values()) {
+                if (kv.key != "slack") {
+                    line.fail("unknown lambda key '" + kv.key + "'");
                 }
-                if (key == "slack") {
-                    const double percent = on_line(line_no, [&] {
-                        return parse_double_checked(value, token);
-                    });
-                    if (percent < 0.0) {
-                        fail_line(line_no, "slack must be non-negative");
-                    }
-                    spec.slack = percent / 100.0;
-                } else {
-                    fail_line(line_no, "unknown lambda key '" + key + "'");
+                const double percent = line.number<double>(kv.value, kv.token);
+                if (percent < 0.0) {
+                    line.fail("slack must be non-negative");
                 }
+                spec.slack = percent / 100.0;
             }
         } else {
-            fail_line(line_no, "unknown keyword '" + keyword + "'");
+            line.fail("unknown keyword '" + keyword + "'");
         }
     }
     if (spec.entries.empty()) {

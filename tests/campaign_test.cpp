@@ -94,7 +94,7 @@ TEST(CampaignSpec, DiagnosticsCarryOneBasedLineNumbers)
     expect_spec_error("scenario fir4\nlambda step=0\n",
                       "spec line 2: step must be >= 1");
     expect_spec_error("scenario fir4\nlambda slack=abc\n",
-                      "spec line 2: bad slack value 'abc'");
+                      "spec line 2: bad numeric value in 'slack=abc'");
     expect_spec_error("scenario fir4\nmodel adder-latency=0\n",
                       "spec line 2: adder-latency values must be >= 1");
     expect_spec_error("scenario fir4\nlambda step=5\nlambda step=6\n",
@@ -124,7 +124,7 @@ TEST(CampaignSpec, TuneDirectiveParses)
     expect_spec_error("scenario fir4\ntune budget=0\n",
                       "spec line 2: budget values must be positive");
     expect_spec_error("scenario fir4\ntune budget=junk\n",
-                      "spec line 2: bad budget value 'junk'");
+                      "spec line 2: bad numeric value in 'budget=junk'");
     expect_spec_error("scenario fir4\ntune budget=1e-5 min-frac=9 "
                       "max-frac=4\n",
                       "spec line 2: tune frac range must be 0 <= min <= max");

@@ -5,6 +5,7 @@
 // line number, or shifts exit 2 -> 1 fails here, not in a user's shell.
 
 #include "io/record_journal.hpp"
+#include "support/json.hpp"
 
 #include <gtest/gtest.h>
 
@@ -133,7 +134,7 @@ TEST(CliBatch, NegativeJobsIsDiagnosedNotWrapped)
 {
     // stoul would silently wrap "-2" to ~1.8e19 threads.
     expect_fails_with(tool("mwl_batch") + " --jobs -2 -", 2,
-                      "bad numeric value '-2' for --jobs");
+                      "bad value for --jobs: bad numeric value '-2'");
 }
 
 TEST(CliBatch, SigintDrainsAndEmitsPartialResultsWithExitThree)
@@ -252,6 +253,26 @@ TEST(CliScenarios, OutOfRangeNumericValueIsDiagnosedNotAborted)
                       "bad value for --slack");
     expect_fails_with(tool("mwl_scenarios") + " --check x --tol 1e999", 2,
                       "bad value for --tol");
+}
+
+TEST(CliScenarios, MalformedAndOverwideToleranceFlagsExitTwo)
+{
+    // Regression: raw stod read "5x" as 5, and a static_cast narrowed
+    // 3000000000 to a negative int, so every --check metric drifted.
+    expect_fails_with(tool("mwl_scenarios") + " --list --slack 5x", 2,
+                      "bad value for --slack: bad numeric value '5x'");
+    expect_fails_with(tool("mwl_scenarios") + " --check x --tol 5x", 2,
+                      "bad value for --tol: bad numeric value '5x'");
+    expect_fails_with(
+        tool("mwl_scenarios") + " --check x --latency-tol 3000000000", 2,
+        "bad value for --latency-tol: numeric value out of range "
+        "'3000000000'");
+    expect_fails_with(
+        tool("mwl_scenarios") + " --check x --count-tol 3000000000", 2,
+        "bad value for --count-tol: numeric value out of range "
+        "'3000000000'");
+    expect_fails_with(tool("mwl_scenarios") + " --check x --count-tol -1",
+                      2, "bad value for --count-tol");
 }
 
 TEST(CliScenarios, CorruptedGoldenIsMalformedInputNotDrift)
@@ -423,11 +444,28 @@ TEST(CliServe, AnEndpointIsRequired)
 TEST(CliServe, BadNumericValuesExitTwo)
 {
     expect_fails_with(tool("mwl_serve") + " --tcp nope", 2,
-                      "bad numeric value 'nope' for --tcp");
+                      "bad value for --tcp: bad numeric value 'nope'");
     expect_fails_with(tool("mwl_serve") + " --unix s.sock --jobs -1", 2,
-                      "bad numeric value '-1' for --jobs");
+                      "bad value for --jobs: bad numeric value '-1'");
     expect_fails_with(tool("mwl_serve") + " --unix s.sock --cache", 2,
                       "missing value for --cache");
+}
+
+TEST(CliServe, OutOfRangePortBackoffAndJobsExitTwo)
+{
+    // Regression: --tcp 70000 was narrowed to a uint16_t (the daemon
+    // silently listened on 4464), --retry-after-ms wrapped to a negative
+    // int, and --jobs 4x parsed as 4.
+    expect_fails_with(tool("mwl_serve") + " --tcp 70000", 2,
+                      "bad value for --tcp: numeric value out of range "
+                      "'70000'");
+    expect_fails_with(tool("mwl_serve") +
+                          " --unix s.sock --retry-after-ms 3000000000",
+                      2,
+                      "bad value for --retry-after-ms: numeric value out of "
+                      "range '3000000000'");
+    expect_fails_with(tool("mwl_serve") + " --unix s.sock --jobs 4x", 2,
+                      "bad value for --jobs: bad numeric value '4x'");
 }
 
 TEST(CliServe, UnknownOptionExitsTwo)
@@ -483,7 +521,18 @@ TEST(CliClient, BadCountsExitTwo)
                       2, "--conns and --window must be >= 1");
     expect_fails_with(tool("mwl_client") + " unix:/tmp/x.sock --soak x " +
                           "--manifest -",
-                      2, "bad numeric value 'x' for --soak");
+                      2, "bad value for --soak: bad numeric value 'x'");
+}
+
+TEST(CliClient, ManifestNumbersAreCheckedWithTheirLineNumber)
+{
+    // Regression: std::stoi read lambda=12x as lambda=12.
+    const std::string manifest = write_manifest(
+        "cli_test_serve_badnum.manifest",
+        "\ncorpus ops=4 count=1 lambda=12x\n");
+    expect_fails_with(tool("mwl_client") + " unix:/tmp/x.sock --manifest " +
+                          manifest,
+                      2, "manifest line 2: bad numeric value in 'lambda=12x'");
 }
 
 // ------------------------------------------------------------- mwl_lint --
@@ -654,7 +703,7 @@ TEST(CliTune, UnknownOptionAndBadValuesExitTwo)
     expect_fails_with(tool("mwl_tune") + " --frobnicate", 2,
                       "unknown option --frobnicate");
     expect_fails_with(tool("mwl_tune") + " spec --jobs junk", 2,
-                      "bad numeric value 'junk' for --jobs");
+                      "bad value for --jobs: bad numeric value 'junk'");
 }
 
 TEST(CliTune, SpecErrorsReportTheirLineNumber)
@@ -705,6 +754,71 @@ TEST(CliTune, UnreachableBudgetFailsThePointWithExitOne)
     const run_result r = run(tool("mwl_tune") + " " + spec);
     EXPECT_EQ(r.exit_code, 1) << r.output;
     EXPECT_NE(r.output.find("error:"), std::string::npos) << r.output;
+}
+
+// ------------------------------------------------------ shared manifest --
+
+TEST(CliManifest, EveryToolRejectsNegativeSlackWithItsLineNumber)
+{
+    // mwl_lint used to accept slack=-5 and fail later, inside
+    // relaxed_lambda, with no line number.
+    const std::string manifest = write_manifest(
+        "cli_test_neg_slack.manifest", "# c\ncorpus ops=4 count=1 slack=-5\n");
+    for (const std::string& command :
+         {tool("mwl_batch") + " " + manifest,
+          tool("mwl_lint") + " --manifest " + manifest,
+          tool("mwl_client") + " unix:/tmp/x.sock --manifest " + manifest}) {
+        expect_fails_with(command, 2,
+                          "manifest line 2: slack must be non-negative");
+    }
+}
+
+// ------------------------------------------------------------- --json - --
+
+TEST(CliJson, DashWritesJsonToStdoutAndTheReportToStderr)
+{
+    const std::string manifest =
+        write_manifest("cli_test_json.manifest", "corpus ops=4 count=2\n");
+    const std::string spec = write_spec(
+        "cli_test_json.spec",
+        "scenario fir4\nbudget 1e-5\nsearch max-steps=2\n");
+    const std::string dir = "cli_test_campaign_json";
+    std::filesystem::remove_all(dir);
+    const std::string campaign_spec = write_spec(
+        "cli_test_json.campaign", "scenario fir4\nlambda slack=0\n");
+    ASSERT_EQ(run(tool("mwl_campaign") + " --run " + dir + " --spec " +
+                  campaign_spec)
+                  .exit_code,
+              0);
+    for (const std::string& command :
+         {tool("mwl_batch") + " " + manifest + " --json -",
+          tool("mwl_tune") + " " + spec + " --json -",
+          tool("mwl_campaign") + " --report " + dir + " --json -",
+          tool("mwl_lint") + " fir4 --json -"}) {
+        // The subshell drops stderr, so `output` is stdout alone.
+        const run_result r = run("(" + command + " 2>/dev/null)");
+        EXPECT_EQ(r.exit_code, 0) << command << "\n" << r.output;
+        EXPECT_EQ(r.output.find('\n'), r.output.size() - 1)
+            << command << ": stdout must be one JSON document\n"
+            << r.output;
+        EXPECT_NO_THROW(static_cast<void>(mwl::parse_json(r.output)))
+            << command << "\n" << r.output;
+    }
+}
+
+// ---------------------------------------------------------------- benches --
+
+TEST(CliBench, BadNumericFlagValuesExitTwo)
+{
+    // Regression: raw stoul/stoull -- "junk" died with an uncaught
+    // exception and "--seed -1" wrapped to 2^64 - 1.
+    expect_fails_with(tool("iteration_scaling") + " --graphs junk", 2,
+                      "iteration_scaling: bad value for --graphs: bad "
+                      "numeric value 'junk'");
+    expect_fails_with(tool("iteration_scaling") + " --seed -1", 2,
+                      "bad value for --seed: bad numeric value '-1'");
+    expect_fails_with(tool("iteration_scaling") + " --max-size", 2,
+                      "missing value for --max-size");
 }
 
 } // namespace

@@ -1,11 +1,16 @@
 // Unit tests for src/io: .mwl parsing, error reporting with line numbers,
-// and write/parse round-trips.
+// write/parse round-trips, the line-grammar reader and manifests.
 
 #include "io/graph_io.hpp"
+#include "io/line_reader.hpp"
+#include "io/manifest.hpp"
 #include "support/rng.hpp"
 #include "tgff/generator.hpp"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 namespace mwl {
 namespace {
@@ -150,6 +155,213 @@ TEST(GraphIo, WriterNamesUnnamedOpsStably)
 TEST(GraphIo, EmptyInputYieldsEmptyGraph)
 {
     EXPECT_TRUE(parse_graph_string("").empty());
+}
+
+// ------------------------------------------------------------ line_reader --
+
+/// Every line of `text` through the reader: keyword and tokens, once()
+/// for keywords starting with "one", key_values() for "kv", and
+/// number<int>() of each token for "num".
+std::string read_all(const std::string& text)
+{
+    std::istringstream in(text);
+    line_reader line(in, "spec");
+    std::string out;
+    while (line.next()) {
+        out += std::to_string(line.line_number()) + ":" + line.keyword();
+        if (line.keyword().rfind("one", 0) == 0) {
+            line.once();
+        }
+        if (line.keyword() == "kv") {
+            for (const key_value& kv : line.key_values()) {
+                out += " " + kv.key + "=" + kv.value;
+            }
+            out += ";";
+            continue;
+        }
+        for (const std::string& token : line.tokens()) {
+            out += " " + (line.keyword() == "num"
+                              ? std::to_string(line.number<int>(token))
+                              : token);
+        }
+        out += ";";
+    }
+    return out;
+}
+
+TEST(LineReader, SkipsBlanksAndCommentsAndCountsLinesFromOne)
+{
+    EXPECT_EQ(read_all("# header\n\n  a x y  # trailing\n\t\nb #z\n"),
+              "3:a x y;5:b;");
+    EXPECT_EQ(read_all("kv a=1 b=x=y\nnum 4 -2\n"),
+              "1:kv a=1 b=x=y;2:num 4 -2;");
+    EXPECT_EQ(read_all("one\none_more\n"), "1:one;2:one_more;");
+    EXPECT_EQ(read_all(""), "");
+}
+
+TEST(LineReader, EveryDiagnosticCarriesItsLineNumber)
+{
+    struct bad_case {
+        const char* text;
+        const char* message;
+    };
+    const bad_case cases[] = {
+        {"one\n# c\none\n", "spec line 3: duplicate one line"},
+        {"x\nkv a=1 b\n", "spec line 2: expected key=value, got 'b'"},
+        {"kv =1\n", "spec line 1: expected key=value, got '=1'"},
+        {"kv a=\n", "spec line 1: expected key=value, got 'a='"},
+        {"\n\nnum 4x\n", "spec line 3: bad numeric value '4x'"},
+        {"num 99999999999\n",
+         "spec line 1: numeric value out of range '99999999999'"},
+    };
+    for (const bad_case& c : cases) {
+        try {
+            static_cast<void>(read_all(c.text));
+            ADD_FAILURE() << "parsed: " << c.text;
+        } catch (const line_error& e) {
+            EXPECT_EQ(std::string(e.what()), c.message) << c.text;
+        }
+    }
+}
+
+TEST(LineReader, NumbersCarryTheirContext)
+{
+    std::istringstream in("lambda step=2x\n");
+    line_reader line(in, "manifest");
+    ASSERT_TRUE(line.next());
+    const key_value kv = line.key_values().front();
+    try {
+        static_cast<void>(line.number<int>(kv.value, kv.token));
+        FAIL() << "parsed step=2x";
+    } catch (const line_error& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "manifest line 1: bad numeric value in 'step=2x'");
+    }
+    EXPECT_EQ(line.number<double>("2.5"), 2.5);
+    EXPECT_EQ(line.number<std::uint64_t>("18446744073709551615"),
+              18446744073709551615ULL);
+}
+
+// --------------------------------------------------------------- manifest --
+
+std::vector<manifest_entry> manifest_of(const std::string& text)
+{
+    std::istringstream in(text);
+    return parse_manifest(in);
+}
+
+TEST(Manifest, ParsesGraphAndCorpusLinesWithDirectives)
+{
+    std::ofstream("io_test_tiny.mwl")
+        << "op a add 4\nop m mul 4 4\ndep a m\n";
+    const std::vector<manifest_entry> entries = manifest_of(
+        "# jobs\n"
+        "graph io_test_tiny.mwl lambda=7\n"
+        "corpus ops=4 count=2 seed=5 slack=20 # two graphs\n"
+        "graph io_test_tiny.mwl sweep=30\n"
+        "corpus ops=3 count=1 verify=4\n");
+    ASSERT_EQ(entries.size(), 5u);
+    EXPECT_EQ(entries[0].name, "io_test_tiny.mwl");
+    EXPECT_EQ(entries[0].graph.size(), 2u);
+    EXPECT_EQ(entries[0].what.lambda, 7);
+    EXPECT_FALSE(entries[0].what.slack);
+    EXPECT_EQ(entries[0].line, 2u);
+    EXPECT_FALSE(entries[0].corpus_seed);
+    EXPECT_EQ(entries[1].name, "tgff(ops=4,seed=5)#1");
+    EXPECT_EQ(entries[2].name, "tgff(ops=4,seed=5)#2");
+    EXPECT_EQ(entries[2].what.slack, 0.2);
+    EXPECT_EQ(entries[2].corpus_seed, 5u);
+    EXPECT_EQ(entries[2].corpus_index, 1u);
+    EXPECT_EQ(entries[2].line, 3u);
+    EXPECT_EQ(entries[3].what.sweep, 0.3);
+    EXPECT_EQ(entries[4].what.verify, 4u);
+    EXPECT_EQ(entries[4].name, "tgff(ops=3,seed=2001)#4");
+}
+
+TEST(Manifest, IdenticalCorpusLinesGetUniqueNames)
+{
+    const std::vector<manifest_entry> entries = manifest_of(
+        "corpus ops=4 count=2 seed=3\ncorpus ops=4 count=2 seed=3\n");
+    ASSERT_EQ(entries.size(), 4u);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        EXPECT_EQ(entries[i].name,
+                  "tgff(ops=4,seed=3)#" + std::to_string(i));
+    }
+    // Same graphs, distinct names: the engine dedups, the report does not.
+    EXPECT_EQ(write_graph(entries[0].graph), write_graph(entries[2].graph));
+}
+
+TEST(Manifest, EveryDiagnosticCarriesItsLineNumber)
+{
+    struct bad_case {
+        const char* text;
+        const char* message;
+    };
+    const bad_case cases[] = {
+        {"# c\ncorpus ops=4 count=1\ngraph\n",
+         "manifest line 3: expected 'graph FILE ...'"},
+        {"corpus ops=4 count=1\nfrob x\n",
+         "manifest line 2: unknown keyword 'frob'"},
+        {"corpus ops=4 count=1 lambda=abc\n",
+         "manifest line 1: bad numeric value in 'lambda=abc'"},
+        {"corpus ops=4 count=1 lambda=12x\n",
+         "manifest line 1: bad numeric value in 'lambda=12x'"},
+        {"\ncorpus ops=4 count=1 slack=-5\n",
+         "manifest line 2: slack must be non-negative"},
+        {"corpus ops=4 count=1 sweep=-1\n",
+         "manifest line 1: sweep must be non-negative"},
+        {"corpus ops=4 count=1 verify=0\n",
+         "manifest line 1: verify needs >= 1 input"},
+        {"corpus ops=4 count=1 verify=-2\n",
+         "manifest line 1: bad numeric value in 'verify=-2'"},
+        {"corpus ops=4 count=1 sweep=20 verify=4\n",
+         "manifest line 1: sweep= and verify= are mutually exclusive"},
+        {"corpus ops=4 count=1 wibble=2\n",
+         "manifest line 1: unknown corpus spec key 'wibble'"},
+        {"corpus ops=0 count=1\n",
+         "manifest line 1: corpus spec needs ops >= 1"},
+        {"graph io_test_no_such.mwl\n",
+         "manifest line 1: cannot open graph file io_test_no_such.mwl"},
+        {"graph io_test_bad.mwl\n", "manifest line 1: line 1:"},
+        {"graph io_test_bad.mwl extra\n",
+         "manifest line 1: unknown graph token 'extra'"},
+    };
+    std::ofstream("io_test_bad.mwl") << "op x div 4\n";
+    for (const bad_case& c : cases) {
+        try {
+            static_cast<void>(manifest_of(c.text));
+            ADD_FAILURE() << "parsed: " << c.text;
+        } catch (const line_error& e) {
+            EXPECT_EQ(std::string(e.what()).rfind(c.message, 0), 0u)
+                << "expected '" << c.message << "' at the start of: "
+                << e.what();
+        }
+    }
+}
+
+TEST(Manifest, DirectivesParseAloneForOneShotRequests)
+{
+    manifest_directives what;
+    EXPECT_TRUE(parse_directive("lambda=12", what));
+    EXPECT_TRUE(parse_directive("slack=10", what));
+    EXPECT_FALSE(parse_directive("ops=4", what));
+    EXPECT_EQ(what.lambda, 12);
+    EXPECT_EQ(what.slack, 0.1);
+    EXPECT_THROW(static_cast<void>(parse_directive("lambda=12x", what)),
+                 precondition_error);
+}
+
+TEST(Manifest, ResultRowsRenderOneJsonShape)
+{
+    const std::vector<manifest_result> rows{
+        {"a \"b\"", "alloc", 12, 11, 473.5, "computed"},
+        {"c", "sweep", 3, 3, 1234567.25, "front"}};
+    EXPECT_EQ(results_json(rows),
+              R"([{"entry":"a \"b\"","kind":"alloc","lambda":12,)"
+              R"("latency":11,"area":473.5,"status":"computed"},)"
+              R"({"entry":"c","kind":"sweep","lambda":3,"latency":3,)"
+              R"("area":1234567.25,"status":"front"}])");
+    EXPECT_EQ(results_json({}), "[]");
 }
 
 } // namespace

@@ -1,18 +1,27 @@
 // Unit tests for src/support: strong ids, error primitives, the
 // deterministic RNG, the statistics helpers (including the serve
-// daemon's latency window), and the lock-striped LRU cache.
+// daemon's latency window), the lock-striped LRU cache, and the JSON
+// escaper / double formatter / reader.
 
+#include "core/quality.hpp"
 #include "support/error.hpp"
 #include "support/ids.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/sharded_lru.hpp"
 #include "support/stats.hpp"
 #include "support/timer.hpp"
+#include "test_seed.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -432,6 +441,88 @@ TEST(Timer, ResetRestartsTheClock)
     }
     w.reset();
     EXPECT_LT(w.seconds(), 1.0);
+}
+
+// --------------------------------------------------------------- json --
+
+TEST(Json, EveryAsciiByteEscapesAndReadsBackUnchanged)
+{
+    for (int b = 0x01; b <= 0x7f; ++b) {
+        std::string text = "<";
+        text += static_cast<char>(b);
+        text += '>';
+        const std::string quoted = json_quote(text);
+        for (const char c : quoted) {
+            EXPECT_GE(static_cast<unsigned char>(c), 0x20)
+                << "raw control byte in " << quoted;
+        }
+        const json_value v = parse_json(quoted);
+        ASSERT_EQ(v.what, json_value::kind::string) << quoted;
+        EXPECT_EQ(v.string, text) << "byte " << b;
+    }
+    EXPECT_EQ(json_quote("a\"b\\c\nd\te\x01"),
+              R"("a\"b\\c\nd\te\u0001")");
+}
+
+TEST(Json, SeededRandomDoublesRoundTripBitExactly)
+{
+    const std::uint64_t seed = testing::env_seed("MWL_JSON_SEED", 2001);
+    MWL_TRACE_SEED("MWL_JSON_SEED", seed);
+    rng random(seed);
+    int checked = 0;
+    while (checked < 20000) {
+        // Raw bit patterns cover subnormals, huge and tiny exponents and
+        // both signs; non-finite values are not JSON and are skipped.
+        const double value = std::bit_cast<double>(random());
+        if (!std::isfinite(value)) {
+            continue;
+        }
+        const std::string text = format_double(value);
+        const json_value v = parse_json("[" + text + "]");
+        ASSERT_EQ(v.array.size(), 1u);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(v.array[0].number),
+                  std::bit_cast<std::uint64_t>(value))
+            << text;
+        ++checked;
+    }
+    EXPECT_EQ(format_double(0.1), "0.10000000000000001");
+    EXPECT_EQ(format_double(24.5), "24.5");
+}
+
+TEST(Json, ReaderHandlesEveryValueKindAndRejectsJunk)
+{
+    const json_value v = parse_json(
+        R"( {"a": [1, -2.5e3, true, false, null], "b": {"c": "\u0041\/"}} )");
+    ASSERT_EQ(v.array_at("a").size(), 5u);
+    EXPECT_EQ(v.array_at("a")[1].number, -2500.0);
+    EXPECT_TRUE(v.array_at("a")[2].boolean);
+    EXPECT_EQ(v.array_at("a")[4].what, json_value::kind::null);
+    EXPECT_EQ(v.at("b").string_at("c"), "A/");
+    EXPECT_THROW(static_cast<void>(v.number_at("b")), json_error);
+    EXPECT_THROW(static_cast<void>(v.at("missing")), json_error);
+    for (const char* bad : {"", "{", "[1,]", "{\"a\" 1}", "\"\\q\"", "1 2",
+                            "[1e999]", "{1: 2}", "\"\\u00e9\"",
+                            "\"\\u12\""}) {
+        EXPECT_THROW(static_cast<void>(parse_json(bad)), json_error) << bad;
+    }
+}
+
+TEST(Json, EveryGoldenReserialisesToItsCommittedBytes)
+{
+    std::size_t goldens = 0;
+    for (const auto& file :
+         std::filesystem::directory_iterator(MWL_GOLDEN_DIR)) {
+        if (file.path().extension() != ".json") {
+            continue;
+        }
+        std::ifstream in(file.path());
+        std::ostringstream text;
+        text << in.rdbuf();
+        EXPECT_EQ(to_json(parse_quality_report(text.str())), text.str())
+            << file.path();
+        ++goldens;
+    }
+    EXPECT_EQ(goldens, 13u);
 }
 
 } // namespace

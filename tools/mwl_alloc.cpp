@@ -19,6 +19,7 @@
 //   echo 'op a mul 8 8' | mwl_alloc -   reads from stdin
 
 #include "baseline/descending.hpp"
+#include "cli.hpp"
 #include "baseline/two_stage.hpp"
 #include "core/dpalloc.hpp"
 #include "core/validate.hpp"
@@ -31,7 +32,6 @@
 #include "report/table.hpp"
 #include "rtl/netlist.hpp"
 #include "rtl/verilog.hpp"
-#include "support/parse_num.hpp"
 #include "tgff/corpus.hpp"
 
 #include <fstream>
@@ -41,24 +41,20 @@
 
 namespace {
 
-[[noreturn]] void usage(int code)
-{
-    std::cout <<
-        "usage: mwl_alloc GRAPH.mwl [options]\n"
-        "  --lambda N          latency constraint in control steps\n"
-        "  --slack PCT         lambda = ceil(lambda_min*(1+PCT/100)) "
-        "[default 0]\n"
-        "  --algorithm NAME    dpalloc | two-stage | descending | ilp "
-        "[dpalloc]\n"
-        "  --sweep             print the Pareto frontier up to --slack "
-        "[default 100]\n"
-        "  --jobs N            worker threads for --sweep [1]\n"
-        "  --verilog FILE      write structural Verilog\n"
-        "  --dot               print the graph in DOT form\n"
-        "  --rtl               report registers/muxes and extended area\n"
-        "  GRAPH.mwl of '-' reads the graph from stdin\n";
-    std::exit(code);
-}
+const char* const usage_text =
+    "usage: mwl_alloc GRAPH.mwl [options]\n"
+    "  --lambda N          latency constraint in control steps\n"
+    "  --slack PCT         lambda = ceil(lambda_min*(1+PCT/100)) "
+    "[default 0]\n"
+    "  --algorithm NAME    dpalloc | two-stage | descending | ilp "
+    "[dpalloc]\n"
+    "  --sweep             print the Pareto frontier up to --slack "
+    "[default 100]\n"
+    "  --jobs N            worker threads for --sweep [1]\n"
+    "  --verilog FILE      write structural Verilog\n"
+    "  --dot               print the graph in DOT form\n"
+    "  --rtl               report registers/muxes and extended area\n"
+    "  GRAPH.mwl of '-' reads the graph from stdin\n";
 
 } // namespace
 
@@ -76,73 +72,38 @@ int main(int argc, char** argv)
     bool want_sweep = false;
     std::size_t sweep_jobs = 1;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_alloc: missing value for " << arg << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        // parse_*_checked throws on malformed or out-of-range numbers
-        // (including trailing junk like "4x"), so a typo is a diagnostic
-        // and exit 2 -- never an uncaught stoi abort.
-        try {
-        if (arg == "--lambda") {
-            lambda_arg = parse_int_checked(value());
-        } else if (arg == "--slack") {
-            slack_arg = parse_double_checked(value()) / 100.0;
-        } else if (arg == "--sweep") {
-            want_sweep = true;
-        } else if (arg == "--jobs") {
-            sweep_jobs = parse_size_checked(value());
-        } else if (arg == "--algorithm") {
-            algorithm = value();
-        } else if (arg == "--verilog") {
-            verilog_file = value();
-        } else if (arg == "--dot") {
-            want_dot = true;
-        } else if (arg == "--rtl") {
-            want_rtl = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            std::cerr << "mwl_alloc: unknown option " << arg << '\n';
-            usage(2);
-        } else {
-            graph_file = arg;
-        }
-        } catch (const error& e) {
-            std::cerr << "mwl_alloc: bad value for " << arg << ": "
-                      << e.what() << '\n';
-            usage(2);
-        }
-    }
+    cli::tool cli("mwl_alloc", usage_text);
+    cli.value("--lambda", lambda_arg);
+    cli.value("--slack", slack_arg);
+    cli.flag("--sweep", want_sweep);
+    cli.value("--jobs", sweep_jobs);
+    cli.value("--algorithm", algorithm);
+    cli.value("--verilog", verilog_file);
+    cli.flag("--dot", want_dot);
+    cli.flag("--rtl", want_rtl);
+    cli.positional([&](const std::string& arg) { graph_file = arg; });
+    cli.parse(argc, argv);
     if (graph_file.empty()) {
-        usage(2);
+        cli.fail("no graph given");
     }
     if (want_sweep &&
         (lambda_arg || algorithm != "dpalloc" || !verilog_file.empty() ||
          want_rtl)) {
-        std::cerr << "mwl_alloc: --sweep explores dpalloc over a lambda"
-                     " range; it cannot be combined with --lambda,"
-                     " --algorithm, --verilog or --rtl\n";
-        usage(2);
+        cli.fail("--sweep explores dpalloc over a lambda range; it cannot"
+                 " be combined with --lambda, --algorithm, --verilog or"
+                 " --rtl");
+    }
+    if (slack_arg) {
+        *slack_arg /= 100.0;
     }
 
     try {
-        sequencing_graph graph;
-        if (graph_file == "-") {
-            graph = parse_graph(std::cin);
-        } else {
-            std::ifstream in(graph_file);
-            if (!in) {
-                std::cerr << "mwl_alloc: cannot open " << graph_file << '\n';
-                return 1;
-            }
-            graph = parse_graph(in);
+        const cli::input in(graph_file);
+        if (!in) {
+            std::cerr << "mwl_alloc: cannot open " << graph_file << '\n';
+            return 1;
         }
+        const sequencing_graph graph = parse_graph(in.stream());
 
         const sonic_model model;
         const int lambda_min = min_latency(graph, model);

@@ -23,12 +23,12 @@
 
 #include "campaign/campaign_runner.hpp"
 #include "campaign/report.hpp"
+#include "cli.hpp"
 #include "support/interrupt.hpp"
 #include "support/timer.hpp"
 
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -36,29 +36,25 @@ namespace {
 
 using namespace mwl;
 
-[[noreturn]] void usage(int code)
-{
-    (code == 0 ? std::cout : std::cerr) <<
-        "usage: mwl_campaign MODE [options]\n"
-        "modes (exactly one):\n"
-        "  --run DIR --spec FILE  start a campaign in a fresh DIR\n"
-        "  --resume DIR           continue a checkpointed campaign\n"
-        "  --status DIR           print completion counters\n"
-        "  --report DIR           print merged per-scenario Pareto fronts\n"
-        "options:\n"
-        "  --jobs N               worker threads [hardware concurrency]\n"
-        "  --checkpoint-every N   journal records between snapshots [64]\n"
-        "  --json FILE            write the canonical report JSON\n"
-        "  --csv                  CSV tables on stdout\n"
-        "exit codes: 0 complete, 1 complete with failed points,\n"
-        "            2 usage/spec/store error, 3 interrupted\n"
-        "crash injection: MWL_CRASH_AFTER=<n> exits (code 96) at the\n"
-        "n-th store write; MWL_CRASH_TORN=1 tears that write.\n";
-    std::exit(code);
-}
+const char* const usage_text =
+    "usage: mwl_campaign MODE [options]\n"
+    "modes (exactly one):\n"
+    "  --run DIR --spec FILE  start a campaign in a fresh DIR\n"
+    "  --resume DIR           continue a checkpointed campaign\n"
+    "  --status DIR           print completion counters\n"
+    "  --report DIR           print merged per-scenario Pareto fronts\n"
+    "options:\n"
+    "  --jobs N               worker threads [hardware concurrency]\n"
+    "  --checkpoint-every N   journal records between snapshots [64]\n"
+    "  --json FILE            write the canonical report JSON ('-' = stdout)\n"
+    "  --csv                  CSV tables on stdout\n"
+    "exit codes: 0 complete, 1 complete with failed points,\n"
+    "            2 usage/spec/store error, 3 interrupted\n"
+    "crash injection: MWL_CRASH_AFTER=<n> exits (code 96) at the\n"
+    "n-th store write; MWL_CRASH_TORN=1 tears that write.\n";
 
-struct cli {
-    std::string mode;      ///< run | resume | status | report
+struct options {
+    std::string mode; ///< run | resume | status | report
     std::string dir;
     std::string spec_file;
     std::size_t jobs = 0;
@@ -67,116 +63,24 @@ struct cli {
     bool csv = false;
 };
 
-cli parse_cli(int argc, char** argv)
+void print_table(const table& t, const options& c)
 {
-    cli c;
-    const auto set_mode = [&](const char* mode) {
-        if (!c.mode.empty()) {
-            std::cerr << "mwl_campaign: modes --" << c.mode << " and --"
-                      << mode << " are mutually exclusive\n";
-            usage(2);
-        }
-        c.mode = mode;
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_campaign: missing value for " << arg
-                          << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        const auto count_value = [&]() -> std::size_t {
-            const std::string text = value();
-            try {
-                if (!text.empty() && text[0] == '-') {
-                    throw std::invalid_argument(text);
-                }
-                std::size_t used = 0;
-                const std::size_t parsed = std::stoul(text, &used);
-                if (used != text.size()) {
-                    throw std::invalid_argument(text);
-                }
-                return parsed;
-            } catch (const std::exception&) {
-                std::cerr << "mwl_campaign: bad numeric value '" << text
-                          << "' for " << arg << '\n';
-                usage(2);
-            }
-        };
-        if (arg == "--run") {
-            set_mode("run");
-            c.dir = value();
-        } else if (arg == "--resume") {
-            set_mode("resume");
-            c.dir = value();
-        } else if (arg == "--status") {
-            set_mode("status");
-            c.dir = value();
-        } else if (arg == "--report") {
-            set_mode("report");
-            c.dir = value();
-        } else if (arg == "--spec") {
-            c.spec_file = value();
-        } else if (arg == "--jobs") {
-            c.jobs = count_value();
-        } else if (arg == "--checkpoint-every") {
-            c.checkpoint_every = count_value();
-            if (c.checkpoint_every == 0) {
-                std::cerr << "mwl_campaign: --checkpoint-every must be"
-                             " >= 1\n";
-                usage(2);
-            }
-        } else if (arg == "--json") {
-            c.json_file = value();
-        } else if (arg == "--csv") {
-            c.csv = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else {
-            std::cerr << "mwl_campaign: unknown option " << arg << '\n';
-            usage(2);
-        }
-    }
-    if (c.mode.empty()) {
-        std::cerr << "mwl_campaign: pick a mode: --run, --resume,"
-                     " --status or --report\n";
-        usage(2);
-    }
-    if (c.mode == "run" && c.spec_file.empty()) {
-        std::cerr << "mwl_campaign: --run needs --spec FILE\n";
-        usage(2);
-    }
-    if (c.mode != "run" && !c.spec_file.empty()) {
-        std::cerr << "mwl_campaign: --spec only applies to --run\n";
-        usage(2);
-    }
-    return c;
-}
-
-void print_table(const table& t, bool csv)
-{
-    if (csv) {
-        t.print_csv(std::cout);
+    std::ostream& text = cli::report_stream(c.json_file);
+    if (c.csv) {
+        t.print_csv(text);
     } else {
-        t.print(std::cout);
+        t.print(text);
     }
 }
 
-void write_json(const std::string& path, const std::string& json)
+/// The canonical report JSON, if --json asked for it; false if unwritable.
+bool write_report(const cli::tool& cli, const options& c,
+                  const std::vector<campaign_point>& points,
+                  const result_store& store)
 {
-    if (path.empty()) {
-        return;
-    }
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "mwl_campaign: cannot write " << path << '\n';
-        std::exit(2);
-    }
-    out << json << '\n';
-    std::cout << "json written to " << path << '\n';
+    return c.json_file.empty() ||
+           cli.write_json(c.json_file, report_json(points, store),
+                          cli::report_stream(c.json_file));
 }
 
 int failed_points(const result_store& store)
@@ -191,9 +95,9 @@ int failed_points(const result_store& store)
 }
 
 /// Shared by --run and --resume once the store and point list exist.
-int execute(const campaign_spec& spec,
+int execute(const cli::tool& cli, const campaign_spec& spec,
             const std::vector<campaign_point>& points, result_store& store,
-            const cli& c)
+            const options& c)
 {
     stopwatch clock;
     campaign_run_options options;
@@ -203,30 +107,32 @@ int execute(const campaign_spec& spec,
     const double wall = clock.seconds();
 
     const campaign_status status = status_of(points, store);
-    print_table(render_status(status), c.csv);
-    std::cout << "\nrun: " << summary.executed << " executed, "
-              << summary.already_complete << " resumed from checkpoint, "
-              << summary.failed << " failed, "
-              << table::num(wall * 1e3, 1) << " ms";
+    print_table(render_status(status), c);
+    std::ostream& text = cli::report_stream(c.json_file);
+    text << "\nrun: " << summary.executed << " executed, "
+         << summary.already_complete << " resumed from checkpoint, "
+         << summary.failed << " failed, " << table::num(wall * 1e3, 1)
+         << " ms";
     if (wall > 0.0 && summary.executed > 0) {
-        std::cout << ", "
-                  << table::num(
-                         static_cast<double>(summary.executed) / wall, 1)
-                  << " points/s";
+        text << ", "
+             << table::num(static_cast<double>(summary.executed) / wall, 1)
+             << " points/s";
     }
-    std::cout << '\n';
+    text << '\n';
     const store_load_stats& loaded = store.load_stats();
     if (loaded.dropped_tail) {
-        std::cout << "recovered: torn journal tail discarded ("
-                  << loaded.tail_error << ")\n";
+        text << "recovered: torn journal tail discarded ("
+             << loaded.tail_error << ")\n";
     }
     if (summary.interrupted) {
-        std::cout << "interrupted: " << status.completed << " of "
-                  << status.total
-                  << " points checkpointed; rerun --resume to finish\n";
+        text << "interrupted: " << status.completed << " of "
+             << status.total
+             << " points checkpointed; rerun --resume to finish\n";
         return interrupt_exit_code;
     }
-    write_json(c.json_file, report_json(points, store));
+    if (!write_report(cli, c, points, store)) {
+        return 2;
+    }
     return failed_points(store) == 0 ? 0 : 1;
 }
 
@@ -235,7 +141,36 @@ int execute(const campaign_spec& spec,
 int main(int argc, char** argv)
 {
     install_interrupt_handler();
-    const cli c = parse_cli(argc, argv);
+    options c;
+    cli::tool cli("mwl_campaign", usage_text);
+    for (const char* mode : {"run", "resume", "status", "report"}) {
+        cli.value(std::string("--") + mode, [&, mode](const std::string& dir) {
+            if (!c.mode.empty()) {
+                cli.fail("modes --" + c.mode + " and --" + mode +
+                         " are mutually exclusive");
+            }
+            c.mode = mode;
+            c.dir = dir;
+        });
+    }
+    cli.value("--spec", c.spec_file);
+    cli.value("--jobs", c.jobs);
+    cli.value("--checkpoint-every", c.checkpoint_every);
+    cli.value("--json", c.json_file);
+    cli.flag("--csv", c.csv);
+    cli.parse(argc, argv);
+    if (c.mode.empty()) {
+        cli.fail("pick a mode: --run, --resume, --status or --report");
+    }
+    if (c.checkpoint_every == 0) {
+        cli.fail("--checkpoint-every must be >= 1");
+    }
+    if (c.mode == "run" && c.spec_file.empty()) {
+        cli.fail("--run needs --spec FILE");
+    }
+    if (c.mode != "run" && !c.spec_file.empty()) {
+        cli.fail("--spec only applies to --run");
+    }
     try {
         if (c.mode == "run") {
             std::ifstream in(c.spec_file);
@@ -252,7 +187,7 @@ int main(int argc, char** argv)
             result_store store = result_store::create(
                 c.dir, spec_text, points_fingerprint(points), points.size(),
                 c.checkpoint_every);
-            return execute(spec, points, store, c);
+            return execute(cli, spec, points, store, c);
         }
         if (c.mode == "resume") {
             const std::string spec_text =
@@ -261,7 +196,7 @@ int main(int argc, char** argv)
             const std::vector<campaign_point> points = expand(spec);
             result_store store = result_store::open(
                 c.dir, points_fingerprint(points), c.checkpoint_every);
-            return execute(spec, points, store, c);
+            return execute(cli, spec, points, store, c);
         }
         if (c.mode == "status") {
             const std::string spec_text =
@@ -271,7 +206,7 @@ int main(int argc, char** argv)
             const result_store store = result_store::open(
                 c.dir, points_fingerprint(points), c.checkpoint_every);
             const campaign_status status = status_of(points, store);
-            print_table(render_status(status), c.csv);
+            print_table(render_status(status), c);
             const store_load_stats& loaded = store.load_stats();
             std::cout << "\nstore: " << loaded.snapshot_records
                       << " snapshot records, " << loaded.journal_records
@@ -294,11 +229,9 @@ int main(int argc, char** argv)
         const std::vector<campaign_point> points = expand(spec);
         const result_store store = result_store::open(
             c.dir, points_fingerprint(points), c.checkpoint_every);
-        print_table(render_frontiers(merge_scenario_frontiers(points,
-                                                              store)),
-                    c.csv);
-        write_json(c.json_file, report_json(points, store));
-        return 0;
+        print_table(render_frontiers(merge_scenario_frontiers(points, store)),
+                    c);
+        return write_report(cli, c, points, store) ? 0 : 2;
     } catch (const error& e) {
         std::cerr << "mwl_campaign: " << e.what() << '\n';
         return 2;

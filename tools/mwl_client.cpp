@@ -24,14 +24,15 @@
 // --tolerate-disconnect, for soaks that outlive a draining server);
 // 2 usage or manifest errors.
 
+#include "cli.hpp"
 #include "io/graph_io.hpp"
+#include "io/manifest.hpp"
 #include "report/table.hpp"
 #include "serve/client.hpp"
+#include "support/json.hpp"
 #include "support/stats.hpp"
 #include "support/timer.hpp"
-#include "tgff/corpus.hpp"
 
-#include <atomic>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -47,27 +48,23 @@ namespace {
 
 using namespace mwl;
 
-[[noreturn]] void usage(int code)
-{
-    std::cout <<
-        "usage: mwl_client ENDPOINT COMMAND|--manifest FILE [options]\n"
-        "  ENDPOINT             unix:PATH or tcp:HOST:PORT\n"
-        "commands:\n"
-        "  ping                 round-trip check\n"
-        "  stats                print the server's stats JSON\n"
-        "  alloc FILE [lambda=N|slack=PCT]   allocate one .mwl graph\n"
-        "manifest mode:\n"
-        "  --manifest FILE      mwl_batch manifest ('-' = stdin);\n"
-        "                       graph/corpus lines with lambda=/slack=\n"
-        "  --conns C            concurrent connections [1]\n"
-        "  --soak N             N requests per connection, cycling the\n"
-        "                       manifest items; reports requests/s\n"
-        "  --window W           pipelined requests per connection [16]\n"
-        "  --json FILE          write results + stats as JSON\n"
-        "  --csv                CSV on stdout instead of the table\n"
-        "  --tolerate-disconnect   a server drain mid-soak is not an error\n";
-    std::exit(code);
-}
+const char* const usage_text =
+    "usage: mwl_client ENDPOINT COMMAND|--manifest FILE [options]\n"
+    "  ENDPOINT             unix:PATH or tcp:HOST:PORT\n"
+    "commands:\n"
+    "  ping                 round-trip check\n"
+    "  stats                print the server's stats JSON\n"
+    "  alloc FILE [lambda=N|slack=PCT]   allocate one .mwl graph\n"
+    "manifest mode:\n"
+    "  --manifest FILE      mwl_batch manifest ('-' = stdin);\n"
+    "                       graph/corpus lines with lambda=/slack=\n"
+    "  --conns C            concurrent connections [1]\n"
+    "  --soak N             N requests per connection, cycling the\n"
+    "                       manifest items; reports requests/s\n"
+    "  --window W           pipelined requests per connection [16]\n"
+    "  --json FILE          write results + stats as JSON ('-' = stdout)\n"
+    "  --csv                CSV on stdout instead of the table\n"
+    "  --tolerate-disconnect   a server drain mid-soak is not an error\n";
 
 /// One expanded manifest entry, pre-serialised for the wire.
 struct serve_item {
@@ -101,116 +98,36 @@ struct soak_totals {
     std::vector<double> latencies_ms; ///< client-observed round trips
 };
 
-/// lambda=/slack= on a manifest line; rejects the batch-only directives.
-bool take_directive(const std::string& token, serve_item& out)
+/// The request fields of one manifest line or `alloc` argument list;
+/// sweep= and verify= are batch-only and rejected.
+serve_item request_of(const manifest_directives& what)
 {
-    const auto value_of =
-        [&](const char* prefix) -> std::optional<std::string> {
-        const std::size_t n = std::string(prefix).size();
-        if (token.rfind(prefix, 0) == 0) {
-            return token.substr(n);
-        }
-        return std::nullopt;
-    };
-    try {
-        if (const auto v = value_of("lambda=")) {
-            out.lambda = std::stoi(*v);
-            return true;
-        }
-        if (const auto v = value_of("slack=")) {
-            out.slack = std::stod(*v) / 100.0;
-            require(out.slack >= 0.0, "slack must be non-negative");
-            return true;
-        }
-    } catch (const std::invalid_argument&) {
-        require(false, "bad numeric value in '" + token + "'");
-    } catch (const std::out_of_range&) {
-        require(false, "numeric value out of range in '" + token + "'");
-    }
-    require(token.rfind("sweep=", 0) != 0,
-            "sweep= is not supported over serve (use mwl_batch)");
-    require(token.rfind("verify=", 0) != 0,
+    require(!what.sweep, "sweep= is not supported over serve (use mwl_batch)");
+    require(!what.verify,
             "verify= is not supported over serve (use mwl_batch)");
-    return false;
+    serve_item item;
+    item.lambda = what.lambda;
+    item.slack = what.slack.value_or(0.0);
+    return item;
 }
 
-std::vector<serve_item> parse_manifest(std::istream& in)
+/// Expand a manifest into wire-ready items; throws `line_error` on a bad
+/// line.
+std::vector<serve_item> read_manifest(std::istream& in)
 {
     std::vector<serve_item> items;
-    std::string raw;
-    std::size_t line_no = 0;
-    while (std::getline(in, raw)) {
-        ++line_no;
-        std::istringstream line(raw);
-        std::string keyword;
-        if (!(line >> keyword) || keyword.front() == '#') {
-            continue;
-        }
-        const auto fail = [&](const std::string& message) {
-            std::cerr << "mwl_client: manifest line " << line_no << ": "
-                      << message << '\n';
-            std::exit(2);
-        };
+    for (const manifest_entry& e : parse_manifest(in)) {
         try {
-            if (keyword == "graph") {
-                std::string path;
-                if (!(line >> path)) {
-                    fail("expected 'graph FILE ...'");
-                }
-                serve_item item;
-                item.name = path;
-                std::string token;
-                while (line >> token) {
-                    if (!take_directive(token, item)) {
-                        fail("unknown graph token '" + token + "'");
-                    }
-                }
-                std::ifstream gf(path);
-                if (!gf) {
-                    fail("cannot open graph file " + path);
-                }
-                item.graph_text = write_graph(parse_graph(gf));
-                items.push_back(std::move(item));
-            } else if (keyword == "corpus") {
-                serve_item prototype;
-                std::vector<std::string> spec_tokens;
-                std::string token;
-                while (line >> token) {
-                    if (!take_directive(token, prototype)) {
-                        spec_tokens.push_back(token);
-                    }
-                }
-                const corpus_spec spec = corpus_spec::parse(spec_tokens);
-                const sonic_model probe;
-                for (corpus_entry& e : make_corpus(spec, probe)) {
-                    serve_item item = prototype;
-                    item.name = "tgff(ops=" + std::to_string(spec.n_ops) +
-                                ",seed=" + std::to_string(spec.seed) +
-                                ")#" + std::to_string(items.size());
-                    item.graph_text = write_graph(e.graph);
-                    items.push_back(std::move(item));
-                }
-            } else {
-                fail("unknown keyword '" + keyword + "'");
-            }
-        } catch (const error& e) {
-            fail(e.what());
+            serve_item item = request_of(e.what);
+            item.name = e.name;
+            item.graph_text = write_graph(e.graph);
+            items.push_back(std::move(item));
+        } catch (const precondition_error& err) {
+            throw line_error("manifest line " + std::to_string(e.line) +
+                             ": " + err.what());
         }
     }
     return items;
-}
-
-std::string json_escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    return out;
 }
 
 /// One connection's share of the run: non-soak partitions the items
@@ -338,8 +255,8 @@ void run_connection(const serve::endpoint& ep, std::size_t conn_index,
                                latencies.begin(), latencies.end());
 }
 
-int one_shot(const serve::endpoint& ep, const std::string& command,
-             const std::vector<std::string>& args)
+int one_shot(const cli::tool& cli, const serve::endpoint& ep,
+             const std::string& command, const std::vector<std::string>& args)
 {
     serve::client_connection conn(ep);
     std::string payload;
@@ -349,17 +266,15 @@ int one_shot(const serve::endpoint& ep, const std::string& command,
         payload = serve::format_stats_request(1);
     } else if (command == "alloc") {
         if (args.empty()) {
-            std::cerr << "mwl_client: alloc needs a graph file\n";
-            usage(2);
+            cli.fail("alloc needs a graph file");
         }
-        serve_item item;
+        manifest_directives what;
         for (std::size_t i = 1; i < args.size(); ++i) {
-            if (!take_directive(args[i], item)) {
-                std::cerr << "mwl_client: unknown alloc token '" << args[i]
-                          << "'\n";
-                usage(2);
+            if (!parse_directive(args[i], what)) {
+                cli.fail("unknown alloc token '" + args[i] + "'");
             }
         }
+        const serve_item item = request_of(what);
         std::ifstream gf(args[0]);
         if (!gf) {
             std::cerr << "mwl_client: cannot open graph file " << args[0]
@@ -369,8 +284,7 @@ int one_shot(const serve::endpoint& ep, const std::string& command,
         payload = serve::format_alloc_request(
             1, item.lambda, item.slack, write_graph(parse_graph(gf)));
     } else {
-        std::cerr << "mwl_client: unknown command '" << command << "'\n";
-        usage(2);
+        cli.fail("unknown command '" + command + "'");
     }
     if (!conn.send(payload)) {
         std::cerr << "mwl_client: server closed the connection\n";
@@ -422,84 +336,46 @@ int main(int argc, char** argv)
     bool csv = false;
     bool tolerate_disconnect = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_client: missing value for " << arg << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        const auto count_value = [&]() -> std::size_t {
-            const std::string text = value();
-            try {
-                if (!text.empty() && text[0] == '-') {
-                    throw std::invalid_argument(text);
-                }
-                return std::stoul(text);
-            } catch (const std::exception&) {
-                std::cerr << "mwl_client: bad numeric value '" << text
-                          << "' for " << arg << '\n';
-                usage(2);
-            }
-        };
-        if (arg == "--manifest") {
-            manifest_file = value();
-        } else if (arg == "--conns") {
-            conns = count_value();
-        } else if (arg == "--soak") {
-            soak_requests = count_value();
-        } else if (arg == "--window") {
-            window = count_value();
-        } else if (arg == "--json") {
-            json_file = value();
-        } else if (arg == "--csv") {
-            csv = true;
-        } else if (arg == "--tolerate-disconnect") {
-            tolerate_disconnect = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            std::cerr << "mwl_client: unknown option " << arg << '\n';
-            usage(2);
-        } else if (endpoint_text.empty()) {
+    cli::tool cli("mwl_client", usage_text);
+    cli.value("--manifest", manifest_file);
+    cli.value("--conns", conns);
+    cli.value("--soak", soak_requests);
+    cli.value("--window", window);
+    cli.value("--json", json_file);
+    cli.flag("--csv", csv);
+    cli.flag("--tolerate-disconnect", tolerate_disconnect);
+    cli.positional([&](const std::string& arg) {
+        if (endpoint_text.empty()) {
             endpoint_text = arg;
         } else if (command.empty() && manifest_file.empty()) {
             command = arg;
         } else {
             command_args.push_back(arg);
         }
-    }
+    });
+    cli.parse(argc, argv);
     if (endpoint_text.empty() ||
         (command.empty() && manifest_file.empty())) {
-        usage(2);
+        cli.fail("need an endpoint and a command or --manifest");
     }
     if (conns < 1 || window < 1) {
-        std::cerr << "mwl_client: --conns and --window must be >= 1\n";
-        usage(2);
+        cli.fail("--conns and --window must be >= 1");
     }
 
     try {
         const serve::endpoint ep = serve::parse_endpoint(endpoint_text);
 
         if (manifest_file.empty()) {
-            return one_shot(ep, command, command_args);
+            return one_shot(cli, ep, command, command_args);
         }
 
         // ---- manifest / soak mode ------------------------------------
-        std::ifstream file_in;
-        std::istream* in = &std::cin;
-        if (manifest_file != "-") {
-            file_in.open(manifest_file);
-            if (!file_in) {
-                std::cerr << "mwl_client: cannot open " << manifest_file
-                          << '\n';
-                return 1;
-            }
-            in = &file_in;
+        const cli::input in(manifest_file);
+        if (!in) {
+            std::cerr << "mwl_client: cannot open " << manifest_file << '\n';
+            return 1;
         }
-        const std::vector<serve_item> items = parse_manifest(*in);
+        const std::vector<serve_item> items = read_manifest(in.stream());
         if (items.empty()) {
             std::cerr << "mwl_client: manifest has no entries\n";
             return 2;
@@ -528,52 +404,34 @@ int main(int argc, char** argv)
         const double throughput =
             wall > 0.0 ? static_cast<double>(answered) / wall : 0.0;
 
-        std::ostringstream json;
-        json << "{\"results\":[";
-        bool first = true;
-        int failures = 0;
-        if (soak_requests == 0) {
-            table t("mwl_client results");
-            t.header({"entry", "kind", "lambda", "latency", "area",
-                      "status"});
-            for (std::size_t i = 0; i < items.size(); ++i) {
-                const result_row& row = rows[i];
-                if (!row.have) {
-                    continue; // lost to a disconnect: no fabricated rows
-                }
-                const std::string status =
-                    !row.ok ? "error: " + row.message
-                    : row.cached ? "cached"
-                    : row.coalesced ? "coalesced"
-                                    : "computed";
-                if (!row.ok) {
-                    ++failures;
-                }
-                t.row({items[i].name, "alloc", table::num(row.lambda),
-                       table::num(row.latency), table::num(row.area, 1),
-                       status});
-                json << (first ? "" : ",") << "{\"entry\":\""
-                     << json_escape(items[i].name)
-                     << "\",\"kind\":\"alloc\",\"lambda\":" << row.lambda
-                     << ",\"latency\":" << row.latency
-                     << ",\"area\":" << row.area << ",\"status\":\""
-                     << json_escape(status) << "\"}";
-                first = false;
+        std::ostream& text = cli::report_stream(json_file);
+        std::vector<manifest_result> results;
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            const result_row& row = rows[i];
+            if (!row.have) {
+                continue; // lost to a disconnect (or a soak): no rows
             }
+            results.push_back({items[i].name, "alloc", row.lambda,
+                               row.latency, row.area,
+                               !row.ok         ? "error: " + row.message
+                               : row.cached    ? "cached"
+                               : row.coalesced ? "coalesced"
+                                               : "computed"});
+        }
+        if (soak_requests == 0) {
+            const table t = results_table("mwl_client results", results);
             if (csv) {
-                t.print_csv(std::cout);
+                t.print_csv(text);
             } else {
-                t.print(std::cout);
+                t.print(text);
             }
         }
 
-        double p50 = 0.0;
-        double p99 = 0.0;
-        {
-            p50 = percentile(totals.latencies_ms, 50.0);
-            p99 = percentile(totals.latencies_ms, 99.0);
-        }
-        json << "],\"stats\":{\"entries\":" << items.size()
+        const double p50 = percentile(totals.latencies_ms, 50.0);
+        const double p99 = percentile(totals.latencies_ms, 99.0);
+        std::ostringstream json;
+        json << "{\"results\":" << results_json(results)
+             << ",\"stats\":{\"entries\":" << items.size()
              << ",\"conns\":" << conns
              << ",\"requests\":" << answered
              << ",\"ok\":" << totals.ok
@@ -581,35 +439,26 @@ int main(int argc, char** argv)
              << ",\"busy_retries\":" << totals.busy_retries
              << ",\"disconnects\":" << totals.disconnects
              << ",\"lost\":" << totals.lost
-             << ",\"latency_p50_ms\":" << p50
-             << ",\"latency_p99_ms\":" << p99
-             << ",\"wall_seconds\":" << wall
-             << ",\"requests_per_second\":" << throughput << "}}";
+             << ",\"latency_p50_ms\":" << format_double(p50)
+             << ",\"latency_p99_ms\":" << format_double(p99)
+             << ",\"wall_seconds\":" << format_double(wall)
+             << ",\"requests_per_second\":" << format_double(throughput)
+             << "}}";
 
-        std::cout << "\nserve: " << answered << " responses ("
-                  << totals.ok << " ok, " << totals.errors << " errors, "
-                  << totals.busy_retries << " busy retries, "
-                  << totals.disconnects << " disconnects) over " << conns
-                  << " conns, " << table::num(wall * 1e3, 1) << " ms, "
-                  << table::num(throughput, 1) << " req/s, p50 "
-                  << table::num(p50, 2) << " ms, p99 "
-                  << table::num(p99, 2) << " ms\n";
-
-        if (!json_file.empty()) {
-            std::ofstream out(json_file);
-            if (!out) {
-                std::cerr << "mwl_client: cannot write " << json_file
-                          << '\n';
-                return 1;
-            }
-            out << json.str() << '\n';
-            std::cout << "json written to " << json_file << '\n';
-        }
-
-        if (totals.connect_failures != 0) {
+        text << "\nserve: " << answered << " responses (" << totals.ok
+             << " ok, " << totals.errors << " errors, "
+             << totals.busy_retries << " busy retries, "
+             << totals.disconnects << " disconnects) over " << conns
+             << " conns, " << table::num(wall * 1e3, 1) << " ms, "
+             << table::num(throughput, 1) << " req/s, p50 "
+             << table::num(p50, 2) << " ms, p99 " << table::num(p99, 2)
+             << " ms\n";
+        if (!json_file.empty() &&
+            !cli.write_json(json_file, json.str(), text)) {
             return 1;
         }
-        if (failures != 0 || totals.errors != 0) {
+
+        if (totals.connect_failures != 0 || totals.errors != 0) {
             return 1;
         }
         if (totals.disconnects != 0 && !tolerate_disconnect) {
@@ -619,6 +468,9 @@ int main(int argc, char** argv)
             return 1;
         }
         return 0;
+    } catch (const line_error& e) {
+        std::cerr << "mwl_client: " << e.what() << '\n';
+        return 2;
     } catch (const precondition_error& e) {
         std::cerr << "mwl_client: " << e.what() << '\n';
         return 2;

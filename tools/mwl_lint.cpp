@@ -18,11 +18,13 @@
 //
 // Exit codes: 0 = clean, 1 = findings reported, 2 = usage error.
 
+#include "cli.hpp"
 #include "dfg/analysis.hpp"
 #include "io/graph_io.hpp"
+#include "io/manifest.hpp"
 #include "model/hardware_model.hpp"
 #include "scenarios/scenarios.hpp"
-#include "support/parse_num.hpp"
+#include "support/json.hpp"
 #include "support/timer.hpp"
 #include "verify/differential.hpp"
 
@@ -38,35 +40,31 @@ namespace {
 
 using namespace mwl;
 
-[[noreturn]] void usage(int code)
-{
-    std::cout <<
-        "usage: mwl_lint [options] [SCENARIO]...\n"
-        "workload selection (combinable):\n"
-        "  SCENARIO...       named scenarios (see mwl_scenarios --list)\n"
-        "  --all             every registered scenario\n"
-        "  --graph FILE      a .mwl graph file (repeatable)\n"
-        "  --corpus          a generated TGFF corpus\n"
-        "  --manifest FILE   mwl_batch-style manifest ('-' = stdin);\n"
-        "                    graph/corpus lines, lambda=/slack= honoured,\n"
-        "                    sweep=/verify= ignored\n"
-        "corpus knobs (--corpus, like mwl_verify):\n"
-        "  --ops N --count N --seed S --mul-fraction F\n"
-        "  --min-width W --max-width W\n"
-        "allocation / analysis:\n"
-        "  --slack PCT       latency relaxation over lambda_min [25]\n"
-        "  --no-heuristic / --no-two-stage / --no-descending\n"
-        "                    drop an allocator from the checks\n"
-        "  --mutate MODE     re-introduce a historical elaboration bug\n"
-        "                    (soundness harness; a sound analyzer exits 1):\n"
-        "                    operand-zext | capture-zext | unsigned-mul |\n"
-        "                    output-recycle\n"
-        "  --jobs N          worker threads [hardware concurrency]\n"
-        "output:\n"
-        "  --json FILE       findings + counters as JSON ('-' = stdout)\n"
-        "exit codes: 0 clean, 1 findings, 2 usage error\n";
-    std::exit(code);
-}
+const char* const usage_text =
+    "usage: mwl_lint [options] [SCENARIO]...\n"
+    "workload selection (combinable):\n"
+    "  SCENARIO...       named scenarios (see mwl_scenarios --list)\n"
+    "  --all             every registered scenario\n"
+    "  --graph FILE      a .mwl graph file (repeatable)\n"
+    "  --corpus          a generated TGFF corpus\n"
+    "  --manifest FILE   mwl_batch-style manifest ('-' = stdin);\n"
+    "                    graph/corpus lines, lambda=/slack= honoured,\n"
+    "                    sweep=/verify= ignored\n"
+    "corpus knobs (--corpus, like mwl_verify):\n"
+    "  --ops N --count N --seed S --mul-fraction F\n"
+    "  --min-width W --max-width W\n"
+    "allocation / analysis:\n"
+    "  --slack PCT       latency relaxation over lambda_min [25]\n"
+    "  --no-heuristic / --no-two-stage / --no-descending\n"
+    "                    drop an allocator from the checks\n"
+    "  --mutate MODE     re-introduce a historical elaboration bug\n"
+    "                    (soundness harness; a sound analyzer exits 1):\n"
+    "                    operand-zext | capture-zext | unsigned-mul |\n"
+    "                    output-recycle\n"
+    "  --jobs N          worker threads [hardware concurrency]\n"
+    "output:\n"
+    "  --json FILE       findings + counters as JSON ('-' = stdout)\n"
+    "exit codes: 0 clean, 1 findings, 2 usage error\n";
 
 struct lint_item {
     std::string name;
@@ -74,19 +72,6 @@ struct lint_item {
     std::optional<int> lambda; ///< fixed lambda; unset = relax lambda_min
     double slack = 0.25;
 };
-
-std::string json_escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    return out;
-}
 
 } // namespace
 
@@ -107,74 +92,29 @@ int main(int argc, char** argv)
     std::size_t jobs = 0;
     verify_options options;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_lint: missing value for " << arg << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        // parse_*_checked (support/parse_num.hpp) rejects malformed,
-        // out-of-range and partially numeric values ("4x"), so every bad
-        // number lands in the catch below: diagnostic + exit 2, no abort.
-        const auto count_value = [&]() -> std::size_t {
-            return parse_size_checked(value());
-        };
-        try {
-            if (arg == "--all") {
-                all_scenarios_flag = true;
-            } else if (arg == "--graph") {
-                graph_files.push_back(value());
-            } else if (arg == "--manifest") {
-                manifest_file = value();
-            } else if (arg == "--corpus") {
-                use_corpus = true;
-            } else if (arg == "--ops") {
-                spec.n_ops = count_value();
-            } else if (arg == "--count") {
-                spec.count = count_value();
-            } else if (arg == "--seed") {
-                spec.seed = parse_u64_checked(value());
-            } else if (arg == "--mul-fraction") {
-                spec.prototype.mul_fraction =
-                    parse_double_checked(value());
-            } else if (arg == "--min-width") {
-                spec.prototype.min_width = parse_int_checked(value());
-            } else if (arg == "--max-width") {
-                spec.prototype.max_width = parse_int_checked(value());
-            } else if (arg == "--slack") {
-                slack_pct = parse_double_checked(value());
-            } else if (arg == "--no-heuristic") {
-                options.use_heuristic = false;
-            } else if (arg == "--no-two-stage") {
-                options.use_two_stage = false;
-            } else if (arg == "--no-descending") {
-                options.use_descending = false;
-            } else if (arg == "--mutate") {
-                mutate = value();
-            } else if (arg == "--json") {
-                json_file = value();
-            } else if (arg == "--jobs") {
-                jobs = count_value();
-            } else if (arg == "--help" || arg == "-h") {
-                usage(0);
-            } else if (!arg.empty() && arg[0] == '-') {
-                std::cerr << "mwl_lint: unknown option " << arg << '\n';
-                usage(2);
-            } else {
-                scenario_args.push_back(arg);
-            }
-        } catch (const error& e) {
-            std::cerr << "mwl_lint: bad value for " << arg << ": "
-                      << e.what() << '\n';
-            usage(2);
-        }
-    }
+    cli::tool cli("mwl_lint", usage_text);
+    cli.flag("--all", all_scenarios_flag);
+    cli.value("--graph", graph_files);
+    cli.value("--manifest", manifest_file);
+    cli.flag("--corpus", use_corpus);
+    cli.value("--ops", spec.n_ops);
+    cli.value("--count", spec.count);
+    cli.value("--seed", spec.seed);
+    cli.value("--mul-fraction", spec.prototype.mul_fraction);
+    cli.value("--min-width", spec.prototype.min_width);
+    cli.value("--max-width", spec.prototype.max_width);
+    cli.value("--slack", slack_pct);
+    cli.flag("--no-heuristic", [&] { options.use_heuristic = false; });
+    cli.flag("--no-two-stage", [&] { options.use_two_stage = false; });
+    cli.flag("--no-descending", [&] { options.use_descending = false; });
+    cli.value("--mutate", mutate);
+    cli.value("--json", json_file);
+    cli.value("--jobs", jobs);
+    cli.positional(
+        [&](const std::string& arg) { scenario_args.push_back(arg); });
+    cli.parse(argc, argv);
     if (slack_pct < 0.0) {
-        std::cerr << "mwl_lint: slack must be non-negative\n";
-        usage(2);
+        cli.fail("slack must be non-negative");
     }
     if (!mutate.empty()) {
         if (mutate == "operand-zext") {
@@ -186,9 +126,7 @@ int main(int argc, char** argv)
         } else if (mutate == "output-recycle") {
             options.elaborate.legacy_output_recycling = true;
         } else {
-            std::cerr << "mwl_lint: unknown --mutate mode '" << mutate
-                      << "'\n";
-            usage(2);
+            cli.fail("unknown --mutate mode '" + mutate + "'");
         }
     }
     options.slack = slack_pct / 100.0;
@@ -201,6 +139,7 @@ int main(int argc, char** argv)
         // ---- expand the selection into owned graphs + items -------------
         std::deque<sequencing_graph> graphs; // stable addresses
         std::deque<scenario> scenarios;      // keeps scenario graphs alive
+        std::vector<manifest_entry> manifest;
         std::vector<lint_item> items;
         const double default_slack = options.slack;
 
@@ -239,107 +178,24 @@ int main(int argc, char** argv)
             }
         }
         if (!manifest_file.empty()) {
-            std::ifstream file_in;
-            std::istream* in = &std::cin;
-            if (manifest_file != "-") {
-                file_in.open(manifest_file);
-                if (!file_in) {
-                    std::cerr << "mwl_lint: cannot open " << manifest_file
-                              << '\n';
-                    return 2;
-                }
-                in = &file_in;
+            const cli::input in(manifest_file);
+            if (!in) {
+                std::cerr << "mwl_lint: cannot open " << manifest_file
+                          << '\n';
+                return 2;
             }
-            std::string raw;
-            std::size_t line_no = 0;
-            while (std::getline(*in, raw)) {
-                ++line_no;
-                std::istringstream line(raw);
-                std::string keyword;
-                if (!(line >> keyword) || keyword.front() == '#') {
-                    continue;
-                }
-                const auto fail = [&](const std::string& message) {
-                    std::cerr << "mwl_lint: manifest line " << line_no
-                              << ": " << message << '\n';
-                    std::exit(2);
-                };
-                // lambda=/slack= pick the allocation point; mwl_batch's
-                // sweep=/verify= directives are about *dynamic* work and
-                // are ignored here so one manifest can drive both tools.
-                std::optional<int> lambda;
-                double slack = default_slack;
-                std::vector<std::string> rest;
-                const auto take = [&](const std::string& token) {
-                    // checked parse: "lambda=4x" is a line diagnostic,
-                    // not a silent lambda=4 (and never an abort).
-                    if (token.rfind("lambda=", 0) == 0) {
-                        lambda = parse_int_checked(token.substr(7), token);
-                    } else if (token.rfind("slack=", 0) == 0) {
-                        slack =
-                            parse_double_checked(token.substr(6), token) /
-                            100.0;
-                    } else if (token.rfind("sweep=", 0) == 0 ||
-                               token.rfind("verify=", 0) == 0) {
-                        // ignored
-                    } else {
-                        return false;
-                    }
-                    return true;
-                };
-                try {
-                    if (keyword == "graph") {
-                        std::string path;
-                        if (!(line >> path)) {
-                            fail("expected 'graph FILE ...'");
-                        }
-                        std::string token;
-                        while (line >> token) {
-                            if (!take(token)) {
-                                fail("unknown graph token '" + token + "'");
-                            }
-                        }
-                        std::ifstream gf(path);
-                        if (!gf) {
-                            fail("cannot open graph file " + path);
-                        }
-                        graphs.push_back(parse_graph(gf));
-                        items.push_back({path, &graphs.back(), lambda,
-                                         slack});
-                    } else if (keyword == "corpus") {
-                        std::vector<std::string> spec_tokens;
-                        std::string token;
-                        while (line >> token) {
-                            if (!take(token)) {
-                                spec_tokens.push_back(token);
-                            }
-                        }
-                        const corpus_spec line_spec =
-                            corpus_spec::parse(spec_tokens);
-                        std::size_t entry = 0;
-                        for (corpus_entry& e :
-                             make_corpus(line_spec, model)) {
-                            graphs.push_back(std::move(e.graph));
-                            items.push_back(
-                                {"tgff(ops=" +
-                                     std::to_string(line_spec.n_ops) +
-                                     ",seed=" +
-                                     std::to_string(line_spec.seed) + ")#" +
-                                     std::to_string(entry++),
-                                 &graphs.back(), lambda, slack});
-                        }
-                    } else {
-                        fail("unknown keyword '" + keyword + "'");
-                    }
-                } catch (const error& e) {
-                    fail(e.what());
-                }
+            // lambda=/slack= pick the allocation point; mwl_batch's
+            // sweep=/verify= directives are about *dynamic* work and are
+            // ignored here so one manifest can drive both tools.
+            manifest = parse_manifest(in.stream());
+            for (const manifest_entry& e : manifest) {
+                items.push_back({e.name, &e.graph, e.what.lambda,
+                                 e.what.slack.value_or(default_slack)});
             }
         }
         if (items.empty()) {
-            std::cerr << "mwl_lint: nothing to lint (give scenario names, "
-                         "--all, --graph, --corpus or --manifest)\n";
-            usage(2);
+            cli.fail("nothing to lint (give scenario names, --all, --graph,"
+                     " --corpus or --manifest)");
         }
 
         // ---- analyze, one pool task per item -----------------------------
@@ -379,9 +235,7 @@ int main(int argc, char** argv)
         const double wall = clock.seconds();
 
         // ---- report -------------------------------------------------------
-        // With --json - the machine output owns stdout; the human report
-        // moves to stderr so the JSON stream stays parseable.
-        std::ostream& text = json_file == "-" ? std::cerr : std::cout;
+        std::ostream& text = cli::report_stream(json_file);
         text << "mwl_lint: " << items.size() << " graphs, " << designs
              << " designs, " << report.checks << " checks in "
              << static_cast<long long>(wall * 1e3) << " ms";
@@ -406,25 +260,17 @@ int main(int argc, char** argv)
             std::ostringstream json;
             json << "{\"tool\":\"mwl_lint\",\"graphs\":" << items.size()
                  << ",\"designs\":" << designs
-                 << ",\"checks\":" << report.checks << ",\"mutate\":\""
-                 << json_escape(mutate) << "\",\"truncated\":"
+                 << ",\"checks\":" << report.checks
+                 << ",\"mutate\":" << json_quote(mutate) << ",\"truncated\":"
                  << (report.truncated ? "true" : "false")
                  << ",\"findings\":[";
             for (std::size_t i = 0; i < report.findings.size(); ++i) {
                 json << (i == 0 ? "" : ",")
                      << report.findings[i].to_json();
             }
-            json << "]}\n";
-            if (json_file == "-") {
-                std::cout << json.str();
-            } else {
-                std::ofstream out(json_file);
-                if (!out) {
-                    std::cerr << "mwl_lint: cannot write " << json_file
-                              << '\n';
-                    return 2;
-                }
-                out << json.str();
+            json << "]}";
+            if (!cli.write_json(json_file, json.str(), text)) {
+                return 2;
             }
         }
 

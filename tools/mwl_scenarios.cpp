@@ -23,6 +23,7 @@
 //
 // Exit codes: 0 ok, 1 drift or counterexample, 2 usage/malformed input.
 
+#include "cli.hpp"
 #include "core/quality.hpp"
 #include "dfg/analysis.hpp"
 #include "model/hardware_model.hpp"
@@ -41,29 +42,25 @@ namespace {
 
 using namespace mwl;
 
-[[noreturn]] void usage(int code)
-{
-    std::cout <<
-        "usage: mwl_scenarios MODE [options]\n"
-        "modes (exactly one):\n"
-        "  --list                catalogue of named scenarios\n"
-        "  --emit                print quality reports as JSON to stdout\n"
-        "  --update-goldens DIR  write one <scenario>.json golden per entry\n"
-        "  --check DIR           recompute + diff against goldens; exit 1\n"
-        "                        with a per-metric drift table on any drift\n"
-        "  --verify              differential value check of every\n"
-        "                        allocator's RTL on every scenario\n"
-        "options:\n"
-        "  --scenario NAME   restrict to NAME (repeatable)\n"
-        "  --slack PCT       latency relaxation over lambda_min [25]\n"
-        "  --ilp-max-ops N   ILP reference on scenarios with <= N ops [8]\n"
-        "  --tol PCT         relative area tolerance for --check [0]\n"
-        "  --latency-tol N   absolute latency tolerance for --check [0]\n"
-        "  --count-tol N     absolute FU/register/mux count tolerance [0]\n"
-        "  --diff-out FILE   also write the drift table to FILE\n"
-        "  --inputs N        input vectors per allocator for --verify [16]\n";
-    std::exit(code);
-}
+const char* const usage_text =
+    "usage: mwl_scenarios MODE [options]\n"
+    "modes (exactly one):\n"
+    "  --list                catalogue of named scenarios\n"
+    "  --emit                print quality reports as JSON to stdout\n"
+    "  --update-goldens DIR  write one <scenario>.json golden per entry\n"
+    "  --check DIR           recompute + diff against goldens; exit 1\n"
+    "                        with a per-metric drift table on any drift\n"
+    "  --verify              differential value check of every\n"
+    "                        allocator's RTL on every scenario\n"
+    "options:\n"
+    "  --scenario NAME   restrict to NAME (repeatable)\n"
+    "  --slack PCT       latency relaxation over lambda_min [25]\n"
+    "  --ilp-max-ops N   ILP reference on scenarios with <= N ops [8]\n"
+    "  --tol PCT         relative area tolerance for --check [0]\n"
+    "  --latency-tol N   absolute latency tolerance for --check [0]\n"
+    "  --count-tol N     absolute FU/register/mux count tolerance [0]\n"
+    "  --diff-out FILE   also write the drift table to FILE\n"
+    "  --inputs N        input vectors per allocator for --verify [16]\n";
 
 std::vector<scenario> selected_scenarios(
     const std::vector<std::string>& names)
@@ -91,92 +88,52 @@ int main(int argc, char** argv)
     drift_tolerances tolerances;
     std::size_t verify_inputs = 16;
 
-    const auto set_mode = [&](const char* m) {
+    double slack_pct = quality.slack * 100.0;
+    double tol_pct = 0.0;
+
+    cli::tool cli("mwl_scenarios", usage_text);
+    const auto set_mode = [&](const std::string& m) {
         if (!mode.empty()) {
-            std::cerr << "mwl_scenarios: modes " << mode << " and " << m
-                      << " are mutually exclusive\n";
-            usage(2);
+            cli.fail("modes " + mode + " and " + m +
+                     " are mutually exclusive");
         }
         mode = m;
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_scenarios: missing value for " << arg
-                          << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        const auto count_value = [&]() -> std::size_t {
-            const std::string text = value();
-            try {
-                if (!text.empty() && text[0] == '-') {
-                    throw std::invalid_argument(text);
-                }
-                return std::stoul(text);
-            } catch (const std::exception&) {
-                std::cerr << "mwl_scenarios: bad numeric value '" << text
-                          << "' for " << arg << '\n';
-                usage(2);
-            }
-        };
-        try {
-            if (arg == "--list" || arg == "--emit" || arg == "--verify") {
-                set_mode(arg.c_str() + 2);
-            } else if (arg == "--update-goldens") {
-                set_mode("update");
-                goldens_dir = value();
-            } else if (arg == "--check") {
-                set_mode("check");
-                goldens_dir = value();
-            } else if (arg == "--scenario") {
-                names.push_back(value());
-            } else if (arg == "--slack") {
-                quality.slack = std::stod(value()) / 100.0;
-            } else if (arg == "--ilp-max-ops") {
-                quality.ilp_max_ops = count_value();
-            } else if (arg == "--tol") {
-                tolerances.area_rel = std::stod(value()) / 100.0;
-            } else if (arg == "--latency-tol") {
-                tolerances.latency_abs = static_cast<int>(count_value());
-            } else if (arg == "--count-tol") {
-                tolerances.count_abs = static_cast<int>(count_value());
-            } else if (arg == "--diff-out") {
-                diff_out = value();
-            } else if (arg == "--inputs") {
-                verify_inputs = count_value();
-            } else if (arg == "--help" || arg == "-h") {
-                usage(0);
-            } else {
-                std::cerr << "mwl_scenarios: unknown option " << arg << '\n';
-                usage(2);
-            }
-        } catch (const std::exception&) {
-            // invalid_argument and out_of_range alike: a typo must be a
-            // diagnostic + exit 2, never an uncaught abort.
-            std::cerr << "mwl_scenarios: bad value for " << arg << '\n';
-            usage(2);
-        }
+    for (const char* m : {"list", "emit", "verify"}) {
+        cli.flag(std::string("--") + m, [&set_mode, m] { set_mode(m); });
     }
+    cli.value("--update-goldens", [&](const std::string& dir) {
+        set_mode("update");
+        goldens_dir = dir;
+    });
+    cli.value("--check", [&](const std::string& dir) {
+        set_mode("check");
+        goldens_dir = dir;
+    });
+    cli.value("--scenario", names);
+    cli.value("--slack", slack_pct);
+    cli.value("--ilp-max-ops", quality.ilp_max_ops);
+    cli.value("--tol", tol_pct);
+    cli.value("--latency-tol", tolerances.latency_abs, 0);
+    cli.value("--count-tol", tolerances.count_abs, 0);
+    cli.value("--diff-out", diff_out);
+    cli.value("--inputs", verify_inputs);
+    cli.parse(argc, argv);
     if (mode.empty()) {
-        std::cerr << "mwl_scenarios: pick a mode (--list, --emit, "
-                     "--update-goldens, --check, --verify)\n";
-        usage(2);
+        cli.fail("pick a mode (--list, --emit, --update-goldens, --check, "
+                 "--verify)");
     }
-    if (quality.slack < 0.0) {
-        std::cerr << "mwl_scenarios: slack must be non-negative\n";
-        usage(2);
+    if (slack_pct < 0.0) {
+        cli.fail("slack must be non-negative");
     }
-    if (tolerances.area_rel < 0.0) {
-        std::cerr << "mwl_scenarios: tolerance must be non-negative\n";
-        usage(2);
+    if (tol_pct < 0.0) {
+        cli.fail("tolerance must be non-negative");
     }
     if (mode == "verify" && verify_inputs < 1) {
-        std::cerr << "mwl_scenarios: --inputs must be >= 1\n";
-        usage(2);
+        cli.fail("--inputs must be >= 1");
     }
+    quality.slack = slack_pct / 100.0;
+    tolerances.area_rel = tol_pct / 100.0;
 
     // Argument-shaped failures keep the usage exit code: an unknown
     // --scenario name is a bad argument, not a drift or a counterexample.

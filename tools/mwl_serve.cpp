@@ -20,6 +20,7 @@
 //   mwl_serve --tcp 7447 [--host 0.0.0.0]
 //   mwl_serve --unix /tmp/mwl.sock --tcp 0     # ephemeral port, printed
 
+#include "cli.hpp"
 #include "serve/server.hpp"
 #include "support/interrupt.hpp"
 
@@ -31,24 +32,20 @@ namespace {
 
 using namespace mwl;
 
-[[noreturn]] void usage(int code)
-{
-    std::cout <<
-        "usage: mwl_serve (--unix PATH | --tcp PORT) [options]\n"
-        "  --unix PATH          listen on a unix socket\n"
-        "  --tcp PORT           listen on TCP (0 = ephemeral, printed)\n"
-        "  --host ADDR          TCP bind address [127.0.0.1]\n"
-        "  --jobs N             worker threads [hardware concurrency]\n"
-        "  --cache N            result cache capacity [4096]\n"
-        "  --queue-depth N      per-connection admitted-job bound [64]\n"
-        "  --max-inflight N     global admitted-job bound [4 x threads]\n"
-        "  --max-frame BYTES    reject larger request frames [4194304]\n"
-        "  --retry-after-ms N   backoff hint on busy rejections [25]\n"
-        "  --max-conns N        connection cap [256]\n"
-        "at least one of --unix / --tcp is required\n"
-        "SIGINT/SIGTERM drain admitted jobs, answer them, and exit 3\n";
-    std::exit(code);
-}
+const char* const usage_text =
+    "usage: mwl_serve (--unix PATH | --tcp PORT) [options]\n"
+    "  --unix PATH          listen on a unix socket\n"
+    "  --tcp PORT           listen on TCP (0 = ephemeral, printed)\n"
+    "  --host ADDR          TCP bind address [127.0.0.1]\n"
+    "  --jobs N             worker threads [hardware concurrency]\n"
+    "  --cache N            result cache capacity [4096]\n"
+    "  --queue-depth N      per-connection admitted-job bound [64]\n"
+    "  --max-inflight N     global admitted-job bound [4 x threads]\n"
+    "  --max-frame BYTES    reject larger request frames [4194304]\n"
+    "  --retry-after-ms N   backoff hint on busy rejections [25]\n"
+    "  --max-conns N        connection cap [256]\n"
+    "at least one of --unix / --tcp is required\n"
+    "SIGINT/SIGTERM drain admitted jobs, answer them, and exit 3\n";
 
 } // namespace
 
@@ -60,58 +57,20 @@ int main(int argc, char** argv)
     std::signal(SIGPIPE, SIG_IGN);
 
     serve::server_options options;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_serve: missing value for " << arg << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        const auto count_value = [&]() -> std::size_t {
-            const std::string text = value();
-            try {
-                if (!text.empty() && text[0] == '-') {
-                    throw std::invalid_argument(text);
-                }
-                return std::stoul(text);
-            } catch (const std::exception&) {
-                std::cerr << "mwl_serve: bad numeric value '" << text
-                          << "' for " << arg << '\n';
-                usage(2);
-            }
-        };
-        if (arg == "--unix") {
-            options.unix_path = value();
-        } else if (arg == "--tcp") {
-            options.tcp_port = static_cast<int>(count_value());
-        } else if (arg == "--host") {
-            options.tcp_host = value();
-        } else if (arg == "--jobs") {
-            options.jobs = count_value();
-        } else if (arg == "--cache") {
-            options.cache_capacity = count_value();
-        } else if (arg == "--queue-depth") {
-            options.queue_depth = count_value();
-        } else if (arg == "--max-inflight") {
-            options.max_inflight = count_value();
-        } else if (arg == "--max-frame") {
-            options.max_frame = count_value();
-        } else if (arg == "--retry-after-ms") {
-            options.retry_after_ms = static_cast<int>(count_value());
-        } else if (arg == "--max-conns") {
-            options.max_connections = count_value();
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else {
-            std::cerr << "mwl_serve: unknown option " << arg << '\n';
-            usage(2);
-        }
-    }
+    cli::tool cli("mwl_serve", usage_text);
+    cli.value("--unix", options.unix_path);
+    cli.value("--tcp", options.tcp_port, 0, 65535);
+    cli.value("--host", options.tcp_host);
+    cli.value("--jobs", options.jobs);
+    cli.value("--cache", options.cache_capacity);
+    cli.value("--queue-depth", options.queue_depth);
+    cli.value("--max-inflight", options.max_inflight);
+    cli.value("--max-frame", options.max_frame);
+    cli.value("--retry-after-ms", options.retry_after_ms, 0);
+    cli.value("--max-conns", options.max_connections);
+    cli.parse(argc, argv);
     if (options.unix_path.empty() && options.tcp_port < 0) {
-        std::cerr << "mwl_serve: one of --unix or --tcp is required\n";
-        usage(2);
+        cli.fail("one of --unix or --tcp is required");
     }
 
     try {

@@ -32,13 +32,14 @@
 // wall-clock fields, and reuse counts the timing-independent
 // cache-or-coalesced sum); timing goes to stdout only.
 
+#include "cli.hpp"
 #include "engine/batch_engine.hpp"
 #include "io/graph_io.hpp"
 #include "model/hardware_model.hpp"
 #include "report/table.hpp"
 #include "scenarios/scenarios.hpp"
 #include "support/interrupt.hpp"
-#include "support/parse_num.hpp"
+#include "support/json.hpp"
 #include "support/timer.hpp"
 #include "wordlength/optimizer.hpp"
 #include "wordlength/tune_spec.hpp"
@@ -53,27 +54,23 @@ namespace {
 
 using namespace mwl;
 
-[[noreturn]] void usage(int code)
-{
-    std::cout <<
-        "usage: mwl_tune SPEC [options]\n"
-        "  --jobs N     worker threads [hardware concurrency]\n"
-        "  --json FILE  write the frontier + stats as JSON\n"
-        "  --csv        CSV on stdout instead of the aligned table\n"
-        "  --cache N    engine result-cache capacity [4096]\n"
-        "  SPEC of '-' reads the spec from stdin\n"
-        "spec lines:\n"
-        "  scenario NAME ...   registry scenarios ('all' = every one)\n"
-        "  graph FILE ...      .mwl graph files\n"
-        "  budget V ...        output-noise budgets (required)\n"
-        "  frac min=2 max=24\n"
-        "  search seed=2001 max-steps=64 anneal=0 temp=0.05\n"
-        "  gain model=unit|attenuating base-frac=8 cap=32\n"
-        "  lambda slack=25\n"
-        "SIGINT/SIGTERM finish the in-flight point and emit the\n"
-        "partial frontier (exit 3) instead of dying with no output\n";
-    std::exit(code);
-}
+const char* const usage_text =
+    "usage: mwl_tune SPEC [options]\n"
+    "  --jobs N     worker threads [hardware concurrency]\n"
+    "  --json FILE  write the frontier + stats as JSON ('-' = stdout)\n"
+    "  --csv        CSV on stdout instead of the aligned table\n"
+    "  --cache N    engine result-cache capacity [4096]\n"
+    "  SPEC of '-' reads the spec from stdin\n"
+    "spec lines:\n"
+    "  scenario NAME ...   registry scenarios ('all' = every one)\n"
+    "  graph FILE ...      .mwl graph files\n"
+    "  budget V ...        output-noise budgets (required)\n"
+    "  frac min=2 max=24\n"
+    "  search seed=2001 max-steps=64 anneal=0 temp=0.05\n"
+    "  gain model=unit|attenuating base-frac=8 cap=32\n"
+    "  lambda slack=25\n"
+    "SIGINT/SIGTERM finish the in-flight point and emit the\n"
+    "partial frontier (exit 3) instead of dying with no output\n";
 
 /// One (design, budget) result row.
 struct tune_point {
@@ -87,19 +84,6 @@ struct tune_point {
     std::size_t reused = 0;
     bool front = false;       ///< on the noise-vs-area Pareto front
 };
-
-std::string json_escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    return out;
-}
 
 /// Within one design, a point is on the front iff no other successful
 /// point has (noise <=, area <=) with at least one strict.
@@ -138,60 +122,26 @@ int main(int argc, char** argv)
     bool csv = false;
     std::size_t cache_capacity = 4096;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_tune: missing value for " << arg << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        const auto count_value = [&]() -> std::size_t {
-            const std::string text = value();
-            try {
-                return parse_size_checked(text);
-            } catch (const error&) {
-                std::cerr << "mwl_tune: bad numeric value '" << text
-                          << "' for " << arg << '\n';
-                usage(2);
-            }
-        };
-        if (arg == "--jobs") {
-            jobs = count_value();
-        } else if (arg == "--json") {
-            json_file = value();
-        } else if (arg == "--csv") {
-            csv = true;
-        } else if (arg == "--cache") {
-            cache_capacity = count_value();
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            std::cerr << "mwl_tune: unknown option " << arg << '\n';
-            usage(2);
-        } else {
-            spec_file = arg;
-        }
-    }
+    cli::tool cli("mwl_tune", usage_text);
+    cli.value("--jobs", jobs);
+    cli.value("--json", json_file);
+    cli.flag("--csv", csv);
+    cli.value("--cache", cache_capacity);
+    cli.positional([&](const std::string& arg) { spec_file = arg; });
+    cli.parse(argc, argv);
     if (spec_file.empty()) {
-        usage(2);
+        cli.fail("no spec given");
     }
 
     // ---- parse the spec --------------------------------------------------
     tune_spec spec;
     try {
-        std::ifstream file_in;
-        std::istream* in = &std::cin;
-        if (spec_file != "-") {
-            file_in.open(spec_file);
-            if (!file_in) {
-                std::cerr << "mwl_tune: cannot open " << spec_file << '\n';
-                return 1;
-            }
-            in = &file_in;
+        const cli::input in(spec_file);
+        if (!in) {
+            std::cerr << "mwl_tune: cannot open " << spec_file << '\n';
+            return 1;
         }
-        spec = tune_spec::parse(*in);
+        spec = tune_spec::parse(in.stream());
     } catch (const spec_error& e) {
         std::cerr << "mwl_tune: " << e.what() << '\n';
         return 2;
@@ -299,15 +249,15 @@ int main(int argc, char** argv)
             total_reused += p.reused;
             std::ostringstream budget_text;
             budget_text << p.budget;
+            json << (first ? "" : ",") << "{\"entry\":" << json_quote(p.entry)
+                 << ",\"budget\":" << format_double(p.budget);
+            first = false;
             if (!p.ok) {
                 ++failures;
                 t.row({p.entry, budget_text.str(), "-", "-", "-", "-", "-",
                        "error: " + p.detail});
-                json << (first ? "" : ",") << "{\"entry\":\""
-                     << json_escape(p.entry) << "\",\"budget\":" << p.budget
-                     << ",\"status\":\"error\",\"detail\":\""
-                     << json_escape(p.detail) << "\"}";
-                first = false;
+                json << ",\"status\":\"error\",\"detail\":"
+                     << json_quote(p.detail) << "}";
                 continue;
             }
             std::ostringstream noise_text;
@@ -318,9 +268,7 @@ int main(int argc, char** argv)
                    table::num(p.design.lambda),
                    table::num(p.design.latency),
                    table::num(p.design.area, 1), status});
-            json << (first ? "" : ",") << "{\"entry\":\""
-                 << json_escape(p.entry) << "\",\"budget\":" << p.budget
-                 << ",\"noise\":" << p.design.noise_power
+            json << ",\"noise\":" << format_double(p.design.noise_power)
                  << ",\"frac_bits\":[";
             for (std::size_t i = 0; i < p.design.frac_bits.size(); ++i) {
                 json << (i ? "," : "") << p.design.frac_bits[i];
@@ -328,11 +276,10 @@ int main(int argc, char** argv)
             json << "],\"total_frac\":" << p.design.total_frac
                  << ",\"lambda\":" << p.design.lambda
                  << ",\"latency\":" << p.design.latency
-                 << ",\"area\":" << p.design.area
+                 << ",\"area\":" << format_double(p.design.area)
                  << ",\"evaluations\":" << p.evaluations
                  << ",\"reused\":" << p.reused
                  << ",\"status\":\"" << status << "\"}";
-            first = false;
         }
 
         const double reuse_rate =
@@ -346,36 +293,31 @@ int main(int argc, char** argv)
              << ",\"interrupted\":" << (interrupted ? "true" : "false")
              << ",\"evaluations\":" << total_evals
              << ",\"reused\":" << total_reused
-             << ",\"reuse_rate\":" << reuse_rate << "}}";
+             << ",\"reuse_rate\":" << format_double(reuse_rate) << "}}";
 
+        std::ostream& text = cli::report_stream(json_file);
         if (csv) {
-            t.print_csv(std::cout);
+            t.print_csv(text);
         } else {
-            t.print(std::cout);
+            t.print(text);
         }
         const batch_stats stats = engine.stats();
-        std::cout << "\nsearch: " << total_evals << " evaluations, "
-                  << total_reused << " reused ("
-                  << table::num(reuse_rate * 100.0, 1) << "% of candidates)\n"
-                  << "engine: " << stats.submitted << " jobs, "
-                  << stats.executed << " executed, " << stats.cache_hits
-                  << " cache hits, " << stats.coalesced << " coalesced, "
-                  << stats.errors << " errors\n"
-                  << "pool: " << pool.size() << " threads, "
-                  << table::num(wall * 1e3, 1) << " ms\n";
+        text << "\nsearch: " << total_evals << " evaluations, "
+             << total_reused << " reused ("
+             << table::num(reuse_rate * 100.0, 1) << "% of candidates)\n"
+             << "engine: " << stats.submitted << " jobs, " << stats.executed
+             << " executed, " << stats.cache_hits << " cache hits, "
+             << stats.coalesced << " coalesced, " << stats.errors
+             << " errors\n"
+             << "pool: " << pool.size() << " threads, "
+             << table::num(wall * 1e3, 1) << " ms\n";
         if (interrupted) {
-            std::cout << "interrupted: completed " << completed << " of "
-                      << points.size() << " points\n";
+            text << "interrupted: completed " << completed << " of "
+                 << points.size() << " points\n";
         }
-
-        if (!json_file.empty()) {
-            std::ofstream out(json_file);
-            if (!out) {
-                std::cerr << "mwl_tune: cannot write " << json_file << '\n';
-                return 1;
-            }
-            out << json.str() << '\n';
-            std::cout << "json written to " << json_file << '\n';
+        if (!json_file.empty() &&
+            !cli.write_json(json_file, json.str(), text)) {
+            return 1;
         }
         if (interrupted) {
             return interrupt_exit_code;

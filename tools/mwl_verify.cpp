@@ -24,10 +24,10 @@
 // interpretation instead of execution, so it covers *all* input values at
 // a fraction of the cost (see PERF.md).
 
+#include "cli.hpp"
 #include "dfg/analysis.hpp"
 #include "io/graph_io.hpp"
 #include "model/hardware_model.hpp"
-#include "support/parse_num.hpp"
 #include "support/timer.hpp"
 #include "verify/differential.hpp"
 
@@ -40,29 +40,25 @@ namespace {
 
 using namespace mwl;
 
-[[noreturn]] void usage(int code)
-{
-    std::cout <<
-        "usage: mwl_verify [options] [--graph FILE]...\n"
-        "corpus selection (ignored when --graph is given):\n"
-        "  --ops N           operations per generated graph [10]\n"
-        "  --count N         graphs in the corpus [50]\n"
-        "  --seed S          corpus + input seed [2001]\n"
-        "  --mul-fraction F  multiplier fraction [0.5]\n"
-        "  --min-width W     minimum operand wordlength [4]\n"
-        "  --max-width W     maximum operand wordlength [24]\n"
-        "verification:\n"
-        "  --inputs N        random signed input vectors per graph [8]\n"
-        "  --slack PCT       latency relaxation over lambda_min [25]\n"
-        "  --ilp-max-ops N   also run the ILP reference on graphs with\n"
-        "                    <= N ops [0 = off]\n"
-        "  --no-heuristic / --no-two-stage / --no-descending\n"
-        "                    drop an allocator from the cross-check\n"
-        "  --static          static value-range analysis instead of input\n"
-        "                    vectors (--inputs/--ilp-max-ops ignored)\n"
-        "  --jobs N          worker threads [hardware concurrency]\n";
-    std::exit(code);
-}
+const char* const usage_text =
+    "usage: mwl_verify [options] [--graph FILE]...\n"
+    "corpus selection (ignored when --graph is given):\n"
+    "  --ops N           operations per generated graph [10]\n"
+    "  --count N         graphs in the corpus [50]\n"
+    "  --seed S          corpus + input seed [2001]\n"
+    "  --mul-fraction F  multiplier fraction [0.5]\n"
+    "  --min-width W     minimum operand wordlength [4]\n"
+    "  --max-width W     maximum operand wordlength [24]\n"
+    "verification:\n"
+    "  --inputs N        random signed input vectors per graph [8]\n"
+    "  --slack PCT       latency relaxation over lambda_min [25]\n"
+    "  --ilp-max-ops N   also run the ILP reference on graphs with\n"
+    "                    <= N ops [0 = off]\n"
+    "  --no-heuristic / --no-two-stage / --no-descending\n"
+    "                    drop an allocator from the cross-check\n"
+    "  --static          static value-range analysis instead of input\n"
+    "                    vectors (--inputs/--ilp-max-ops ignored)\n"
+    "  --jobs N          worker threads [hardware concurrency]\n";
 
 } // namespace
 
@@ -78,87 +74,40 @@ int main(int argc, char** argv)
     bool static_mode = false;
     std::vector<std::string> graph_files;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_verify: missing value for " << arg << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        // parse_*_checked (support/parse_num.hpp) rejects malformed,
-        // out-of-range, negative-where-unsigned and partially numeric
-        // values ("4x"), so every bad number lands in the catch below:
-        // diagnostic + exit 2, never an abort or a silent truncation.
-        const auto count_value = [&]() -> std::size_t {
-            return parse_size_checked(value());
-        };
-        try {
-            if (arg == "--ops") {
-                spec.n_ops = count_value();
-            } else if (arg == "--count") {
-                spec.count = count_value();
-            } else if (arg == "--seed") {
-                spec.seed = parse_u64_checked(value());
-            } else if (arg == "--mul-fraction") {
-                spec.prototype.mul_fraction =
-                    parse_double_checked(value());
-            } else if (arg == "--min-width") {
-                spec.prototype.min_width = parse_int_checked(value());
-            } else if (arg == "--max-width") {
-                spec.prototype.max_width = parse_int_checked(value());
-            } else if (arg == "--inputs") {
-                options.inputs_per_graph = count_value();
-            } else if (arg == "--slack") {
-                slack_pct = parse_double_checked(value());
-            } else if (arg == "--ilp-max-ops") {
-                options.ilp_max_ops = count_value();
-            } else if (arg == "--no-heuristic") {
-                options.use_heuristic = false;
-            } else if (arg == "--no-two-stage") {
-                options.use_two_stage = false;
-            } else if (arg == "--no-descending") {
-                options.use_descending = false;
-            } else if (arg == "--static") {
-                static_mode = true;
-            } else if (arg == "--jobs") {
-                jobs = count_value();
-            } else if (arg == "--graph") {
-                graph_files.push_back(value());
-            } else if (arg == "--help" || arg == "-h") {
-                usage(0);
-            } else {
-                std::cerr << "mwl_verify: unknown option " << arg << '\n';
-                usage(2);
-            }
-        } catch (const error& e) {
-            std::cerr << "mwl_verify: bad value for " << arg << ": "
-                      << e.what() << '\n';
-            usage(2);
-        }
-    }
+    cli::tool cli("mwl_verify", usage_text);
+    cli.value("--ops", spec.n_ops);
+    cli.value("--count", spec.count);
+    cli.value("--seed", spec.seed);
+    cli.value("--mul-fraction", spec.prototype.mul_fraction);
+    cli.value("--min-width", spec.prototype.min_width);
+    cli.value("--max-width", spec.prototype.max_width);
+    cli.value("--inputs", options.inputs_per_graph);
+    cli.value("--slack", slack_pct);
+    cli.value("--ilp-max-ops", options.ilp_max_ops);
+    cli.flag("--no-heuristic", [&] { options.use_heuristic = false; });
+    cli.flag("--no-two-stage", [&] { options.use_two_stage = false; });
+    cli.flag("--no-descending", [&] { options.use_descending = false; });
+    cli.flag("--static", static_mode);
+    cli.value("--jobs", jobs);
+    cli.value("--graph", graph_files);
+    cli.parse(argc, argv);
     if (slack_pct < 0.0) {
-        std::cerr << "mwl_verify: slack must be non-negative\n";
-        usage(2);
+        cli.fail("slack must be non-negative");
     }
     // Zero vectors or an empty corpus would print the OK banner having
     // checked nothing; refuse, matching mwl_batch's verify= validation.
     if (options.inputs_per_graph < 1) {
-        std::cerr << "mwl_verify: --inputs must be >= 1\n";
-        usage(2);
+        cli.fail("--inputs must be >= 1");
     }
     if (graph_files.empty() && spec.count < 1) {
-        std::cerr << "mwl_verify: --count must be >= 1\n";
-        usage(2);
+        cli.fail("--count must be >= 1");
     }
     // The simulator's int64 wrap contract holds for widths < 63; an n x m
     // multiplier produces n + m result bits, so corpus wordlengths must
     // stay <= 31 for the verdicts to be meaningful.
     if (spec.prototype.max_width > 31) {
-        std::cerr << "mwl_verify: --max-width must be <= 31 (an n x m "
-                     "multiplier needs n + m < 63 simulable bits)\n";
-        usage(2);
+        cli.fail("--max-width must be <= 31 (an n x m multiplier needs"
+                 " n + m < 63 simulable bits)");
     }
     options.seed = spec.seed;
     options.slack = slack_pct / 100.0;
