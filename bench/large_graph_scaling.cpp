@@ -18,6 +18,7 @@
 
 #include "core/dpalloc.hpp"
 #include "dfg/analysis.hpp"
+#include "support/json.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 #include "tgff/corpus.hpp"
@@ -151,8 +152,8 @@ int main(int argc, char** argv)
         bool first_jobs = true;
         for (const auto& [jobs, ms] : pt.jobs_ms) {
             json << (first_jobs ? "" : ",") << "{\"jobs\":" << jobs
-                 << ",\"ms\":" << ms
-                 << ",\"allocs_per_s\":" << rate(pt.graphs, ms) << "}";
+                 << ",\"ms\":" << format_double(ms) << ",\"allocs_per_s\":"
+                 << format_double(rate(pt.graphs, ms)) << "}";
             first_jobs = false;
         }
         json << "]}";

@@ -1,9 +1,11 @@
 #include "bind/bind_select.hpp"
 
+#include "support/bitset.hpp"
 #include "support/error.hpp"
 #include "wcg/chains.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace mwl {
 namespace {
@@ -150,10 +152,289 @@ res_id cheapest_common_resource_scan(
     return best;
 }
 
-// bind_chain_key (bind_select.hpp) orders the lazy Chvátal heap: maximise
-// ratio, then chain length, then prefer the smaller res_id -- the exact
-// tie-break order of the reference scan. res_ids are distinct, so keys are
-// totally ordered and the argmax unique.
+/// Greed compensation: grow the newly selected `chain` (keeping its
+/// resource type, so total cost can only drop) to swallow previously
+/// selected cliques; absorbed cliques are deleted. `chain` stays sorted
+/// by start throughout, which can_absorb's merge walk relies on.
+/// `copying_probe` selects the reference arm's absorption probe.
+void absorb_earlier_cliques(const wordlength_compatibility_graph& wcg,
+                            res_id resource, std::span<const int> start,
+                            std::span<const int> lat, bool copying_probe,
+                            std::vector<timed_op>& chain,
+                            std::vector<binding_clique>& cliques,
+                            std::vector<timed_op>& merged)
+{
+    bool absorbed = true;
+    while (absorbed) {
+        absorbed = false;
+        for (std::size_t j = 0; j < cliques.size(); ++j) {
+            const binding_clique& prev = cliques[j];
+            const bool fits =
+                copying_probe
+                    ? can_absorb_copying(wcg, resource, chain, prev.ops,
+                                         start, lat)
+                    : can_absorb(wcg, resource, chain, prev.ops, start, lat);
+            if (!fits) {
+                continue;
+            }
+            // Keep the sorted-by-start invariant (a chain has distinct
+            // starts); merge through a reused buffer, no allocation.
+            merged.clear();
+            std::size_t bi = 0;
+            std::size_t ei = 0;
+            while (bi < chain.size() || ei < prev.ops.size()) {
+                if (ei == prev.ops.size() ||
+                    (bi < chain.size() &&
+                     chain[bi].start <= start[prev.ops[ei].value()])) {
+                    merged.push_back(chain[bi++]);
+                } else {
+                    merged.push_back(make_timed(prev.ops[ei++], start, lat));
+                }
+            }
+            chain.swap(merged);
+            cliques.erase(cliques.begin() + static_cast<std::ptrdiff_t>(j));
+            absorbed = true;
+            break;
+        }
+    }
+}
+
+/// The reference arm's column selection: every round recomputes every
+/// resource's chain over its uncovered operations with the quadratic DP
+/// and scans for the best (ratio, length, res_id).
+class reference_selection {
+public:
+    reference_selection(const wordlength_compatibility_graph& wcg,
+                        std::span<const int> start, std::span<const int> lat)
+        : wcg_(wcg), start_(start), lat_(lat), covered_(start.size(), false)
+    {
+    }
+
+    /// The round's winning resource type; its longest chain of uncovered
+    /// operations goes to `chain`.
+    res_id select(std::vector<timed_op>& chain)
+    {
+        res_id best_r = res_id::invalid();
+        double best_ratio = -1.0;
+        chain.clear();
+        for (const res_id r : wcg_.all_resources()) {
+            std::vector<timed_op> candidates;
+            for (const op_id o : wcg_.ops_for(r)) {
+                if (!covered_[o.value()]) {
+                    candidates.push_back(make_timed(o, start_, lat_));
+                }
+            }
+            std::vector<timed_op> found = longest_chain_dp(candidates);
+            if (found.empty()) {
+                continue;
+            }
+            const double ratio =
+                static_cast<double>(found.size()) / wcg_.area(r);
+            if (ratio > best_ratio ||
+                (ratio == best_ratio &&
+                 (found.size() > chain.size() ||
+                  (found.size() == chain.size() && r < best_r)))) {
+                best_ratio = ratio;
+                best_r = r;
+                chain.swap(found);
+            }
+        }
+        return best_r;
+    }
+
+    void cover(op_id o)
+    {
+        MWL_ASSERT(!covered_[o.value()]);
+        covered_[o.value()] = true;
+    }
+
+private:
+    const wordlength_compatibility_graph& wcg_;
+    std::span<const int> start_;
+    std::span<const int> lat_;
+    std::vector<bool> covered_;
+};
+
+/// Replace the top of a max-heap with `key`, which must not be larger, and
+/// sift it down: one pass instead of a pop_heap/push_heap pair.
+void lower_top(std::vector<bind_chain_key>& heap, const bind_chain_key& key)
+{
+    const std::size_t n = heap.size();
+    std::size_t at = 0;
+    for (std::size_t child = 1; child < n; child = 2 * at + 1) {
+        if (child + 1 < n && heap[child] < heap[child + 1]) {
+            ++child;
+        }
+        if (!(key < heap[child])) {
+            break;
+        }
+        heap[at] = heap[child];
+        at = child;
+    }
+    heap[at] = key;
+}
+
+/// The production column selection, on word-parallel rows.
+///
+/// One counting sort by finish gives every operation a finish rank; O(r)
+/// becomes a bit row over ranks and the covered set a bit row too, so a
+/// resource's candidates are `row & ~covered`. A lazy max-heap holds one
+/// key per resource (bind_chain_key: ratio, length, res_id), each an upper
+/// bound on the resource's current longest-chain length: candidate sets
+/// only shrink as operations are covered, so chain lengths never grow.
+/// Keys start exact (the earliest-finish greedy of wcg/chains.hpp over
+/// every row), and each resource keeps its greedy's picks as a witness
+/// chain: while no witness member is covered, the witness is still a
+/// chain of the keyed length, so the key is still exact. An exact key on
+/// top is the round's true argmax. A stale one is first lowered to the
+/// candidate count popcount(row & ~covered); only a key that this does
+/// not lower pays for a greedy recompute. Only the winner's chain is
+/// built, with longest_chain_into over its uncovered members -- the
+/// canonical chain the reference arm's DP returns, so both arms bind
+/// identically.
+class row_selection {
+public:
+    row_selection(const wordlength_compatibility_graph& wcg,
+                  std::span<const int> start, std::span<const int> lat,
+                  bind_scratch& sc)
+        : wcg_(wcg), sc_(sc), words_(bits_words(start.size()))
+    {
+        const std::size_t n = start.size();
+        const auto finish = [&](std::size_t i) {
+            return static_cast<std::size_t>(start[i] + lat[i]);
+        };
+        std::size_t horizon = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            horizon = std::max(horizon, finish(i));
+        }
+        // Stable counting sort by finish: finish times are bounded by the
+        // schedule horizon.
+        std::vector<std::uint32_t>& next = sc.count;
+        next.assign(horizon + 1, 0);
+        for (std::size_t i = 0; i < n; ++i) {
+            ++next[finish(i)];
+        }
+        std::uint32_t total = 0;
+        for (std::uint32_t& c : next) {
+            total += std::exchange(c, total);
+        }
+        sc.ranked.resize(n);
+        sc.rank_of.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint32_t rank = next[finish(i)]++;
+            sc.ranked[rank] = make_timed(op_id(i), start, lat);
+            sc.rank_of[i] = rank;
+        }
+
+        // The rows and every resource's first greedy in one pass over H by
+        // ascending rank: each operation joins the rows of H(o) and is
+        // offered to their greedies in the order greedy_longest_chain
+        // would offer it.
+        const std::size_t n_res = wcg.resource_count();
+        sc.rows.assign(n_res * words_, 0);
+        sc.witness.assign(n_res * words_, 0);
+        sc.greedy.assign(n_res, greedy_chain{});
+        sc.covered.assign(words_, 0);
+        for (std::size_t rank = 0; rank < n; ++rank) {
+            const timed_op& item = sc.ranked[rank];
+            const std::uint64_t bit = std::uint64_t{1} << (rank % 64);
+            for (const res_id r : wcg.resources_for(item.op)) {
+                const std::size_t at = r.value() * words_ + rank / 64;
+                sc.rows[at] |= bit;
+                if (sc.greedy[r.value()].offer(item)) {
+                    sc.witness[at] |= bit;
+                }
+            }
+        }
+        sc.heap.clear();
+        for (std::size_t ri = 0; ri < n_res; ++ri) {
+            if (sc.greedy[ri].length > 0) {
+                sc.heap.push_back(key(res_id(ri), sc.greedy[ri].length));
+            }
+        }
+        std::make_heap(sc.heap.begin(), sc.heap.end());
+    }
+
+    /// The round's winning resource type; its canonical longest chain of
+    /// uncovered operations goes to `chain`.
+    res_id select(std::vector<timed_op>& chain)
+    {
+        std::vector<bind_chain_key>& heap = sc_.heap;
+        for (;;) {
+            // Every uncovered operation keeps at least one H edge, so a
+            // key for some resource with candidates is always here.
+            MWL_ASSERT(!heap.empty());
+            const bind_chain_key top = heap.front();
+            const res_id r = top.r;
+            if (top.length == sc_.greedy[r.value()].length &&
+                bits_disjoint(witness(r), sc_.covered.data(), words_)) {
+                build_chain(r, chain);
+                MWL_ASSERT(chain.size() == top.length);
+                // The key stays: r remains selectable, and covering the
+                // chain turns the key back into an upper bound.
+                return r;
+            }
+            const std::size_t bound =
+                bits_andnot_count(row(r), sc_.covered.data(), words_);
+            if (bound == 0) {
+                std::pop_heap(heap.begin(), heap.end());
+                heap.pop_back();
+                continue; // nothing left for r to cover
+            }
+            const std::size_t length =
+                bound < top.length ? bound : recompute(r);
+            lower_top(heap, key(r, length));
+        }
+    }
+
+    void cover(op_id o)
+    {
+        const std::uint32_t rank = sc_.rank_of[o.value()];
+        MWL_ASSERT(!bits_test(sc_.covered.data(), rank));
+        bits_set(sc_.covered.data(), rank);
+    }
+
+private:
+    [[nodiscard]] const std::uint64_t* row(res_id r) const
+    {
+        return sc_.rows.data() + r.value() * words_;
+    }
+
+    [[nodiscard]] std::uint64_t* witness(res_id r)
+    {
+        return sc_.witness.data() + r.value() * words_;
+    }
+
+    [[nodiscard]] bind_chain_key key(res_id r, std::size_t length) const
+    {
+        return {static_cast<double>(length) / wcg_.area(r), length, r};
+    }
+
+    /// Exact longest-chain length of r now; refreshes its witness.
+    std::size_t recompute(res_id r)
+    {
+        greedy_chain& greedy = sc_.greedy[r.value()];
+        greedy = greedy_longest_chain(sc_.ranked, {row(r), words_},
+                                      sc_.covered, {witness(r), words_});
+        return greedy.length;
+    }
+
+    void build_chain(res_id r, std::vector<timed_op>& chain)
+    {
+        std::vector<timed_op>& candidates = sc_.candidates;
+        candidates.clear();
+        bits_for_each(row(r), words_, [&](std::size_t rank) {
+            if (!bits_test(sc_.covered.data(), rank)) {
+                candidates.push_back(sc_.ranked[rank]);
+            }
+        });
+        longest_chain_into(candidates, sc_.chains, chain);
+    }
+
+    const wordlength_compatibility_graph& wcg_;
+    bind_scratch& sc_;
+    std::size_t words_;
+};
 
 } // namespace
 
@@ -172,396 +453,44 @@ binding bind_select(const wordlength_compatibility_graph& wcg,
     }
 
     binding result;
-    std::vector<bool> covered(n, false);
-    std::size_t n_covered = 0;
-
     bind_scratch local;
     bind_scratch& sc = scratch_arg ? *scratch_arg : local;
-    const std::size_t n_res = wcg.resource_count();
-    // Memo entries: valid flags reset per call; chain buffers keep their
-    // capacity across calls through the scratch.
-    sc.entry_valid.assign(n_res, 0);
-    sc.entry_chain.resize(n_res);
-    // chain_users[o]: resources whose cached chain contains operation o.
-    // Covering o invalidates exactly these entries: removing candidates
-    // *outside* a chain cannot change the canonical DP answer (dp values
-    // of other items only decrease, so neither the first-index argmax nor
-    // any first-maximal back pointer along the chain can move), so every
-    // other cached chain stays exact. Entries may be stale (the resource
-    // recomputed since); extra invalidations are harmless.
-    sc.chain_users.resize(std::max(sc.chain_users.size(), n));
-    for (std::size_t o = 0; o < n; ++o) {
-        sc.chain_users[o].clear();
-    }
+    std::vector<timed_op>& best_chain = sc.best_chain;
 
-    // Presorted candidate orders, built once per call: the canonical chain
-    // order (start, finish, id) and the by-finish order are properties of
-    // the schedule alone, so distributing two global op orders over the
-    // O(r) rows yields every resource's candidate list in both orders in
-    // O(|H|) -- Chvátal-round recomputes then only *filter* covered
-    // operations out and never sort (wcg/chains.hpp,
-    // longest_chain_presorted).
+    // Chvátal ratio selection over the implicit column set: for each
+    // resource type the best feasible column is a longest chain of
+    // uncovered compatible operations.
+    const auto cover_all = [&](auto& selection) {
+        std::size_t n_covered = 0;
+        while (n_covered < n) {
+            const res_id best_r = selection.select(best_chain);
+            MWL_ASSERT(best_r.is_valid() && !best_chain.empty());
+            for (const timed_op& item : best_chain) {
+                selection.cover(item.op);
+            }
+            n_covered += best_chain.size();
+
+            if (options.enable_growth) {
+                absorb_earlier_cliques(wcg, best_r, start_times, latencies,
+                                       !options.cache_chains, best_chain,
+                                       result.cliques, sc.merge_tmp);
+            }
+
+            binding_clique clique;
+            clique.resource = best_r;
+            clique.ops.reserve(best_chain.size());
+            for (const timed_op& item : best_chain) {
+                clique.ops.push_back(item.op);
+            }
+            result.cliques.push_back(std::move(clique));
+        }
+    };
     if (options.cache_chains) {
-        sc.res_canon.resize(std::max(sc.res_canon.size(), n_res));
-        sc.res_finish.resize(std::max(sc.res_finish.size(), n_res));
-        for (std::size_t r = 0; r < n_res; ++r) {
-            sc.res_canon[r].clear();
-            sc.res_finish[r].clear();
-        }
-        // Both global orders have keys bounded by the schedule horizon, so
-        // three stable counting-sort passes replace two comparison sorts:
-        //   ids asc --finish--> (finish, id) --start--> (start, finish, id)
-        // which is the canonical order, then canonical --finish-->
-        // (finish, canonical rank), the by-finish order.
-        int max_finish = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            max_finish = std::max(max_finish, start_times[i] + latencies[i]);
-        }
-        auto& order = sc.order;
-        auto& order2 = sc.order2;
-        order.resize(n);
-        order2.resize(n);
-        auto& count = sc.count;
-        const auto counting_pass = [&](auto&& key, const std::uint32_t* in,
-                                       std::uint32_t* out) {
-            count.assign(static_cast<std::size_t>(max_finish) + 1, 0);
-            for (std::size_t i = 0; i < n; ++i) {
-                ++count[static_cast<std::size_t>(
-                    key(in ? in[i] : static_cast<std::uint32_t>(i)))];
-            }
-            std::uint32_t total = 0;
-            for (auto& c : count) {
-                const std::uint32_t c0 = c;
-                c = total;
-                total += c0;
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-                const std::uint32_t v =
-                    in ? in[i] : static_cast<std::uint32_t>(i);
-                out[count[static_cast<std::size_t>(key(v))]++] = v;
-            }
-        };
-        const auto fin_key = [&](std::uint32_t v) {
-            return start_times[v] + latencies[v];
-        };
-        const auto start_key = [&](std::uint32_t v) {
-            return start_times[v];
-        };
-        counting_pass(fin_key, nullptr, order2.data());
-        counting_pass(start_key, order2.data(), order.data());
-        sc.canon_rank.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            sc.canon_rank[order[i]] = static_cast<std::uint32_t>(i);
-        }
-        for (const std::uint32_t ov : order) {
-            const op_id o{ov};
-            const timed_op item = make_timed(o, start_times, latencies);
-            for (const res_id r : wcg.resources_for(o)) {
-                sc.res_canon[r.value()].push_back(item);
-            }
-        }
-        // By-finish: (finish asc, canonical rank asc); restricted to each
-        // O(r) this is exactly the (finish, local index) order the sweep
-        // needs, because local indices increase with canonical rank.
-        counting_pass(fin_key, order.data(), order2.data());
-        order.swap(order2);
-        for (const std::uint32_t ov : order) {
-            const op_id o{ov};
-            const std::uint32_t rank = sc.canon_rank[ov];
-            for (const res_id r : wcg.resources_for(o)) {
-                sc.res_finish[r.value()].push_back(rank);
-            }
-        }
-        // Ranks -> local indices: the canonical distribution above visited
-        // each row in ascending global rank, so a row position IS the local
-        // index; one scratch map per row translates the stored ranks.
-        auto& rank_to_local = sc.remap;
-        rank_to_local.resize(std::max(rank_to_local.size(), n));
-        for (std::size_t r = 0; r < n_res; ++r) {
-            const auto& canon = sc.res_canon[r];
-            for (std::size_t li = 0; li < canon.size(); ++li) {
-                rank_to_local[sc.canon_rank[canon[li].op.value()]] =
-                    static_cast<std::uint32_t>(li);
-            }
-            for (auto& entry : sc.res_finish[r]) {
-                entry = rank_to_local[entry];
-            }
-        }
-    }
-
-    const auto recompute = [&](res_id r) -> const std::vector<timed_op>& {
-        std::vector<timed_op>& chain = sc.entry_chain[r.value()];
-        std::vector<timed_op>& candidates = sc.candidates;
-        candidates.clear();
-        if (options.cache_chains) {
-            // Filter the presorted orders down to uncovered operations --
-            // no per-round sorting (longest_chain_presorted) -- and keep
-            // the compacted orders: a covered operation never becomes a
-            // candidate again within this call, so later recomputes of the
-            // same resource walk only the survivors.
-            auto& canon = sc.res_canon[r.value()];
-            auto& finish = sc.res_finish[r.value()];
-            constexpr std::uint32_t npos32 = ~std::uint32_t{0};
-            // The row was last compacted to exactly the then-uncovered
-            // operations, so anything got covered since iff the survivor
-            // count moved -- an O(1) test.
-            if (sc.survivors[r.value()] != canon.size()) {
-                auto& remap = sc.remap;
-                remap.resize(std::max(remap.size(), canon.size()));
-                for (std::size_t li = 0; li < canon.size(); ++li) {
-                    if (!covered[canon[li].op.value()]) {
-                        remap[li] =
-                            static_cast<std::uint32_t>(candidates.size());
-                        candidates.push_back(canon[li]);
-                    } else {
-                        remap[li] = npos32;
-                    }
-                }
-                auto& finish_compact = sc.finish_compact;
-                finish_compact.clear();
-                for (const std::uint32_t li : finish) {
-                    if (remap[li] != npos32) {
-                        finish_compact.push_back(remap[li]);
-                    }
-                }
-                canon.swap(candidates);
-                finish.swap(finish_compact);
-            }
-            longest_chain_presorted(canon, finish, sc.chains, chain);
-            for (const timed_op& item : chain) {
-                sc.chain_users[item.op.value()].push_back(r);
-            }
-        } else {
-            for (const op_id o : wcg.ops_for(r)) {
-                if (!covered[o.value()]) {
-                    candidates.push_back(
-                        make_timed(o, start_times, latencies));
-                }
-            }
-            chain = longest_chain_dp(candidates);
-        }
-        sc.entry_valid[r.value()] = 1;
-        return chain;
-    };
-    const auto key_of = [&](res_id r, const std::vector<timed_op>& chain) {
-        return bind_chain_key{
-            static_cast<double>(chain.size()) / wcg.area(r), chain.size(),
-            r};
-    };
-    auto& heap = sc.heap;
-    heap.clear();
-    const auto heap_push = [&](const bind_chain_key& key) {
-        heap.push_back(key);
-        std::push_heap(heap.begin(), heap.end());
-    };
-    const auto heap_pop = [&]() {
-        const bind_chain_key top = heap.front();
-        std::pop_heap(heap.begin(), heap.end());
-        heap.pop_back();
-        return top;
-    };
-
-    // Lazy Chvátal selection (Minoux-style): candidate sets only shrink as
-    // operations are covered, so every chain length -- and thus every
-    // selection key -- is non-increasing over rounds. Stale heap keys are
-    // therefore upper bounds, and the first *fresh* key popped is the true
-    // argmax. Only resources that surface at the heap top are recomputed,
-    // instead of every dirtied resource every round. The heap is seeded
-    // with the optimistic bound "number of distinct start times among
-    // O(r)" -- a chain visits strictly increasing starts, so this is
-    // admissible and much tighter than |O(r)| under a parallel schedule --
-    // and no chain at all is computed for resources that never reach the
-    // top.
-    // survivors[r]: number of uncovered operations in O(r) -- an O(1)
-    // upper bound on the chain length, maintained incrementally as
-    // operations are covered. The lazy selection loop tightens stale heap
-    // keys to this bound before paying for a full recompute, so resources
-    // far from the top never walk their candidate rows at all.
-    if (options.cache_chains) {
-        sc.survivors.resize(std::max(sc.survivors.size(), n_res));
-        for (const res_id r : wcg.all_resources()) {
-            sc.survivors[r.value()] =
-                static_cast<std::uint32_t>(wcg.ops_for(r).size());
-        }
-    }
-
-    if (options.cache_chains) {
-        // stamp[t] == current resource marker <=> start t already seen.
-        int horizon = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            horizon = std::max(horizon, start_times[i] + 1);
-        }
-        auto& stamp = sc.stamp;
-        stamp.assign(static_cast<std::size_t>(horizon), 0);
-        std::uint32_t marker = 0;
-        for (const res_id r : wcg.all_resources()) {
-            ++marker;
-            std::size_t distinct_starts = 0;
-            for (const op_id o : wcg.ops_for(r)) {
-                auto& cell =
-                    stamp[static_cast<std::size_t>(start_times[o.value()])];
-                if (cell != marker) {
-                    cell = marker;
-                    ++distinct_starts;
-                }
-            }
-            if (distinct_starts > 0) {
-                heap_push(bind_chain_key{
-                    static_cast<double>(distinct_starts) / wcg.area(r),
-                    distinct_starts, r});
-            }
-        }
-    }
-
-    while (n_covered < n) {
-        // Chvátal ratio selection over the implicit column set: for each
-        // resource type the best feasible column is a longest chain of
-        // uncovered compatible operations.
-        res_id best_r = res_id::invalid();
-        const std::vector<timed_op>* best_chain_ptr = nullptr;
-
-        if (options.cache_chains) {
-            while (best_chain_ptr == nullptr) {
-                // Every uncovered operation keeps at least one H edge, so
-                // a key for some resource with candidates is always here.
-                MWL_ASSERT(!heap.empty());
-                const bind_chain_key top = heap_pop();
-                if (!sc.entry_valid[top.r.value()]) {
-                    // Tighten to the survivor bound first: chain length
-                    // can never exceed the number of uncovered candidates,
-                    // and pushing the smaller bound keeps every heap key an
-                    // upper bound, so the argmax argument is untouched.
-                    const std::size_t bound = sc.survivors[top.r.value()];
-                    if (bound < top.length) {
-                        if (bound > 0) {
-                            heap_push(bind_chain_key{
-                                static_cast<double>(bound) /
-                                    wcg.area(top.r),
-                                bound, top.r});
-                        }
-                        continue;
-                    }
-                    const std::vector<timed_op>& fresh = recompute(top.r);
-                    if (!fresh.empty()) {
-                        heap_push(key_of(top.r, fresh));
-                    }
-                    continue;
-                }
-                const std::vector<timed_op>& chain =
-                    sc.entry_chain[top.r.value()];
-                if (chain.size() != top.length) {
-                    continue; // superseded duplicate of an older recompute
-                }
-                best_r = top.r;
-                best_chain_ptr = &chain;
-                // The resource stays selectable in later rounds; its ops
-                // are about to be covered, which dirties the entry, so the
-                // re-pushed key is a valid upper bound.
-                heap_push(top);
-            }
-        } else {
-            // Reference scan: recompute every resource's chain each round
-            // (the original pre-incremental behaviour; identical output).
-            double best_ratio = -1.0;
-            for (const res_id r : wcg.all_resources()) {
-                const std::vector<timed_op>& chain = recompute(r);
-                if (chain.empty()) {
-                    continue;
-                }
-                const double ratio =
-                    static_cast<double>(chain.size()) / wcg.area(r);
-                const bool better =
-                    ratio > best_ratio ||
-                    (ratio == best_ratio &&
-                     (best_chain_ptr == nullptr ||
-                      chain.size() > best_chain_ptr->size() ||
-                      (chain.size() == best_chain_ptr->size() &&
-                       r < best_r)));
-                if (better) {
-                    best_ratio = ratio;
-                    best_r = r;
-                    best_chain_ptr = &chain;
-                }
-            }
-        }
-        MWL_ASSERT(best_r.is_valid() && best_chain_ptr != nullptr &&
-                   !best_chain_ptr->empty());
-        std::vector<timed_op>& best_chain = sc.best_chain;
-        best_chain.assign(best_chain_ptr->begin(), best_chain_ptr->end());
-
-        for (const timed_op& item : best_chain) {
-            MWL_ASSERT(!covered[item.op.value()]);
-            covered[item.op.value()] = true;
-            ++n_covered;
-            if (options.cache_chains) {
-                // Only chains that contain the newly covered operation
-                // can change; everything else's chain is still exact.
-                for (const res_id r : sc.chain_users[item.op.value()]) {
-                    sc.entry_valid[r.value()] = 0;
-                }
-                sc.chain_users[item.op.value()].clear();
-                for (const res_id r : wcg.resources_for(item.op)) {
-                    --sc.survivors[r.value()];
-                }
-            }
-        }
-
-        if (options.enable_growth) {
-            // Greed compensation: try to grow the new clique (keeping its
-            // resource type, so total cost can only drop) to swallow
-            // previously selected cliques; absorbed cliques are deleted.
-            // `best_chain` stays sorted by start throughout, which
-            // can_absorb's merge walk relies on.
-            bool absorbed = true;
-            while (absorbed) {
-                absorbed = false;
-                for (std::size_t j = 0; j < result.cliques.size(); ++j) {
-                    const binding_clique& prev = result.cliques[j];
-                    const bool fits =
-                        options.cache_chains
-                            ? can_absorb(wcg, best_r, best_chain, prev.ops,
-                                         start_times, latencies)
-                            : can_absorb_copying(wcg, best_r, best_chain,
-                                                 prev.ops, start_times,
-                                                 latencies);
-                    if (!fits) {
-                        continue;
-                    }
-                    // Keep the sorted-by-start invariant can_absorb's
-                    // merge walk relies on (a chain has distinct starts);
-                    // merge through a reused buffer, no allocation.
-                    std::vector<timed_op>& merged = sc.merge_tmp;
-                    merged.clear();
-                    std::size_t bi = 0;
-                    std::size_t ei = 0;
-                    while (bi < best_chain.size() || ei < prev.ops.size()) {
-                        if (ei == prev.ops.size() ||
-                            (bi < best_chain.size() &&
-                             best_chain[bi].start <=
-                                 start_times[prev.ops[ei].value()])) {
-                            merged.push_back(best_chain[bi++]);
-                        } else {
-                            merged.push_back(make_timed(prev.ops[ei++],
-                                                        start_times,
-                                                        latencies));
-                        }
-                    }
-                    best_chain.swap(merged);
-                    result.cliques.erase(result.cliques.begin() +
-                                         static_cast<std::ptrdiff_t>(j));
-                    absorbed = true;
-                    break;
-                }
-            }
-        }
-
-        binding_clique clique;
-        clique.resource = best_r;
-        clique.ops.reserve(best_chain.size());
-        for (const timed_op& item : best_chain) {
-            clique.ops.push_back(item.op);
-        }
-        result.cliques.push_back(std::move(clique));
+        row_selection selection(wcg, start_times, latencies, sc);
+        cover_all(selection);
+    } else {
+        reference_selection selection(wcg, start_times, latencies);
+        cover_all(selection);
     }
 
     if (options.reassign_cheapest) {
@@ -570,7 +499,7 @@ binding bind_select(const wordlength_compatibility_graph& wcg,
         for (binding_clique& k : result.cliques) {
             const res_id cheapest =
                 options.cache_chains
-                    ? cheapest_common_resource(wcg, k.ops, sc.hits)
+                    ? cheapest_common_resource(wcg, k.ops, sc.common)
                     : cheapest_common_resource_scan(wcg, k.ops);
             MWL_ASSERT(cheapest.is_valid()); // current resource qualifies
             if (wcg.area(cheapest) < wcg.area(k.resource)) {

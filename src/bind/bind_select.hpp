@@ -11,6 +11,15 @@
 //    cliques of a type cost the same, so only maximal ones can win);
 //  * a growth pass compensating for greed: after selecting a clique, try to
 //    grow it to swallow previously selected cliques, deleting them.
+//
+// Each round needs every resource's longest-chain *length* but only the
+// winner's chain. The production path keeps each O(r) as a bit row over
+// finish ranks, ranks resources in a lazy max-heap keyed by exact lengths
+// from an earliest-finish greedy (wcg/chains.hpp, greedy_longest_chain),
+// whose picks stay on as a witness that proves a key still exact, and
+// builds the canonical chain (longest_chain_into) for the winner alone.
+// That is the chain the reference arm's DP picks, so both arms return the
+// same binding.
 
 #ifndef MWL_BIND_BIND_SELECT_HPP
 #define MWL_BIND_BIND_SELECT_HPP
@@ -32,19 +41,16 @@ struct bind_options {
     /// After covering, re-assign each clique the cheapest resource type
     /// satisfying Eqn. 4 (pure improvement; wordlength selection proper).
     bool reassign_cheapest = true;
-    /// Reuse each resource type's candidate chain across Chvátal rounds,
-    /// recomputing only for resources that lost a newly-covered operation
-    /// (identical output; off = recompute every chain every round, kept for
-    /// the before/after bench and regression tests).
+    /// Production selection on bit rows (identical output; off = recompute
+    /// every resource's chain with the quadratic DP every round, kept as
+    /// the oracle for the before/after bench and regression tests).
     bool cache_chains = true;
 };
 
-/// Reusable buffers for bind_select, owned by a looping caller (the
-/// DPAlloc refinement loop) so repeated binds allocate almost nothing.
-/// Pure scratch: contents are reset on every call and carry no information
-/// between calls.
 /// Selection key of the lazy Chvátal heap (see bind_select.cpp); public
-/// only so bind_scratch can own the heap storage.
+/// only so bind_scratch can own the heap storage. Orders by ratio, then
+/// chain length, then the smaller res_id -- the reference scan's tie
+/// order. res_ids are distinct, so keys are totally ordered.
 struct bind_chain_key {
     double ratio = -1.0;
     std::size_t length = 0;
@@ -62,30 +68,24 @@ struct bind_chain_key {
     }
 };
 
+/// Reusable buffers for bind_select, owned by a looping caller (the
+/// DPAlloc refinement loop) so repeated binds allocate almost nothing.
+/// Pure scratch: contents are reset on every call and carry no information
+/// between calls.
 struct bind_scratch {
-    std::vector<std::uint8_t> entry_valid;       ///< per-resource memo flag
-    std::vector<std::vector<timed_op>> entry_chain; ///< per-resource chain
-    std::vector<std::vector<res_id>> chain_users; ///< per-op chain members
-    std::vector<timed_op> candidates;
+    std::vector<timed_op> ranked;              ///< operations by finish rank
+    std::vector<std::uint32_t> rank_of;        ///< op id -> finish rank
+    std::vector<std::uint32_t> count;          ///< counting-sort histogram
+    std::vector<std::uint64_t> rows;           ///< O(r) over ranks, per r
+    std::vector<std::uint64_t> witness;        ///< greedy's picks, per r
+    std::vector<greedy_chain> greedy;          ///< greedy's state, per r
+    std::vector<std::uint64_t> covered;        ///< covered ranks
+    std::vector<bind_chain_key> heap;          ///< lazy selection heap
+    std::vector<timed_op> candidates;          ///< the winner's members
     std::vector<timed_op> best_chain;
     std::vector<timed_op> merge_tmp;
-    std::vector<std::uint32_t> hits;
-    std::vector<std::uint32_t> stamp;            ///< distinct-start seeding
-    std::vector<bind_chain_key> heap;            ///< lazy selection heap
+    std::vector<std::uint64_t> common;         ///< reassign's intersection
     chain_scratch chains;
-    // Per-schedule presorted candidate orders (see bind_select.cpp): for
-    // each resource, O(r) in canonical chain order and the matching
-    // by-finish index order, built once per call so chain recomputes are
-    // sort-free.
-    std::vector<std::vector<timed_op>> res_canon;
-    std::vector<std::vector<std::uint32_t>> res_finish;
-    std::vector<std::uint32_t> order;            ///< shared op-order buffer
-    std::vector<std::uint32_t> order2;           ///< counting-sort partner
-    std::vector<std::uint32_t> count;            ///< counting-sort histogram
-    std::vector<std::uint32_t> canon_rank;
-    std::vector<std::uint32_t> remap;
-    std::vector<std::uint32_t> finish_compact;
-    std::vector<std::uint32_t> survivors;        ///< uncovered ops per O(r)
 };
 
 /// Bind every operation of `wcg.graph()`.

@@ -1,5 +1,6 @@
 #include "bind/binding.hpp"
 
+#include "support/bitset.hpp"
 #include "support/error.hpp"
 
 #include <cstdint>
@@ -33,13 +34,13 @@ void finalize_binding(binding& b, std::size_t n_ops,
 res_id cheapest_common_resource(const wordlength_compatibility_graph& wcg,
                                 std::span<const op_id> ops)
 {
-    std::vector<std::uint32_t> hits;
-    return cheapest_common_resource(wcg, ops, hits);
+    std::vector<std::uint64_t> common;
+    return cheapest_common_resource(wcg, ops, common);
 }
 
 res_id cheapest_common_resource(const wordlength_compatibility_graph& wcg,
                                 std::span<const op_id> ops,
-                                std::vector<std::uint32_t>& hits_scratch)
+                                std::vector<std::uint64_t>& common_scratch)
 {
     if (ops.empty()) {
         // Every resource is vacuously common; cheapest overall, ties
@@ -53,25 +54,23 @@ res_id cheapest_common_resource(const wordlength_compatibility_graph& wcg,
         return best;
     }
 
-    // Intersect the H(o) adjacency lists by counting instead of probing
-    // every (resource, op) pair: r is common iff it appears in all |ops|
-    // lists. O(sum |H(o)|) instead of O(|R| * |ops| * log).
-    std::vector<std::uint32_t>& hits = hits_scratch;
-    hits.assign(wcg.resource_count(), 0);
-    for (const op_id o : ops) {
-        for (const res_id r : wcg.resources_for(o)) {
-            ++hits[r.value()];
-        }
+    // Intersect the H(o) bit rows word by word instead of probing every
+    // (resource, op) pair, then take the cheapest survivor in ascending
+    // res_id order.
+    const std::size_t words = wcg.res_words();
+    const std::span<const std::uint64_t> first =
+        wcg.resources_row(ops.front());
+    common_scratch.assign(first.begin(), first.end());
+    for (const op_id o : ops.subspan(1)) {
+        bits_and(common_scratch.data(), wcg.resources_row(o).data(), words);
     }
     res_id best = res_id::invalid();
-    for (const res_id r : wcg.resources_for(ops.front())) {
-        if (hits[r.value()] != ops.size()) {
-            continue;
-        }
+    bits_for_each(common_scratch.data(), words, [&](std::size_t ri) {
+        const res_id r(ri);
         if (!best.is_valid() || wcg.area(r) < wcg.area(best)) {
             best = r;
         }
-    }
+    });
     return best;
 }
 

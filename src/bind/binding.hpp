@@ -48,11 +48,11 @@ void finalize_binding(binding& b, std::size_t n_ops,
 [[nodiscard]] res_id cheapest_common_resource(
     const wordlength_compatibility_graph& wcg, std::span<const op_id> ops);
 
-/// As above, reusing `hits_scratch` (resized internally) so a looping
+/// As above, reusing `common_scratch` (resized internally) so a looping
 /// caller performs no per-query allocation.
 [[nodiscard]] res_id cheapest_common_resource(
     const wordlength_compatibility_graph& wcg, std::span<const op_id> ops,
-    std::vector<std::uint32_t>& hits_scratch);
+    std::vector<std::uint64_t>& common_scratch);
 
 } // namespace mwl
 

@@ -23,6 +23,10 @@ int parse_width(std::istringstream& in, std::size_t line,
     if (width < 1) {
         fail(line, std::string(what) + " must be >= 1");
     }
+    if (width > op_shape::max_width) {
+        fail(line, std::string(what) + " must be <= " +
+                       std::to_string(op_shape::max_width));
+    }
     return width;
 }
 

@@ -5,10 +5,11 @@
 //   op  <name> mul <width_a> <width_b>
 //   dep <producer-name> <consumer-name>
 //
-// Names are unique identifiers (no whitespace). Dependencies may only
-// reference operations declared earlier in the file; cycles are rejected
-// by the underlying graph. The parser reports malformed input with
-// 1-based line numbers via `parse_error`.
+// Names are unique identifiers (no whitespace). Widths lie in
+// [1, op_shape::max_width]. Dependencies may only reference operations
+// declared earlier in the file; cycles are rejected by the underlying
+// graph. The parser reports malformed input with 1-based line numbers via
+// `parse_error`.
 
 #ifndef MWL_IO_GRAPH_IO_HPP
 #define MWL_IO_GRAPH_IO_HPP

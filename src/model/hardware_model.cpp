@@ -34,9 +34,10 @@ int sonic_model::latency(const op_shape& shape) const
     case op_kind::add:
         return adder_latency_;
     case op_kind::mul: {
-        // Empirical SONIC formula: ceil((n + m) / 8) cycles.
+        // Empirical SONIC formula: ceil((n + m) / 8) cycles, in a form
+        // that cannot overflow for any bits/cycle.
         const int bits = shape.width_a() + shape.width_b();
-        return (bits + mul_bits_per_cycle_ - 1) / mul_bits_per_cycle_;
+        return 1 + (bits - 1) / mul_bits_per_cycle_;
     }
     }
     MWL_ASSERT(false && "unreachable");

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <string>
 
 namespace mwl {
 
@@ -27,12 +28,20 @@ std::ostream& operator<<(std::ostream& os, op_kind kind)
 op_shape op_shape::adder(int n)
 {
     require(n >= 1, "adder width must be at least 1 bit");
+    if (n > max_width) {
+        throw precondition_error("adder width must be <= " +
+                                 std::to_string(max_width) + " bits");
+    }
     return op_shape(op_kind::add, n, 0);
 }
 
 op_shape op_shape::multiplier(int n, int m)
 {
     require(n >= 1 && m >= 1, "multiplier operand widths must be >= 1 bit");
+    if (n > max_width || m > max_width) {
+        throw precondition_error("multiplier operand widths must be <= " +
+                                 std::to_string(max_width) + " bits");
+    }
     return op_shape(op_kind::mul, std::max(n, m), std::min(n, m));
 }
 

@@ -29,21 +29,28 @@ std::ostream& operator<<(std::ostream& os, op_kind kind);
 /// Shape of an operation or of a resource-wordlength type.
 ///
 /// Invariants (established by the factory functions):
-///  * adders have `width_a >= 1` and `width_b == 0`;
-///  * multipliers have `width_a >= width_b >= 1` (operands are normalised
-///    wider-first, since a bit-parallel multiplier can take its operands in
-///    either order).
+///  * adders have `max_width >= width_a >= 1` and `width_b == 0`;
+///  * multipliers have `max_width >= width_a >= width_b >= 1` (operands
+///    are normalised wider-first, since a bit-parallel multiplier can take
+///    its operands in either order).
 class op_shape {
 public:
+    /// Widest operand a shape may have. Far beyond any datapath, and low
+    /// enough that everything computed from widths in int -- a
+    /// multiplier's n + m result bits, latencies, schedule lengths summed
+    /// over a million operations -- cannot overflow.
+    static constexpr int max_width = 1024;
+
     /// Default: a 1-bit adder (the smallest valid shape).
     op_shape() = default;
 
-    /// An `n`-bit adder / addition. Throws `precondition_error` if n < 1.
+    /// An `n`-bit adder / addition. Throws `precondition_error` unless
+    /// 1 <= n <= max_width.
     [[nodiscard]] static op_shape adder(int n);
 
     /// An `n x m`-bit multiplier / multiplication; operand order is
-    /// irrelevant and is normalised. Throws `precondition_error` if
-    /// n < 1 or m < 1.
+    /// irrelevant and is normalised. Throws `precondition_error` unless
+    /// both widths lie in [1, max_width].
     [[nodiscard]] static op_shape multiplier(int n, int m);
 
     [[nodiscard]] op_kind kind() const { return kind_; }

@@ -79,6 +79,19 @@ inline void bits_and(std::uint64_t* dst, const std::uint64_t* src,
     return total;
 }
 
+/// True iff a and b share no element.
+[[nodiscard]] inline bool bits_disjoint(const std::uint64_t* a,
+                                        const std::uint64_t* b,
+                                        std::size_t n_words)
+{
+    for (std::size_t w = 0; w < n_words; ++w) {
+        if ((a[w] & b[w]) != 0) {
+            return false;
+        }
+    }
+    return true;
+}
+
 /// True iff a is a subset of b.
 [[nodiscard]] inline bool bits_subset(const std::uint64_t* a,
                                       const std::uint64_t* b,

@@ -1,5 +1,6 @@
 #include "wcg/chains.hpp"
 
+#include "support/bitset.hpp"
 #include "support/error.hpp"
 
 #include <algorithm>
@@ -163,55 +164,29 @@ void longest_chain_into(std::span<const timed_op> items,
     }
 }
 
-void longest_chain_presorted(std::span<const timed_op> sorted,
-                             std::span<const std::uint32_t> by_finish,
-                             chain_scratch& scratch, std::vector<timed_op>& out)
+greedy_chain greedy_longest_chain(std::span<const timed_op> by_finish,
+                                  std::span<const std::uint64_t> row,
+                                  std::span<const std::uint64_t> covered,
+                                  std::span<std::uint64_t> witness)
 {
-    out.clear();
-    const std::size_t n = sorted.size();
-    MWL_ASSERT(by_finish.size() == n);
-    if (n == 0) {
-        return;
-    }
-    constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-    // Same predecessor-pool sweep as longest_chain_into, minus its two
-    // sorts: dp/back are identical because both orders are identical, so
-    // the emitted chain matches item for item (property-tested against the
-    // DP oracle in tests/chains_property_test.cpp).
-    std::vector<std::size_t>& dp = scratch.dp;
-    std::vector<std::size_t>& back = scratch.back;
-    dp.assign(n, 1);
-    back.assign(n, npos);
-    std::size_t pool_best = npos; // min canonical index with maximal dp
-    std::size_t absorbed = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        while (absorbed < n &&
-               sorted[by_finish[absorbed]].finish() <= sorted[i].start) {
-            const std::size_t j = by_finish[absorbed++];
-            if (pool_best == npos || dp[j] > dp[pool_best] ||
-                (dp[j] == dp[pool_best] && j < pool_best)) {
-                pool_best = j;
+    const std::size_t n_words = bits_words(by_finish.size());
+    MWL_ASSERT(row.size() >= n_words && covered.size() >= n_words &&
+               witness.size() >= n_words);
+    greedy_chain greedy;
+    for (std::size_t w = 0; w < n_words; ++w) {
+        std::uint64_t word = row[w] & ~covered[w];
+        std::uint64_t picks = 0;
+        while (word != 0) {
+            const int bit = __builtin_ctzll(word);
+            if (greedy.offer(
+                    by_finish[w * 64 + static_cast<std::size_t>(bit)])) {
+                picks |= std::uint64_t{1} << bit;
             }
+            word &= word - 1;
         }
-        if (pool_best != npos) {
-            dp[i] = dp[pool_best] + 1;
-            back[i] = pool_best;
-        }
+        witness[w] = picks;
     }
-
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-        if (dp[i] > dp[best]) {
-            best = i;
-        }
-    }
-
-    out.reserve(dp[best]);
-    for (std::size_t at = best; at != npos; at = back[at]) {
-        out.push_back(sorted[at]);
-    }
-    std::reverse(out.begin(), out.end());
+    return greedy;
 }
 
 bool is_chain(std::span<const timed_op> items)

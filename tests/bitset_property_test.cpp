@@ -109,6 +109,10 @@ TEST(BitsetModel, PairwiseKernelsMatchSetAlgebra)
         ASSERT_EQ(bits_andnot_count(a.data(), b.data(), words), diff);
         ASSERT_EQ(bits_subset(a.data(), b.data(), words),
                   std::includes(mb.begin(), mb.end(), ma.begin(), ma.end()));
+        ASSERT_EQ(bits_disjoint(a.data(), b.data(), words),
+                  std::none_of(ma.begin(), ma.end(), [&](std::size_t v) {
+                      return mb.count(v) != 0;
+                  }));
         ASSERT_EQ(bits_any(a.data(), words), !ma.empty());
         ASSERT_EQ(bits_count(a.data(), words), ma.size());
 

@@ -1,5 +1,5 @@
-// Property / fuzz tests for the O(k log k) chain utilities against the
-// original quadratic implementations, kept here as oracles.
+// Property / fuzz tests for the chain utilities against the original
+// quadratic implementations, kept here as oracles.
 //
 // longest_chain's sweep is required to reproduce the original DP *exactly*
 // (same chain, not merely the same length): BindSelect's output -- and
@@ -7,6 +7,7 @@
 // picked, and the incremental-vs-reference regression suite
 // (incremental_regression_test.cpp) relies on bit-identical results.
 
+#include "support/bitset.hpp"
 #include "support/rng.hpp"
 #include "wcg/chains.hpp"
 
@@ -96,6 +97,34 @@ std::vector<timed_op> random_items(rng& random, std::size_t max_k,
     return items;
 }
 
+/// greedy_longest_chain over all of `items` (one bit row, nothing
+/// covered) must reach the longest-chain length, and its picks must form
+/// a chain.
+void expect_greedy_exact(const std::vector<timed_op>& items, int trial)
+{
+    std::vector<timed_op> by_finish = items;
+    std::stable_sort(by_finish.begin(), by_finish.end(),
+                     [](const timed_op& a, const timed_op& b) {
+                         return a.finish() < b.finish();
+                     });
+    const std::size_t words = bits_words(items.size());
+    std::vector<std::uint64_t> row(words, 0);
+    const std::vector<std::uint64_t> covered(words, 0);
+    std::vector<std::uint64_t> witness(words, 0);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        bits_set(row.data(), i);
+    }
+    const greedy_chain greedy =
+        greedy_longest_chain(by_finish, row, covered, witness);
+    std::vector<timed_op> picks;
+    bits_for_each(witness.data(), words,
+                  [&](std::size_t i) { picks.push_back(by_finish[i]); });
+    EXPECT_EQ(greedy.length, longest_chain_dp(items).size())
+        << "trial " << trial;
+    EXPECT_EQ(picks.size(), greedy.length) << "trial " << trial;
+    EXPECT_TRUE(is_chain(picks)) << "trial " << trial;
+}
+
 void expect_same_chain(const std::vector<timed_op>& items, int trial)
 {
     const std::vector<timed_op> oracle = longest_chain_dp(items);
@@ -116,7 +145,9 @@ TEST(ChainsProperty, SweepReproducesDpOnDenseRandomSets)
     MWL_TRACE_SEED("MWL_CHAINS_SEED", seed);
     rng random(seed);
     for (int trial = 0; trial < 400; ++trial) {
-        expect_same_chain(random_items(random, 40, 12, 6), trial);
+        const std::vector<timed_op> items = random_items(random, 40, 12, 6);
+        expect_same_chain(items, trial);
+        expect_greedy_exact(items, trial);
     }
 }
 
@@ -128,7 +159,9 @@ TEST(ChainsProperty, SweepReproducesDpOnSparseRandomSets)
     MWL_TRACE_SEED("MWL_CHAINS_SEED", seed);
     rng random(seed);
     for (int trial = 0; trial < 400; ++trial) {
-        expect_same_chain(random_items(random, 40, 200, 4), trial);
+        const std::vector<timed_op> items = random_items(random, 40, 200, 4);
+        expect_same_chain(items, trial);
+        expect_greedy_exact(items, trial);
     }
 }
 
@@ -167,6 +200,7 @@ TEST(ChainsProperty, SweepReproducesDpWithDuplicateIntervals)
                                      random.uniform_int(1, 2)});
         }
         expect_same_chain(items, trial);
+        expect_greedy_exact(items, trial);
     }
 }
 

@@ -51,8 +51,9 @@ std::string tool(const std::string& name)
     return std::string(MWL_TOOL_DIR) + "/" + name;
 }
 
-/// Write a manifest into the test's working directory (the build tree).
-std::string write_manifest(const std::string& name, const std::string& text)
+/// Write an input file -- manifest, spec or graph -- into the test's
+/// working directory (the build tree).
+std::string write_input(const std::string& name, const std::string& text)
 {
     std::ofstream out(name);
     out << text;
@@ -73,7 +74,7 @@ void expect_fails_with(const std::string& command, int exit_code,
 
 TEST(CliBatch, MalformedManifestLineReportsItsLineNumber)
 {
-    const std::string manifest = write_manifest(
+    const std::string manifest = write_input(
         "cli_test_bad_line.manifest",
         "# comment line\n"
         "corpus ops=4 count=1\n"
@@ -84,7 +85,7 @@ TEST(CliBatch, MalformedManifestLineReportsItsLineNumber)
 
 TEST(CliBatch, UnknownKeywordReportsItsLineNumber)
 {
-    const std::string manifest = write_manifest(
+    const std::string manifest = write_input(
         "cli_test_bad_keyword.manifest", "corpus ops=4 count=1\nfrob x\n");
     expect_fails_with(tool("mwl_batch") + " " + manifest, 2,
                       "manifest line 2: unknown keyword 'frob'");
@@ -92,7 +93,7 @@ TEST(CliBatch, UnknownKeywordReportsItsLineNumber)
 
 TEST(CliBatch, BadNumericDirectiveReportsItsLineNumber)
 {
-    const std::string manifest = write_manifest(
+    const std::string manifest = write_input(
         "cli_test_bad_number.manifest", "corpus ops=4 count=1 lambda=abc\n");
     expect_fails_with(tool("mwl_batch") + " " + manifest, 2,
                       "manifest line 1: bad numeric value in 'lambda=abc'");
@@ -100,7 +101,7 @@ TEST(CliBatch, BadNumericDirectiveReportsItsLineNumber)
 
 TEST(CliBatch, SweepAndVerifyAreMutuallyExclusive)
 {
-    const std::string manifest = write_manifest(
+    const std::string manifest = write_input(
         "cli_test_conflict.manifest",
         "corpus ops=4 count=1 sweep=20 verify=4\n");
     expect_fails_with(tool("mwl_batch") + " " + manifest, 2,
@@ -109,7 +110,7 @@ TEST(CliBatch, SweepAndVerifyAreMutuallyExclusive)
 
 TEST(CliBatch, MissingGraphFileReportsItsLineNumber)
 {
-    const std::string manifest = write_manifest(
+    const std::string manifest = write_input(
         "cli_test_missing_graph.manifest",
         "graph cli_test_does_not_exist.mwl\n");
     expect_fails_with(tool("mwl_batch") + " " + manifest, 2,
@@ -119,7 +120,7 @@ TEST(CliBatch, MissingGraphFileReportsItsLineNumber)
 TEST(CliBatch, EmptyManifestIsAnError)
 {
     const std::string manifest =
-        write_manifest("cli_test_empty.manifest", "# nothing here\n");
+        write_input("cli_test_empty.manifest", "# nothing here\n");
     expect_fails_with(tool("mwl_batch") + " " + manifest, 2,
                       "manifest has no entries");
 }
@@ -142,7 +143,7 @@ TEST(CliBatch, SigintDrainsAndEmitsPartialResultsWithExitThree)
     // A corpus big enough that the run is mid-flight whenever the signal
     // lands. The tool must drain, print what it completed, and exit 3 --
     // not die signal-killed with no output.
-    const std::string manifest = write_manifest(
+    const std::string manifest = write_input(
         "cli_test_sigint.manifest", "corpus ops=12 count=4000 seed=3\n");
     const std::string out_file = "cli_test_sigint.out";
     const std::string binary = tool("mwl_batch");
@@ -309,13 +310,6 @@ TEST(CliScenarios, ListSucceedsAndNamesEveryScenario)
 
 // --------------------------------------------------------- mwl_campaign --
 
-std::string write_spec(const std::string& name, const std::string& text)
-{
-    std::ofstream out(name);
-    out << text;
-    return name;
-}
-
 TEST(CliCampaign, ModeIsRequired)
 {
     expect_fails_with(tool("mwl_campaign"), 2, "pick a mode");
@@ -349,7 +343,7 @@ TEST(CliCampaign, ZeroCheckpointIntervalIsRejected)
 
 TEST(CliCampaign, MalformedSpecReportsItsLineNumber)
 {
-    const std::string spec = write_spec("cli_test_bad.spec",
+    const std::string spec = write_input("cli_test_bad.spec",
                                         "scenario fir4\n"
                                         "wibble x\n");
     std::filesystem::remove_all("cli_test_campaign_badspec");
@@ -361,7 +355,7 @@ TEST(CliCampaign, MalformedSpecReportsItsLineNumber)
 TEST(CliCampaign, UnknownScenarioInSpecExitsTwo)
 {
     const std::string spec =
-        write_spec("cli_test_unknown.spec", "scenario no_such_scenario\n");
+        write_input("cli_test_unknown.spec", "scenario no_such_scenario\n");
     std::filesystem::remove_all("cli_test_campaign_unknown");
     expect_fails_with(tool("mwl_campaign") +
                           " --run cli_test_campaign_unknown --spec " + spec,
@@ -386,7 +380,7 @@ TEST(CliCampaign, StatusOnANonCampaignDirectoryExitsTwo)
 TEST(CliCampaign, RunIntoAnExistingCampaignDirectoryExitsTwo)
 {
     // A one-point campaign keeps the successful first run fast.
-    const std::string spec = write_spec("cli_test_tiny.spec",
+    const std::string spec = write_input("cli_test_tiny.spec",
                                         "scenario fir4\n"
                                         "lambda slack=0\n");
     const std::string dir = "cli_test_campaign_exists";
@@ -406,7 +400,7 @@ TEST(CliCampaign, IncompatibleCheckpointFormatVersionExitsTwo)
     const std::string dir = "cli_test_campaign_future";
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
-    write_spec(dir + "/spec.campaign", "scenario fir4\nlambda slack=0\n");
+    write_input(dir + "/spec.campaign", "scenario fir4\nlambda slack=0\n");
     std::ofstream(dir + "/journal.log", std::ios::binary)
         << mwl::frame_record("campaign-store format_version=999 "
                              "fingerprint=0123456789abcdef points=1");
@@ -418,7 +412,7 @@ TEST(CliCampaign, IncompatibleCheckpointFormatVersionExitsTwo)
 
 TEST(CliCampaign, ResumeRejectsASpecWithADifferentFingerprint)
 {
-    const std::string spec = write_spec("cli_test_fp.spec",
+    const std::string spec = write_input("cli_test_fp.spec",
                                         "scenario fir4\n"
                                         "lambda slack=0\n");
     const std::string dir = "cli_test_campaign_fp";
@@ -428,7 +422,7 @@ TEST(CliCampaign, ResumeRejectsASpecWithADifferentFingerprint)
     ASSERT_EQ(first.exit_code, 0) << first.output;
     // Editing the stored spec after the fact changes what it expands to;
     // the checkpoint's fingerprint must catch the mismatch.
-    write_spec(dir + "/spec.campaign", "scenario fir4 fir8\n");
+    write_input(dir + "/spec.campaign", "scenario fir4 fir8\n");
     expect_fails_with(tool("mwl_campaign") + " --resume " + dir, 2,
                       "checkpoint was built from a different spec");
 }
@@ -501,13 +495,13 @@ TEST(CliClient, NobodyListeningIsARuntimeFailureNotUsage)
 TEST(CliClient, BatchOnlyManifestDirectivesAreRejected)
 {
     const std::string manifest =
-        write_manifest("cli_test_serve_sweep.manifest",
+        write_input("cli_test_serve_sweep.manifest",
                        "corpus ops=4 count=1 sweep=20\n");
     expect_fails_with(tool("mwl_client") +
                           " unix:/tmp/x.sock --manifest " + manifest,
                       2, "sweep= is not supported over serve");
     const std::string verify =
-        write_manifest("cli_test_serve_verify.manifest",
+        write_input("cli_test_serve_verify.manifest",
                        "corpus ops=4 count=1 verify=2\n");
     expect_fails_with(tool("mwl_client") +
                           " unix:/tmp/x.sock --manifest " + verify,
@@ -527,7 +521,7 @@ TEST(CliClient, BadCountsExitTwo)
 TEST(CliClient, ManifestNumbersAreCheckedWithTheirLineNumber)
 {
     // Regression: std::stoi read lambda=12x as lambda=12.
-    const std::string manifest = write_manifest(
+    const std::string manifest = write_input(
         "cli_test_serve_badnum.manifest",
         "\ncorpus ops=4 count=1 lambda=12x\n");
     expect_fails_with(tool("mwl_client") + " unix:/tmp/x.sock --manifest " +
@@ -603,7 +597,7 @@ TEST(CliLint, ManifestDrivesGraphAndCorpusLines)
 {
     // Reuse a scenario graph on disk via mwl_scenarios? Simpler: corpus
     // line only -- the graph path branch is covered by the error case.
-    const std::string manifest = write_manifest(
+    const std::string manifest = write_input(
         "cli_test_lint.manifest",
         "# static lint batch\ncorpus ops=4 count=2 seed=11 sweep=20\n");
     const run_result r =
@@ -614,11 +608,11 @@ TEST(CliLint, ManifestDrivesGraphAndCorpusLines)
 
 TEST(CliLint, ManifestErrorsReportTheirLineNumber)
 {
-    const std::string manifest = write_manifest(
+    const std::string manifest = write_input(
         "cli_test_lint_bad.manifest", "corpus ops=4 count=1\nfrob x\n");
     expect_fails_with(tool("mwl_lint") + " --manifest " + manifest, 2,
                       "manifest line 2: unknown keyword 'frob'");
-    const std::string missing = write_manifest(
+    const std::string missing = write_input(
         "cli_test_lint_missing.manifest", "graph cli_no_such.mwl\n");
     expect_fails_with(tool("mwl_lint") + " --manifest " + missing, 2,
                       "manifest line 1: cannot open graph file");
@@ -641,7 +635,7 @@ TEST(CliLint, BadNumericFlagValuesExitTwoNotAbort)
 TEST(CliLint, ManifestBadNumericReportsItsLineNumber)
 {
     // lambda=3x used to parse as lambda=3 with the 'x' dropped.
-    const std::string manifest = write_manifest(
+    const std::string manifest = write_input(
         "cli_test_lint_badnum.manifest", "corpus ops=4 count=1 lambda=3x\n");
     expect_fails_with(tool("mwl_lint") + " --manifest " + manifest, 2,
                       "manifest line 1: bad numeric value in 'lambda=3x'");
@@ -676,7 +670,38 @@ TEST(CliAlloc, BadNumericFlagValuesExitTwoNotAbort)
                       "bad value for --lambda: bad numeric value '12x'");
 }
 
+TEST(CliAlloc, MalformedGraphExitsTwoWithItsLineNumber)
+{
+    // Input errors exit 2 (README "Tool conventions"), like mwl_lint and
+    // mwl_batch. The over-wide widths once overflowed the latency model.
+    const std::string bad_kind =
+        write_input("cli_test_bad_kind.mwl", "op a foo 3\n");
+    expect_fails_with(tool("mwl_alloc") + " " + bad_kind, 2,
+                      "mwl_alloc: line 1: unknown operation kind 'foo'");
+    const std::string overwide = write_input(
+        "cli_test_overwide.mwl",
+        "op a add 8\nop b mul 2000000000 2000000000\n");
+    expect_fails_with(tool("mwl_alloc") + " " + overwide, 2,
+                      "mwl_alloc: line 2: multiplier width_a must be <= 1024");
+}
+
 // ------------------------------------------------------------- mwl_verify --
+
+TEST(CliVerify, MalformedGraphExitsTwoWithItsLineNumber)
+{
+    const std::string bad_kind =
+        write_input("cli_test_verify_bad_kind.mwl", "op a foo 3\n");
+    const std::string overwide = write_input(
+        "cli_test_verify_overwide.mwl", "op a mul 2000000000 2000000000\n");
+    for (const char* mode : {"", " --static"}) {
+        expect_fails_with(tool("mwl_verify") + mode + " --graph " + bad_kind,
+                          2,
+                          "mwl_verify: line 1: unknown operation kind 'foo'");
+        expect_fails_with(
+            tool("mwl_verify") + mode + " --graph " + overwide, 2,
+            "mwl_verify: line 1: multiplier width_a must be <= 1024");
+    }
+}
 
 TEST(CliVerify, BadNumericFlagValuesExitTwoNotAbort)
 {
@@ -708,20 +733,20 @@ TEST(CliTune, UnknownOptionAndBadValuesExitTwo)
 
 TEST(CliTune, SpecErrorsReportTheirLineNumber)
 {
-    const std::string bad_budget = write_manifest(
+    const std::string bad_budget = write_input(
         "cli_test_tune_bad_budget.spec", "scenario fir4\nbudget junk\n");
     expect_fails_with(tool("mwl_tune") + " " + bad_budget, 2,
                       "spec line 2: bad numeric value 'junk'");
-    const std::string bad_scenario = write_manifest(
+    const std::string bad_scenario = write_input(
         "cli_test_tune_bad_scenario.spec",
         "scenario no_such_filter\nbudget 1e-6\n");
     expect_fails_with(tool("mwl_tune") + " " + bad_scenario, 2,
                       "spec line 1: unknown scenario 'no_such_filter'");
-    const std::string no_budget = write_manifest(
+    const std::string no_budget = write_input(
         "cli_test_tune_no_budget.spec", "scenario fir4\n");
     expect_fails_with(tool("mwl_tune") + " " + no_budget, 2,
                       "spec names no budgets");
-    const std::string bad_key = write_manifest(
+    const std::string bad_key = write_input(
         "cli_test_tune_bad_key.spec",
         "scenario fir4\nbudget 1e-6\nsearch wibble=2\n");
     expect_fails_with(tool("mwl_tune") + " " + bad_key, 2,
@@ -748,7 +773,7 @@ TEST(CliTune, UnreachableBudgetFailsThePointWithExitOne)
 {
     // max 4 fractional bits cannot reach a 1e-30 budget: the point rows
     // an error, the tool exits 1 (failures), not 2 (usage).
-    const std::string spec = write_manifest(
+    const std::string spec = write_input(
         "cli_test_tune_infeasible.spec",
         "scenario fir4\nbudget 1e-30\nfrac min=2 max=4\n");
     const run_result r = run(tool("mwl_tune") + " " + spec);
@@ -762,7 +787,7 @@ TEST(CliManifest, EveryToolRejectsNegativeSlackWithItsLineNumber)
 {
     // mwl_lint used to accept slack=-5 and fail later, inside
     // relaxed_lambda, with no line number.
-    const std::string manifest = write_manifest(
+    const std::string manifest = write_input(
         "cli_test_neg_slack.manifest", "# c\ncorpus ops=4 count=1 slack=-5\n");
     for (const std::string& command :
          {tool("mwl_batch") + " " + manifest,
@@ -778,13 +803,13 @@ TEST(CliManifest, EveryToolRejectsNegativeSlackWithItsLineNumber)
 TEST(CliJson, DashWritesJsonToStdoutAndTheReportToStderr)
 {
     const std::string manifest =
-        write_manifest("cli_test_json.manifest", "corpus ops=4 count=2\n");
-    const std::string spec = write_spec(
+        write_input("cli_test_json.manifest", "corpus ops=4 count=2\n");
+    const std::string spec = write_input(
         "cli_test_json.spec",
         "scenario fir4\nbudget 1e-5\nsearch max-steps=2\n");
     const std::string dir = "cli_test_campaign_json";
     std::filesystem::remove_all(dir);
-    const std::string campaign_spec = write_spec(
+    const std::string campaign_spec = write_input(
         "cli_test_json.campaign", "scenario fir4\nlambda slack=0\n");
     ASSERT_EQ(run(tool("mwl_campaign") + " --run " + dir + " --spec " +
                   campaign_spec)

@@ -1,10 +1,11 @@
 // Regression suite for the incremental DPAlloc pipeline: every cache and
 // engine introduced for speed (event-driven scheduling, memoized /
-// warm-started scheduling sets, chain memoization in BindSelect, cached
-// WCG latency bounds) must leave results *byte-identical* to the
-// from-scratch reference pipeline on the tgff corpus. See PERF.md for the
-// invariants each cache maintains.
+// warm-started scheduling sets, BindSelect's greedy-keyed selection on
+// bit rows, cached WCG latency bounds) must leave results
+// *byte-identical* to the from-scratch reference pipeline on the tgff
+// corpus. See PERF.md for the invariants each cache maintains.
 
+#include "bind/bind_select.hpp"
 #include "core/dpalloc.hpp"
 #include "sched/incomplete_scheduler.hpp"
 #include "sched/list_scheduler.hpp"
@@ -12,6 +13,8 @@
 #include "tgff/corpus.hpp"
 #include "tgff/generator.hpp"
 #include "wcg/wcg.hpp"
+
+#include "test_seed.hpp"
 
 #include <gtest/gtest.h>
 
@@ -103,6 +106,78 @@ TEST(IncrementalRegression, DpallocIdenticalWithoutGrowthAndReassign)
         expect_identical(dpalloc(e.graph, model, e.lambda_min, incremental),
                          dpalloc(e.graph, model, e.lambda_min, reference),
                          "ablation");
+    }
+}
+
+TEST(IncrementalRegression, BindSelectMatchesReference)
+{
+    // The production BindSelect (bit rows over finish ranks, greedy-keyed
+    // lazy heap) against the reference arm on the same schedule: graphs up
+    // to |O| = 200, so rows span several 64-bit words; schedules with heavy
+    // start and finish ties besides the ones dpalloc produces; H shrunk by
+    // random refine_op sequences; every growth/reassign combination; one
+    // scratch reused across graphs of different |O| and resource counts.
+    const std::uint64_t seed = testing::env_seed("MWL_BIND_SEED", 0xB1D5);
+    MWL_TRACE_SEED("MWL_BIND_SEED", seed);
+    rng random(seed);
+    const sonic_model model;
+    bind_scratch scratch;
+    for (int trial = 0; trial < 24; ++trial) {
+        tgff_options opts;
+        opts.n_ops = 1 + random.uniform(0, 199);
+        opts.min_width = random.uniform_int(1, 8);
+        opts.max_width = opts.min_width + random.uniform_int(0, 24);
+        opts.mul_fraction = random.uniform_real();
+        const sequencing_graph g = generate_tgff(opts, random);
+        const std::size_t n = g.size();
+        wordlength_compatibility_graph wcg(g, model);
+        for (int step = 0; step < 3; ++step) {
+            std::vector<int> start(n);
+            std::vector<int> lat(n);
+            if (step == 0) {
+                start = schedule_incomplete(wcg, 1).start;
+                lat = wcg.latency_upper_bounds();
+            } else {
+                const int horizon =
+                    random.uniform_int(0, static_cast<int>(n) / 4 + 2);
+                for (std::size_t i = 0; i < n; ++i) {
+                    start[i] = random.uniform_int(0, horizon);
+                    lat[i] = random.uniform_int(1, 3);
+                }
+            }
+            for (const bool growth : {false, true}) {
+                for (const bool reassign : {false, true}) {
+                    const bind_options production{
+                        .enable_growth = growth,
+                        .reassign_cheapest = reassign,
+                        .cache_chains = true};
+                    bind_options reference = production;
+                    reference.cache_chains = false;
+                    const binding a =
+                        bind_select(wcg, start, lat, production, &scratch);
+                    const binding b = bind_select(wcg, start, lat, reference);
+                    const std::string label =
+                        "trial " + std::to_string(trial) + " step " +
+                        std::to_string(step) + " growth " +
+                        std::to_string(growth) + " reassign " +
+                        std::to_string(reassign);
+                    ASSERT_EQ(a.cliques.size(), b.cliques.size()) << label;
+                    for (std::size_t k = 0; k < a.cliques.size(); ++k) {
+                        EXPECT_EQ(a.cliques[k].resource, b.cliques[k].resource)
+                            << label << " clique " << k;
+                        EXPECT_EQ(a.cliques[k].ops, b.cliques[k].ops)
+                            << label << " clique " << k;
+                    }
+                }
+            }
+            // Refine a few random operations before the next schedule.
+            for (int r = random.uniform_int(1, 8); r > 0; --r) {
+                const op_id o(random.uniform(0, n - 1));
+                if (wcg.refinable(o)) {
+                    wcg.refine_op(o);
+                }
+            }
+        }
     }
 }
 

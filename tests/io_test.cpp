@@ -85,6 +85,27 @@ TEST(GraphIo, NonPositiveWidthRejected)
                  parse_error);
 }
 
+TEST(GraphIo, OverwideWidthRejectedWithLineNumber)
+{
+    // Widths beyond op_shape::max_width once reached the latency model and
+    // overflowed its int arithmetic.
+    for (const char* text :
+         {"op a mul 2000000000 2000000000\n", "op a add 1025\n",
+          "op a mul 4 1025\n"}) {
+        try {
+            static_cast<void>(parse_graph_string(text));
+            ADD_FAILURE() << "accepted: " << text;
+        } catch (const parse_error& e) {
+            const std::string message = e.what();
+            EXPECT_EQ(message.rfind("line 1: ", 0), 0u) << message;
+            EXPECT_NE(message.find("must be <= 1024"), std::string::npos)
+                << message;
+        }
+    }
+    const sequencing_graph g = parse_graph_string("op a mul 1024 1024\n");
+    EXPECT_EQ(g.shape(op_id(0)).width_b(), op_shape::max_width);
+}
+
 TEST(GraphIo, TrailingTokensRejected)
 {
     EXPECT_THROW(static_cast<void>(parse_graph_string("op x add 4 junk\n")),

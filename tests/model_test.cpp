@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 namespace mwl {
@@ -37,6 +38,21 @@ TEST(OpShape, InvalidWidthsThrow)
     EXPECT_THROW(static_cast<void>(op_shape::adder(-3)), precondition_error);
     EXPECT_THROW(static_cast<void>(op_shape::multiplier(0, 4)), precondition_error);
     EXPECT_THROW(static_cast<void>(op_shape::multiplier(4, 0)), precondition_error);
+}
+
+TEST(OpShape, WidthsAboveMaximumThrow)
+{
+    constexpr int max = op_shape::max_width;
+    EXPECT_EQ(op_shape::multiplier(max, max).width_b(), max);
+    EXPECT_THROW(static_cast<void>(op_shape::adder(max + 1)),
+                 precondition_error);
+    EXPECT_THROW(static_cast<void>(op_shape::multiplier(max + 1, 4)),
+                 precondition_error);
+    EXPECT_THROW(static_cast<void>(op_shape::multiplier(4, max + 1)),
+                 precondition_error);
+    EXPECT_THROW(
+        static_cast<void>(op_shape::multiplier(2000000000, 2000000000)),
+        precondition_error);
 }
 
 TEST(OpShape, CoversRequiresSameKind)
@@ -179,6 +195,20 @@ TEST(SonicModel, CustomParametersApply)
     const sonic_model model(/*adder_latency=*/3, /*mul_bits_per_cycle=*/16);
     EXPECT_EQ(model.latency(op_shape::adder(8)), 3);
     EXPECT_EQ(model.latency(op_shape::multiplier(16, 16)), 2); // 32/16
+}
+
+TEST(SonicModel, ExtremeParametersKeepLatencyInRange)
+{
+    // ceil(bits / bits-per-cycle) once overflowed int for a huge
+    // bits-per-cycle, and surfaced as "operation latencies must be >= 1".
+    const sonic_model one_cycle(2, std::numeric_limits<int>::max());
+    EXPECT_EQ(one_cycle.latency(op_shape::multiplier(24, 24)), 1);
+    constexpr int max = op_shape::max_width;
+    EXPECT_EQ(one_cycle.latency(op_shape::multiplier(max, max)), 1);
+    const sonic_model model;
+    EXPECT_EQ(model.latency(op_shape::multiplier(max, max)), 2 * max / 8);
+    EXPECT_EQ(sonic_model(2, 1).latency(op_shape::multiplier(max, max)),
+              2 * max);
 }
 
 TEST(SonicModel, InvalidParametersThrow)

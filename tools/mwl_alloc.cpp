@@ -201,6 +201,9 @@ int main(int argc, char** argv)
             }
         }
         return 0;
+    } catch (const parse_error& e) {
+        std::cerr << "mwl_alloc: " << e.what() << '\n';
+        return 2;
     } catch (const error& e) {
         std::cerr << "mwl_alloc: " << e.what() << '\n';
         return 1;

@@ -213,6 +213,9 @@ int main(int argc, char** argv)
         }
         std::cout << "OK: reference == datapath sim == RTL interpretation\n";
         return 0;
+    } catch (const parse_error& e) {
+        std::cerr << "mwl_verify: " << e.what() << '\n';
+        return 2;
     } catch (const error& e) {
         std::cerr << "mwl_verify: " << e.what() << '\n';
         return 1;
