@@ -48,11 +48,9 @@ bool fronts_identical(const std::vector<mwl::pareto_point>& a,
 int main(int argc, char** argv)
 {
     using namespace mwl;
+    // 64 graphs: the acceptance corpus size.
     bench::bench_options opt =
-        bench::parse_options(argc, argv, "batch_throughput");
-    if (opt.graphs == 25) {
-        opt.graphs = 64; // the acceptance corpus size
-    }
+        bench::parse_options(argc, argv, "batch_throughput", 64);
     const std::size_t n_ops = opt.max_size != 0 ? opt.max_size : 12;
 
     pareto_options sweep;

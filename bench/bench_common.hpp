@@ -28,10 +28,13 @@ struct bench_options {
 
 /// The shared bench flags, through the tools' flag layer (tools/cli.hpp):
 /// a malformed or negative number is a diagnostic and exit 2.
+/// `default_graphs` is the bench's --graphs when the flag is not given.
 inline bench_options parse_options(int argc, char** argv,
-                                   const char* bench_name)
+                                   const char* bench_name,
+                                   std::size_t default_graphs = 25)
 {
     bench_options opt;
+    opt.graphs = default_graphs;
     cli::tool cli(bench_name,
                   std::string(bench_name) +
                       " [--graphs N] [--seed S] [--csv]"

@@ -24,11 +24,9 @@
 int main(int argc, char** argv)
 {
     using namespace mwl;
+    // ILP-heavy bench: smaller quick-run default.
     bench::bench_options opt =
-        bench::parse_options(argc, argv, "fig4_area_premium");
-    if (opt.graphs == 25) {
-        opt.graphs = 15; // ILP-heavy bench: smaller quick-run default
-    }
+        bench::parse_options(argc, argv, "fig4_area_premium", 15);
     const std::size_t max_size = opt.max_size == 0 ? 10 : opt.max_size;
 
     const sonic_model model;

@@ -21,11 +21,9 @@
 int main(int argc, char** argv)
 {
     using namespace mwl;
+    // ILP-heavy bench: smaller quick-run default.
     bench::bench_options opt =
-        bench::parse_options(argc, argv, "fig5_exec_time");
-    if (opt.graphs == 25) {
-        opt.graphs = 10; // ILP-heavy bench
-    }
+        bench::parse_options(argc, argv, "fig5_exec_time", 10);
     const std::size_t max_size = opt.max_size == 0 ? 10 : opt.max_size;
 
     const sonic_model model;

@@ -1,8 +1,8 @@
 // End-to-end DPAlloc wall time vs problem size |O|, incremental pipeline
-// against the from-scratch reference pipeline (dpalloc_options::incremental
-// = false). Sizes go well beyond the paper's |O| <= 24 regime -- this is
-// the bench backing the "3x at |O| >= 50" acceptance bar of the
-// incrementalization work (see PERF.md).
+// against the from-scratch reference pipeline (tests/oracle,
+// oracle::dpalloc_from_scratch). Sizes go well beyond the paper's
+// |O| <= 24 regime -- this is the bench backing the "3x at |O| >= 50"
+// acceptance bar of the incrementalization work (see PERF.md).
 //
 // Emits the aligned table (or --csv) on stdout plus a JSON trajectory:
 // always written to BENCH_iteration_scaling.json in the working directory
@@ -14,7 +14,8 @@
 
 #include "bench_common.hpp"
 #include "core/dpalloc.hpp"
-#include "support/stats.hpp"
+#include "oracle/oracle.hpp"
+#include "support/json.hpp"
 #include "support/timer.hpp"
 #include "tgff/corpus.hpp"
 
@@ -26,11 +27,9 @@
 int main(int argc, char** argv)
 {
     using namespace mwl;
-    bench::bench_options opt =
-        bench::parse_options(argc, argv, "iteration_scaling");
-    if (opt.graphs == 25) {
-        opt.graphs = 5; // large instances; 5 graphs keep runs in seconds
-    }
+    // Large instances: 5 graphs per size keep runs in seconds.
+    const bench::bench_options opt =
+        bench::parse_options(argc, argv, "iteration_scaling", 5);
 
     std::vector<std::size_t> sizes{10, 20, 35, 50, 75};
     if (opt.max_size != 0) {
@@ -60,14 +59,13 @@ int main(int argc, char** argv)
     for (const std::size_t n : sizes) {
         const auto corpus = make_corpus(n, opt.graphs, model, opt.seed);
 
-        const auto run_arm = [&](const dpalloc_options& arm,
-                                 double& area_out) {
+        const auto run_arm = [&](auto allocate, double& area_out) {
             double best_ms = 0.0;
             for (int rep = 0; rep < reps; ++rep) {
                 double area = 0.0;
                 stopwatch clock;
                 for (const corpus_entry& e : corpus) {
-                    area += dpalloc(e.graph, model, e.lambda_min, arm)
+                    area += allocate(e.graph, model, e.lambda_min, {})
                                 .path.total_area;
                 }
                 const double ms = clock.milliseconds();
@@ -79,13 +77,12 @@ int main(int argc, char** argv)
             return best_ms;
         };
 
-        dpalloc_options reference;
-        reference.incremental = false;
         double ref_area = 0.0;
-        const double ref_ms = run_arm(reference, ref_area);
+        const double ref_ms =
+            run_arm(oracle::dpalloc_from_scratch, ref_area);
 
         double incr_area = 0.0;
-        const double incr_ms = run_arm(dpalloc_options{}, incr_area);
+        const double incr_ms = run_arm(dpalloc, incr_area);
 
         if (ref_area != incr_area) {
             std::cerr << "iteration_scaling: INCREMENTAL PIPELINE DIVERGED"
@@ -99,9 +96,9 @@ int main(int argc, char** argv)
         t.row({table::num(static_cast<int>(n)), table::num(ref_ms, 2),
                table::num(incr_ms, 2), table::num(speedup, 2) + "x"});
         json << (first_point ? "" : ",") << "{\"n\":" << n
-             << ",\"reference_ms\":" << ref_ms
-             << ",\"incremental_ms\":" << incr_ms
-             << ",\"speedup\":" << speedup << "}";
+             << ",\"reference_ms\":" << format_double(ref_ms)
+             << ",\"incremental_ms\":" << format_double(incr_ms)
+             << ",\"speedup\":" << format_double(speedup) << "}";
         first_point = false;
     }
     json << "]}";

@@ -31,10 +31,7 @@ int main(int argc, char** argv)
 {
     using namespace mwl;
     bench::bench_options opt =
-        bench::parse_options(argc, argv, "lint_throughput");
-    if (opt.graphs == 25) {
-        opt.graphs = 48;
-    }
+        bench::parse_options(argc, argv, "lint_throughput", 48);
     const std::size_t n_ops = opt.max_size != 0 ? opt.max_size : 12;
     constexpr std::size_t inputs_per_graph = 8;
     constexpr double slack = 0.25;

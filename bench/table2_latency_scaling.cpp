@@ -22,11 +22,9 @@
 int main(int argc, char** argv)
 {
     using namespace mwl;
+    // ILP-heavy bench: smaller quick-run default.
     bench::bench_options opt =
-        bench::parse_options(argc, argv, "table2_latency_scaling");
-    if (opt.graphs == 25) {
-        opt.graphs = 10; // ILP-heavy bench
-    }
+        bench::parse_options(argc, argv, "table2_latency_scaling", 10);
 
     const sonic_model model;
     const std::size_t n_ops = 9; // the paper's Table 2 problem size

@@ -31,11 +31,8 @@ int main(int argc, char** argv)
 {
     using namespace mwl;
     bench::bench_options opt =
-        bench::parse_options(argc, argv, "tune_throughput");
+        bench::parse_options(argc, argv, "tune_throughput", 6);
     const bool smoke = opt.max_size != 0;
-    if (opt.graphs == 25) {
-        opt.graphs = 6;
-    }
     const std::size_t n_ops = smoke ? opt.max_size : 12;
     constexpr std::size_t budgets_per_design = 8;
     // 3% budget steps: fine enough that neighbours share a water-filling

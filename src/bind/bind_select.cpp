@@ -60,9 +60,10 @@ bool can_absorb(const wordlength_compatibility_graph& wcg, res_id resource,
 // The cache_chains = false arm reproduces the original BindSelect
 // faithfully -- quadratic longest-chain DP with fresh allocations, the
 // base-copying absorption probe, and the scan-everything cheapest-resource
-// query -- so bench/iteration_scaling.cpp measures the real before/after
-// of the §2.3 rework. Output-equivalence with the production path is
-// enforced by tests/chains_property_test.cpp and
+// query -- for the reference pipeline in tests/oracle, so
+// bench/iteration_scaling.cpp measures the real before/after of the §2.3
+// rework. Output-equivalence with the production path is enforced by
+// tests/chains_property_test.cpp and
 // tests/incremental_regression_test.cpp.
 
 std::vector<timed_op> longest_chain_dp(std::span<const timed_op> items)

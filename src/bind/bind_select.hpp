@@ -41,9 +41,10 @@ struct bind_options {
     /// After covering, re-assign each clique the cheapest resource type
     /// satisfying Eqn. 4 (pure improvement; wordlength selection proper).
     bool reassign_cheapest = true;
-    /// Production selection on bit rows (identical output; off = recompute
-    /// every resource's chain with the quadratic DP every round, kept as
-    /// the oracle for the before/after bench and regression tests).
+    /// Production selection on bit rows (identical output; off = the
+    /// reference arm, which recomputes every resource's chain with the
+    /// quadratic DP every round, for tests/oracle). Kept in the library
+    /// while perfbench/src/replay.cpp names it.
     bool cache_chains = true;
 };
 

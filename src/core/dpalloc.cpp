@@ -4,24 +4,77 @@
 #include "core/critical.hpp"
 #include "dfg/analysis.hpp"
 #include "sched/incomplete_scheduler.hpp"
-#include "sched/list_scheduler.hpp"
 #include "support/error.hpp"
 #include "wcg/wcg.hpp"
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 
 namespace mwl {
 namespace {
 
-/// Assemble the self-contained result from the internal representations.
-datapath make_datapath(const sequencing_graph& graph,
-                       const wordlength_compatibility_graph& wcg,
-                       const std::vector<int>& start, const binding& bind)
+/// §2.4 candidate metric: refining o deletes d(o) edges out of the pool of
+/// H edges incident to resources compatible with o. Smaller proportion =
+/// less sharing potential destroyed, compared exactly via cross
+/// multiplication; ties go to an operation bound below its upper bound,
+/// then to the smaller id.
+struct refine_metric {
+    op_id o;
+    std::int64_t deleted = 0;
+    std::int64_t pool = 0;
+    bool bound_below_upper = false;
+
+    [[nodiscard]] bool operator<(const refine_metric& other) const
+    {
+        const std::int64_t lhs = deleted * other.pool;
+        const std::int64_t rhs = other.deleted * pool;
+        if (lhs != rhs) {
+            return lhs < rhs;
+        }
+        if (bound_below_upper != other.bound_below_upper) {
+            return bound_below_upper;
+        }
+        return o < other.o;
+    }
+};
+
+refine_metric metric_for(const wordlength_compatibility_graph& wcg, op_id o,
+                         std::span<const int> bound_latencies)
 {
+    refine_metric m{.o = o};
+    const int top = wcg.latency_upper_bound(o);
+    for (const res_id r : wcg.resources_for(o)) {
+        m.pool += static_cast<std::int64_t>(wcg.ops_for(r).size());
+        if (wcg.latency(r) == top) {
+            ++m.deleted;
+        }
+    }
+    MWL_ASSERT(m.pool >= 1); // o itself is in O(r) for every r in H(o)
+    m.bound_below_upper = bound_latencies[o.value()] < top;
+    return m;
+}
+
+} // namespace
+
+type_limits classic_limits(const wordlength_compatibility_graph& wcg,
+                           std::span<const res_id> cover, int capacity)
+{
+    type_limits limits{.add = 0, .mul = 0};
+    for (const res_id s : cover) {
+        (wcg.resource(s).kind() == op_kind::add ? limits.add : limits.mul) +=
+            capacity;
+    }
+    limits.add = std::max(limits.add, 1);
+    limits.mul = std::max(limits.mul, 1);
+    return limits;
+}
+
+datapath assemble_datapath(const wordlength_compatibility_graph& wcg,
+                           std::span<const int> start, const binding& bind)
+{
+    const sequencing_graph& graph = wcg.graph();
     datapath path;
-    path.start = start;
+    path.start.assign(start.begin(), start.end());
     path.instance_of_op.assign(graph.size(), 0);
     path.instances.reserve(bind.cliques.size());
     for (std::size_t ci = 0; ci < bind.cliques.size(); ++ci) {
@@ -49,48 +102,41 @@ datapath make_datapath(const sequencing_graph& graph,
     return path;
 }
 
-/// §2.4 candidate metric: refining o deletes d(o) edges out of the pool of
-/// H edges incident to resources compatible with o. Smaller proportion =
-/// less sharing potential destroyed. Compared exactly via cross
-/// multiplication.
-struct refine_metric {
-    std::int64_t deleted = 0;
-    std::int64_t pool = 1;
-    bool bound_below_upper = false; // tie-break 1
-};
-
-refine_metric metric_for(const wordlength_compatibility_graph& wcg, op_id o,
-                         int bound_latency_of_o)
+std::optional<op_id> choose_refinement(
+    const wordlength_compatibility_graph& wcg, std::span<const op_id> critical,
+    std::span<const int> start, std::span<const int> upper,
+    std::span<const int> bound_latencies, int lambda)
 {
-    refine_metric m;
-    m.pool = 0;
-    const int top = wcg.latency_upper_bound(o);
-    for (const res_id r : wcg.resources_for(o)) {
-        m.pool += static_cast<std::int64_t>(wcg.ops_for(r).size());
-        if (wcg.latency(r) == top) {
-            ++m.deleted;
+    // Refinable operations (a strictly faster resource exists) on the bound
+    // critical path, preferring those still within lambda under their upper
+    // bound; else any refinable operation, since off-path refinement can
+    // still grow the scheduling set and unlock parallelism.
+    std::vector<op_id> candidates;
+    const auto collect = [&](std::span<const op_id> ops, bool within) {
+        for (const op_id o : ops) {
+            if (wcg.refinable(o) &&
+                (!within || start[o.value()] + upper[o.value()] <= lambda)) {
+                candidates.push_back(o);
+            }
         }
+    };
+    collect(critical, true);
+    if (candidates.empty()) {
+        collect(critical, false);
     }
-    MWL_ASSERT(m.pool >= 1); // o itself is in O(r) for every r in H(o)
-    m.bound_below_upper = bound_latency_of_o < top;
-    return m;
-}
+    if (candidates.empty()) {
+        collect(wcg.graph().all_ops(), false);
+    }
+    if (candidates.empty()) {
+        return std::nullopt;
+    }
 
-bool better_candidate(op_id a, const refine_metric& ma, op_id b,
-                      const refine_metric& mb)
-{
-    const std::int64_t lhs = ma.deleted * mb.pool;
-    const std::int64_t rhs = mb.deleted * ma.pool;
-    if (lhs != rhs) {
-        return lhs < rhs;
+    refine_metric best = metric_for(wcg, candidates.front(), bound_latencies);
+    for (const op_id o : std::span(candidates).subspan(1)) {
+        best = std::min(best, metric_for(wcg, o, bound_latencies));
     }
-    if (ma.bound_below_upper != mb.bound_below_upper) {
-        return ma.bound_below_upper;
-    }
-    return a < b;
+    return best.o;
 }
-
-} // namespace
 
 dpalloc_result dpalloc(const sequencing_graph& graph,
                        const hardware_model& model, int lambda,
@@ -113,159 +159,73 @@ dpalloc_result dpalloc(const sequencing_graph& graph,
 
     const bind_options bind_opts{.enable_growth = options.enable_growth,
                                  .reassign_cheapest =
-                                     options.reassign_cheapest,
-                                 .cache_chains = options.incremental};
-    const sched_engine engine = options.incremental
-                                    ? sched_engine::event
-                                    : sched_engine::reference_scan;
+                                     options.reassign_cheapest};
 
     // Cross-iteration scratch: scheduling buffers plus the scheduling-set
     // memo keyed on the WCG edge version. refine_op bumps the version, so
     // refinement iterations recompute the cover (warm-started by the
     // previous optimum) while capacity escalations reuse it outright.
     incomplete_sched_scratch scratch;
-    incomplete_sched_scratch* const scratch_ptr =
-        options.incremental ? &scratch : nullptr;
 
     // Per-iteration views of the tentative allocation, reused across
     // iterations (capacity persists; contents rewritten each round).
     std::vector<int> bound_lat;
     std::vector<std::size_t> instance_of_op;
     bind_scratch bind_sc;
-    bind_scratch* const bind_sc_ptr = options.incremental ? &bind_sc : nullptr;
     critical_path_scratch critical_sc;
-    critical_path_scratch* const critical_sc_ptr =
-        options.incremental ? &critical_sc : nullptr;
 
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
         ++result.stats.iterations;
-        std::vector<int> upper;
-        if (options.incremental) {
-            upper = wcg.latency_upper_bounds(); // O(|O|) from the cache
-        } else {
-            // Reference pipeline: re-derive every bound from the H rows,
-            // as the pre-incremental implementation did.
-            upper.reserve(graph.size());
-            for (const op_id o : graph.all_ops()) {
-                int bound = 0;
-                for (const res_id r : wcg.resources_for(o)) {
-                    bound = std::max(bound, wcg.latency(r));
-                }
-                upper.push_back(bound);
-            }
-        }
+        const std::vector<int> upper = wcg.latency_upper_bounds();
 
         // Schedule with incomplete wordlength information.
         std::vector<int> start;
         if (options.classic_constraint) {
-            // Ablation arm: Eqn. 2 with N_y = capacity x (scheduling-set
-            // members of kind y), the closest classic counterpart.
+            // Ablation arm: Eqn. 2 over the same scheduling set.
             const scheduling_set_result cover =
-                options.incremental
-                    ? min_scheduling_set(wcg, scratch.cover_cache)
-                    : min_scheduling_set(wcg);
+                min_scheduling_set(wcg, scratch.cover_cache);
             result.stats.cover_always_minimum &= cover.proven_minimum;
-            type_limits limits{.add = 0, .mul = 0};
-            for (const res_id s : cover.members) {
-                (wcg.resource(s).kind() == op_kind::add ? limits.add
-                                                        : limits.mul) +=
-                    capacity;
-            }
-            limits.add = std::max(limits.add, 1);
-            limits.mul = std::max(limits.mul, 1);
-            start = list_schedule(graph, upper, limits,
-                                  scratch_ptr ? &scratch.ws : nullptr,
-                                  engine)
+            start = list_schedule(graph, upper,
+                                  classic_limits(wcg, cover.members, capacity),
+                                  &scratch.ws)
                         .start;
         } else {
             incomplete_schedule_result sched =
-                schedule_incomplete(wcg, capacity, scratch_ptr, engine);
+                schedule_incomplete(wcg, capacity, &scratch);
             result.stats.cover_always_minimum &= sched.cover_proven_minimum;
             start = std::move(sched.start);
         }
 
         // Bind and select wordlengths. Only the per-op bound latencies and
         // the instance grouping are needed unless the allocation is
-        // feasible, so the incremental pipeline assembles the full
-        // datapath just once, on exit; the reference pipeline materialises
-        // it every iteration, as the original loop did.
+        // feasible, so the full datapath is assembled just once, on exit.
         const binding bind =
-            bind_select(wcg, start, upper, bind_opts, bind_sc_ptr);
+            bind_select(wcg, start, upper, bind_opts, &bind_sc);
         bound_lat.assign(graph.size(), 0);
         instance_of_op.assign(graph.size(), 0);
         int achieved = 0;
-        std::optional<datapath> reference_path;
-        if (options.incremental) {
-            for (std::size_t ci = 0; ci < bind.cliques.size(); ++ci) {
-                const binding_clique& k = bind.cliques[ci];
-                const int lat = wcg.latency(k.resource);
-                for (const op_id o : k.ops) {
-                    bound_lat[o.value()] = lat;
-                    instance_of_op[o.value()] = ci;
-                    achieved = std::max(achieved, start[o.value()] + lat);
-                }
+        for (std::size_t ci = 0; ci < bind.cliques.size(); ++ci) {
+            const binding_clique& k = bind.cliques[ci];
+            const int lat = wcg.latency(k.resource);
+            for (const op_id o : k.ops) {
+                bound_lat[o.value()] = lat;
+                instance_of_op[o.value()] = ci;
+                achieved = std::max(achieved, start[o.value()] + lat);
             }
-        } else {
-            reference_path = make_datapath(graph, wcg, start, bind);
-            for (const op_id o : graph.all_ops()) {
-                bound_lat[o.value()] = reference_path->bound_latency(o);
-            }
-            instance_of_op = reference_path->instance_of_op;
-            achieved = reference_path->latency;
         }
 
         if (achieved <= lambda) {
-            result.path = reference_path
-                              ? std::move(*reference_path)
-                              : make_datapath(graph, wcg, start, bind);
+            result.path = assemble_datapath(wcg, start, bind);
             return result;
         }
 
-        // Refinement (§2.4): restrict to the bound critical path, prefer
-        // operations that still finish within lambda under their upper
-        // bound, and require refinability (a strictly faster resource).
+        // Refinement (§2.4) on the bound critical path.
         const bound_critical_path qb = compute_bound_critical_path(
-            graph, start, bound_lat, instance_of_op, critical_sc_ptr);
-
-        std::vector<op_id> candidates;
-        for (const op_id o : qb.ops) {
-            if (wcg.refinable(o) &&
-                start[o.value()] + upper[o.value()] <= lambda) {
-                candidates.push_back(o);
-            }
-        }
-        if (candidates.empty()) {
-            for (const op_id o : qb.ops) {
-                if (wcg.refinable(o)) {
-                    candidates.push_back(o);
-                }
-            }
-        }
-        if (candidates.empty()) {
-            // Fall back to any refinable operation: off-path refinement can
-            // still grow the scheduling set and unlock parallelism.
-            for (const op_id o : graph.all_ops()) {
-                if (wcg.refinable(o)) {
-                    candidates.push_back(o);
-                }
-            }
-        }
-
-        if (!candidates.empty()) {
-            op_id chosen = candidates.front();
-            refine_metric best =
-                metric_for(wcg, chosen, bound_lat[chosen.value()]);
-            for (std::size_t i = 1; i < candidates.size(); ++i) {
-                const op_id o = candidates[i];
-                const refine_metric m =
-                    metric_for(wcg, o, bound_lat[o.value()]);
-                if (better_candidate(o, m, chosen, best)) {
-                    chosen = o;
-                    best = m;
-                }
-            }
+            graph, start, bound_lat, instance_of_op, &critical_sc);
+        if (const std::optional<op_id> chosen = choose_refinement(
+                wcg, qb.ops, start, upper, bound_lat, lambda)) {
             result.stats.edges_deleted +=
-                static_cast<std::size_t>(wcg.refine_op(chosen));
+                static_cast<std::size_t>(wcg.refine_op(*chosen));
             ++result.stats.refinements;
         } else {
             // Wordlength information is fully refined everywhere yet the

@@ -16,15 +16,23 @@
 //     on parallelism-starved instances; without this the loop cannot
 //     terminate on them),
 //   * options to disable individual ingredients for the ablation benches.
+//
+// The caches and fast paths (PERF.md) are checked against the from-scratch
+// reference pipeline in tests/oracle, which shares the steps exported last.
 
 #ifndef MWL_CORE_DPALLOC_HPP
 #define MWL_CORE_DPALLOC_HPP
 
+#include "bind/binding.hpp"
 #include "core/datapath.hpp"
 #include "dfg/sequencing_graph.hpp"
 #include "model/hardware_model.hpp"
+#include "sched/list_scheduler.hpp"
+#include "wcg/wcg.hpp"
 
 #include <cstddef>
+#include <optional>
+#include <span>
 
 namespace mwl {
 
@@ -36,14 +44,6 @@ struct dpalloc_options {
     /// Ablation: use the classic per-type constraint (Eqn. 2) instead of
     /// the paper's incomplete-wordlength constraint (Eqn. 3').
     bool classic_constraint = false;
-    /// Run the incremental pipeline: event-driven scheduling, memoized /
-    /// warm-started scheduling-set covers keyed on the WCG edge version,
-    /// chain caching in BindSelect, and reused scheduling buffers across
-    /// refinement iterations. `false` re-derives everything from scratch
-    /// every iteration (the original pipeline) and exists for the
-    /// regression tests and bench/iteration_scaling.cpp; both settings
-    /// produce byte-identical results (see PERF.md).
-    bool incremental = true;
     /// Initial instances per scheduling-set member (paper: 1).
     int initial_capacity = 1;
     /// Safety bound on refinement iterations; never reached in practice
@@ -77,6 +77,28 @@ struct dpalloc_result {
 [[nodiscard]] dpalloc_result dpalloc(const sequencing_graph& graph,
                                      const hardware_model& model, int lambda,
                                      const dpalloc_options& options = {});
+
+// -- steps of the loop shared with the reference pipeline -----------------
+
+/// The ablation arm's Eqn. 2 limits: N_y = max(1, capacity x (members of
+/// `cover` of kind y)), the classic counterpart of Eqn. 3' on the same S.
+[[nodiscard]] type_limits classic_limits(
+    const wordlength_compatibility_graph& wcg, std::span<const res_id> cover,
+    int capacity);
+
+/// The datapath of a schedule and its binding, one instance per clique.
+[[nodiscard]] datapath assemble_datapath(
+    const wordlength_compatibility_graph& wcg, std::span<const int> start,
+    const binding& bind);
+
+/// §2.4: the operation to refine when the bound design misses `lambda`,
+/// the metric's pick among the refinable operations on the bound critical
+/// path `critical`, or off it when it has none (DESIGN.md §2.4). Empty when
+/// no operation is refinable at all: the caller escalates capacity.
+[[nodiscard]] std::optional<op_id> choose_refinement(
+    const wordlength_compatibility_graph& wcg, std::span<const op_id> critical,
+    std::span<const int> start, std::span<const int> upper,
+    std::span<const int> bound_latencies, int lambda);
 
 } // namespace mwl
 

@@ -18,7 +18,6 @@ std::size_t batch_engine::job_key_hash::operator()(const job_key& key) const
     h.mix(static_cast<std::int64_t>(key.options.enable_growth));
     h.mix(static_cast<std::int64_t>(key.options.reassign_cheapest));
     h.mix(static_cast<std::int64_t>(key.options.classic_constraint));
-    h.mix(static_cast<std::int64_t>(key.options.incremental));
     h.mix(static_cast<std::int64_t>(key.options.initial_capacity));
     h.mix(static_cast<std::int64_t>(key.options.max_iterations));
     return h.digest();

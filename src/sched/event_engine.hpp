@@ -12,9 +12,8 @@
 //
 // The engine reproduces the reference schedulers' output exactly: at every
 // step the ready pool is sorted by the same (priority desc, op id asc) total
-// order the reference scan used, and placement attempts happen in that
-// order. Regression-tested in tests/sched_test.cpp and
-// tests/incremental_regression_test.cpp.
+// order the reference scan uses, and placement attempts happen in that
+// order. Regression-tested against the rescan schedulers of tests/oracle.
 //
 // All per-pass buffers live in an event_schedule_workspace so a caller
 // iterating schedule/refine rounds (core/dpalloc.cpp) pays no per-iteration
@@ -35,13 +34,10 @@
 
 namespace mwl {
 
-/// Which scheduling engine a scheduler entry point should run. `event` is
-/// the production engine; `reference_scan` keeps the original per-step
-/// full-graph rescan alive for regression tests and the before/after bench
-/// (bench/iteration_scaling.cpp).
+/// The one scheduling engine (the full-rescan reference is in tests/oracle),
+/// kept as schedule_incomplete's parameter for perfbench/src/replay.cpp.
 enum class sched_engine {
     event,
-    reference_scan,
 };
 
 /// Reusable buffers for event_schedule and its callers. Safe to reuse

@@ -71,9 +71,10 @@ struct incomplete_sched_scratch {
 /// L_o derived from the current H edges. `capacity` is the number of
 /// resource instances each scheduling-set member may represent (>= 1).
 /// `scratch` (optional) carries reusable buffers and the scheduling-set
-/// memo across calls; `engine` selects the event-driven engine or the
-/// original full-rescan reference (identical output, see
-/// sched/event_engine.hpp).
+/// memo across calls. Covers of up to 64 members take the signature
+/// tournament, wider ones the generic event sweep; both place exactly as
+/// the full-rescan reference in tests/oracle does. The one-value
+/// `sched_engine` selects nothing (kept for perfbench/src/replay.cpp).
 [[nodiscard]] incomplete_schedule_result schedule_incomplete(
     const wordlength_compatibility_graph& wcg, int capacity = 1,
     incomplete_sched_scratch* scratch = nullptr,

@@ -4,83 +4,12 @@
 #include "sched/priorities.hpp"
 #include "support/error.hpp"
 
-#include <algorithm>
-
 namespace mwl {
-namespace {
-
-/// Reference placement loop: the original per-step full-graph ready rescan.
-/// Kept for the regression tests and the before/after bench.
-void reference_scan_pass(const sequencing_graph& graph,
-                         std::span<const int> latencies,
-                         std::span<const int> priority,
-                         const type_limits& limits,
-                         std::span<std::int64_t> running, int horizon,
-                         std::vector<int>& start)
-{
-    const auto kind_index = [](op_kind kind) {
-        return kind == op_kind::add ? std::size_t{0} : std::size_t{1};
-    };
-    std::size_t scheduled = 0;
-    for (int t = 0; scheduled < graph.size(); ++t) {
-        MWL_ASSERT(t < horizon);
-        // Ready: unscheduled, every predecessor finished by t.
-        std::vector<op_id> ready;
-        for (const op_id o : graph.all_ops()) {
-            if (start[o.value()] >= 0) {
-                continue;
-            }
-            bool ok = true;
-            for (const op_id p : graph.predecessors(o)) {
-                const int ps = start[p.value()];
-                if (ps < 0 || ps + latencies[p.value()] > t) {
-                    ok = false;
-                    break;
-                }
-            }
-            if (ok) {
-                ready.push_back(o);
-            }
-        }
-        std::sort(ready.begin(), ready.end(), [&](op_id a, op_id b) {
-            if (priority[a.value()] != priority[b.value()]) {
-                return priority[a.value()] > priority[b.value()];
-            }
-            return a < b;
-        });
-
-        for (const op_id o : ready) {
-            const std::size_t base =
-                kind_index(graph.shape(o).kind()) *
-                static_cast<std::size_t>(horizon);
-            const int limit = limits.of(graph.shape(o).kind());
-            const int lat = latencies[o.value()];
-            bool fits = true;
-            for (int u = t; u < t + lat; ++u) {
-                if (running[base + static_cast<std::size_t>(u)] + 1 > limit) {
-                    fits = false;
-                    break;
-                }
-            }
-            if (!fits) {
-                continue;
-            }
-            start[o.value()] = t;
-            ++scheduled;
-            for (int u = t; u < t + lat; ++u) {
-                ++running[base + static_cast<std::size_t>(u)];
-            }
-        }
-    }
-}
-
-} // namespace
 
 list_schedule_result list_schedule(const sequencing_graph& graph,
                                    std::span<const int> latencies,
                                    const type_limits& limits,
-                                   event_schedule_workspace* scratch,
-                                   sched_engine engine)
+                                   event_schedule_workspace* scratch)
 {
     require(latencies.size() == graph.size(),
             "latency vector size must equal the number of operations");
@@ -108,32 +37,24 @@ list_schedule_result list_schedule(const sequencing_graph& graph,
     auto& running = ws.usage;
     running.assign(2 * static_cast<std::size_t>(horizon), 0);
 
-    if (engine == sched_engine::reference_scan) {
-        reference_scan_pass(graph, latencies, priority, limits, running,
-                            horizon, result.start);
-    } else {
-        const auto kind_index = [](op_kind kind) {
-            return kind == op_kind::add ? std::size_t{0} : std::size_t{1};
-        };
-        const auto try_place = [&](op_id o, int t) {
-            const std::size_t base =
-                kind_index(graph.shape(o).kind()) *
-                static_cast<std::size_t>(horizon);
-            const int limit = limits.of(graph.shape(o).kind());
-            const int lat = latencies[o.value()];
-            for (int u = t; u < t + lat; ++u) {
-                if (running[base + static_cast<std::size_t>(u)] + 1 > limit) {
-                    return false;
-                }
+    const auto try_place = [&](op_id o, int t) {
+        const op_kind kind = graph.shape(o).kind();
+        const std::size_t base = (kind == op_kind::add ? 0U : 1U) *
+                                 static_cast<std::size_t>(horizon);
+        const int limit = limits.of(kind);
+        const int lat = latencies[o.value()];
+        for (int u = t; u < t + lat; ++u) {
+            if (running[base + static_cast<std::size_t>(u)] + 1 > limit) {
+                return false;
             }
-            for (int u = t; u < t + lat; ++u) {
-                ++running[base + static_cast<std::size_t>(u)];
-            }
-            return true;
-        };
-        event_schedule(graph, latencies, priority, horizon, result.start, ws,
-                       try_place);
-    }
+        }
+        for (int u = t; u < t + lat; ++u) {
+            ++running[base + static_cast<std::size_t>(u)];
+        }
+        return true;
+    };
+    event_schedule(graph, latencies, priority, horizon, result.start, ws,
+                   try_place);
 
     result.length = schedule_length(graph, latencies, result.start);
     return result;

@@ -36,16 +36,15 @@ struct list_schedule_result {
     int length = 0;         ///< makespan under the given latencies
 };
 
-/// Latency-weighted list scheduling. `latencies[o]` is the latency assumed
-/// for operation o. Deterministic (critical-path priority, op-id
-/// tie-break). Throws `precondition_error` on non-positive limits or
-/// latency/graph size mismatch. `scratch` (optional) reuses the event
-/// engine's buffers across calls; `engine` selects the event-driven engine
-/// or the original full-rescan reference (identical output).
+/// Latency-weighted list scheduling on the event engine. `latencies[o]` is
+/// the latency assumed for operation o. Deterministic (critical-path
+/// priority, op-id tie-break); places exactly as the full-rescan reference
+/// in tests/oracle does. Throws `precondition_error` on non-positive limits
+/// or latency/graph size mismatch. `scratch` (optional) reuses the event
+/// engine's buffers across calls.
 [[nodiscard]] list_schedule_result list_schedule(
     const sequencing_graph& graph, std::span<const int> latencies,
-    const type_limits& limits, event_schedule_workspace* scratch = nullptr,
-    sched_engine engine = sched_engine::event);
+    const type_limits& limits, event_schedule_workspace* scratch = nullptr);
 
 } // namespace mwl
 

@@ -13,7 +13,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -844,6 +846,26 @@ TEST(CliBench, BadNumericFlagValuesExitTwo)
                       "bad value for --seed: bad numeric value '-1'");
     expect_fails_with(tool("iteration_scaling") + " --max-size", 2,
                       "missing value for --max-size");
+}
+
+TEST(CliBench, GraphsFlagEqualToTheSharedDefaultIsHonoured)
+{
+    // Regression: benches with their own --graphs default took 25 (the
+    // shared default) to mean "flag not given", so an explicit --graphs 25
+    // ran iteration_scaling on 5 graphs.
+    for (const auto& [flags, graphs] :
+         {std::pair<std::string, std::string>{"--graphs 25", "25"},
+          {"", "5"}}) {
+        const std::string out = "cli_test_iteration_scaling.json";
+        const run_result r = run(tool("iteration_scaling") + " " + flags +
+                                 " --max-size 2 --out " + out);
+        ASSERT_EQ(r.exit_code, 0) << flags << "\n" << r.output;
+        std::ifstream in(out);
+        const std::string json((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        EXPECT_NE(json.find("\"graphs\":" + graphs + ","), std::string::npos)
+            << flags << "\n" << json;
+    }
 }
 
 } // namespace

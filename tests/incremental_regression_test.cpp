@@ -2,11 +2,12 @@
 // engine introduced for speed (event-driven scheduling, memoized /
 // warm-started scheduling sets, BindSelect's greedy-keyed selection on
 // bit rows, cached WCG latency bounds) must leave results
-// *byte-identical* to the from-scratch reference pipeline on the tgff
-// corpus. See PERF.md for the invariants each cache maintains.
+// *byte-identical* to the from-scratch reference pipeline (tests/oracle)
+// on the tgff corpus. See PERF.md for the invariants each cache maintains.
 
 #include "bind/bind_select.hpp"
 #include "core/dpalloc.hpp"
+#include "oracle/oracle.hpp"
 #include "sched/incomplete_scheduler.hpp"
 #include "sched/list_scheduler.hpp"
 #include "support/rng.hpp"
@@ -57,13 +58,9 @@ TEST(IncrementalRegression, DpallocIdenticalOnTgffCorpus)
             const corpus_entry& e = corpus[gi];
             for (const double slack : {0.0, 0.1, 0.3}) {
                 const int lambda = relaxed_lambda(e.lambda_min, slack);
-                dpalloc_options incremental;
-                dpalloc_options reference;
-                reference.incremental = false;
-                const dpalloc_result a =
-                    dpalloc(e.graph, model, lambda, incremental);
+                const dpalloc_result a = dpalloc(e.graph, model, lambda);
                 const dpalloc_result b =
-                    dpalloc(e.graph, model, lambda, reference);
+                    oracle::dpalloc_from_scratch(e.graph, model, lambda);
                 expect_identical(a, b,
                                  "n=" + std::to_string(n) + " graph=" +
                                      std::to_string(gi) + " slack=" +
@@ -79,14 +76,12 @@ TEST(IncrementalRegression, DpallocIdenticalUnderClassicConstraint)
     const auto corpus = make_corpus(12, 4, model, 778);
     for (std::size_t gi = 0; gi < corpus.size(); ++gi) {
         const corpus_entry& e = corpus[gi];
-        dpalloc_options incremental;
-        incremental.classic_constraint = true;
-        dpalloc_options reference = incremental;
-        reference.incremental = false;
+        dpalloc_options classic;
+        classic.classic_constraint = true;
         const dpalloc_result a =
-            dpalloc(e.graph, model, e.lambda_min, incremental);
-        const dpalloc_result b =
-            dpalloc(e.graph, model, e.lambda_min, reference);
+            dpalloc(e.graph, model, e.lambda_min, classic);
+        const dpalloc_result b = oracle::dpalloc_from_scratch(
+            e.graph, model, e.lambda_min, classic);
         expect_identical(a, b, "classic graph=" + std::to_string(gi));
     }
 }
@@ -98,13 +93,12 @@ TEST(IncrementalRegression, DpallocIdenticalWithoutGrowthAndReassign)
     const sonic_model model;
     const auto corpus = make_corpus(10, 3, model, 779);
     for (const corpus_entry& e : corpus) {
-        dpalloc_options incremental;
-        incremental.enable_growth = false;
-        incremental.reassign_cheapest = false;
-        dpalloc_options reference = incremental;
-        reference.incremental = false;
-        expect_identical(dpalloc(e.graph, model, e.lambda_min, incremental),
-                         dpalloc(e.graph, model, e.lambda_min, reference),
+        dpalloc_options ablated;
+        ablated.enable_growth = false;
+        ablated.reassign_cheapest = false;
+        expect_identical(dpalloc(e.graph, model, e.lambda_min, ablated),
+                         oracle::dpalloc_from_scratch(e.graph, model,
+                                                      e.lambda_min, ablated),
                          "ablation");
     }
 }
@@ -147,15 +141,13 @@ TEST(IncrementalRegression, BindSelectMatchesReference)
             }
             for (const bool growth : {false, true}) {
                 for (const bool reassign : {false, true}) {
-                    const bind_options production{
+                    const bind_options options{
                         .enable_growth = growth,
-                        .reassign_cheapest = reassign,
-                        .cache_chains = true};
-                    bind_options reference = production;
-                    reference.cache_chains = false;
+                        .reassign_cheapest = reassign};
                     const binding a =
-                        bind_select(wcg, start, lat, production, &scratch);
-                    const binding b = bind_select(wcg, start, lat, reference);
+                        bind_select(wcg, start, lat, options, &scratch);
+                    const binding b = oracle::bind_select_reference(
+                        wcg, start, lat, options);
                     const std::string label =
                         "trial " + std::to_string(trial) + " step " +
                         std::to_string(step) + " growth " +
@@ -192,10 +184,10 @@ TEST(IncrementalRegression, EventScheduleMatchesReferenceScan)
         wordlength_compatibility_graph wcg(g, model);
         for (const int capacity : {1, 2}) {
             incomplete_sched_scratch scratch;
-            const incomplete_schedule_result ev = schedule_incomplete(
-                wcg, capacity, &scratch, sched_engine::event);
-            const incomplete_schedule_result ref = schedule_incomplete(
-                wcg, capacity, nullptr, sched_engine::reference_scan);
+            const incomplete_schedule_result ev =
+                schedule_incomplete(wcg, capacity, &scratch);
+            const incomplete_schedule_result ref =
+                oracle::schedule_incomplete_scan(wcg, capacity);
             EXPECT_EQ(ev.start, ref.start) << "trial " << trial;
             EXPECT_EQ(ev.length, ref.length) << "trial " << trial;
             EXPECT_EQ(ev.scheduling_set, ref.scheduling_set)
@@ -208,11 +200,51 @@ TEST(IncrementalRegression, EventScheduleMatchesReferenceScan)
                 break;
             }
         }
-        const incomplete_schedule_result ev =
-            schedule_incomplete(wcg, 1, nullptr, sched_engine::event);
-        const incomplete_schedule_result ref = schedule_incomplete(
-            wcg, 1, nullptr, sched_engine::reference_scan);
+        const incomplete_schedule_result ev = schedule_incomplete(wcg, 1);
+        const incomplete_schedule_result ref =
+            oracle::schedule_incomplete_scan(wcg, 1);
         EXPECT_EQ(ev.start, ref.start) << "refined trial " << trial;
+    }
+}
+
+TEST(IncrementalRegression, EventScheduleMatchesReferenceScanOnWideCover)
+{
+    // Multipliers of 68 distinct shapes (i, 136 - i), refined to
+    // exhaustion: each keeps only its own shape, so the cover has 68
+    // members, more than the signature tournament's 64-bit masks hold, and
+    // schedule_incomplete takes the generic event sweep. Two operations per
+    // shape make the capacity bind; four unrefined 1x1 multipliers, each
+    // after one of the big ones, stay compatible with every member and
+    // take fractional 1/68 shares.
+    const sonic_model model;
+    sequencing_graph g;
+    for (int copy = 0; copy < 2; ++copy) {
+        for (int i = 1; i <= 68; ++i) {
+            g.add_operation(op_shape::multiplier(i, 136 - i));
+        }
+    }
+    const std::vector<op_id> big = g.all_ops();
+    for (std::size_t k = 0; k < 4; ++k) {
+        g.add_dependency(big[k * 30],
+                         g.add_operation(op_shape::multiplier(1, 1)));
+    }
+    wordlength_compatibility_graph wcg(g, model);
+    for (const op_id o : big) {
+        while (wcg.refinable(o)) {
+            wcg.refine_op(o);
+        }
+    }
+    for (const int capacity : {1, 2}) {
+        incomplete_sched_scratch scratch;
+        const incomplete_schedule_result ev =
+            schedule_incomplete(wcg, capacity, &scratch);
+        ASSERT_GT(ev.scheduling_set.size(), 64U);
+        const incomplete_schedule_result ref =
+            oracle::schedule_incomplete_scan(wcg, capacity);
+        EXPECT_EQ(ev.start, ref.start) << "capacity " << capacity;
+        EXPECT_EQ(ev.length, ref.length) << "capacity " << capacity;
+        EXPECT_EQ(ev.scheduling_set, ref.scheduling_set)
+            << "capacity " << capacity;
     }
 }
 
@@ -234,10 +266,9 @@ TEST(IncrementalRegression, EventListScheduleMatchesReferenceScan)
             limits.add = limit;
             limits.mul = limit;
             event_schedule_workspace ws;
-            const list_schedule_result ev = list_schedule(
-                g, lat, limits, &ws, sched_engine::event);
-            const list_schedule_result ref = list_schedule(
-                g, lat, limits, nullptr, sched_engine::reference_scan);
+            const list_schedule_result ev = list_schedule(g, lat, limits, &ws);
+            const list_schedule_result ref =
+                oracle::list_schedule_scan(g, lat, limits);
             EXPECT_EQ(ev.start, ref.start)
                 << "trial " << trial << " limit " << limit;
             EXPECT_EQ(ev.length, ref.length)

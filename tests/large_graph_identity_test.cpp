@@ -12,6 +12,7 @@
 #include "core/dpalloc.hpp"
 #include "dfg/analysis.hpp"
 #include "model/hardware_model.hpp"
+#include "oracle/oracle.hpp"
 #include "sched/incomplete_scheduler.hpp"
 #include "tgff/corpus.hpp"
 #include "tgff/generator.hpp"
@@ -66,10 +67,9 @@ TEST(LargeGraphIdentity, EngineParity500)
     const sequencing_graph g = preset_graph(500);
     const sonic_model model;
     const wordlength_compatibility_graph wcg(g, model);
-    const incomplete_schedule_result fast =
-        schedule_incomplete(wcg, 1, nullptr, sched_engine::event);
+    const incomplete_schedule_result fast = schedule_incomplete(wcg, 1);
     const incomplete_schedule_result ref =
-        schedule_incomplete(wcg, 1, nullptr, sched_engine::reference_scan);
+        oracle::schedule_incomplete_scan(wcg, 1);
     EXPECT_EQ(fast.length, ref.length);
     EXPECT_EQ(fast.start, ref.start);
     ASSERT_EQ(fast.scheduling_set.size(), ref.scheduling_set.size());
@@ -80,21 +80,8 @@ TEST(LargeGraphIdentity, EngineParity500)
     EXPECT_EQ(fast.cover_proven_minimum, ref.cover_proven_minimum);
 }
 
-TEST(LargeGraphIdentity, IncrementalParity150)
+void expect_same_allocation(const dpalloc_result& a, const dpalloc_result& b)
 {
-    // Full allocator, incremental event pipeline vs the reference
-    // pipeline, on a preset graph small enough to run both end to end.
-    const sequencing_graph g = preset_graph(150);
-    const sonic_model model;
-    const int lambda = relaxed_lambda(min_latency(g, model), 0.10);
-
-    dpalloc_options incremental;
-    incremental.incremental = true;
-    dpalloc_options reference;
-    reference.incremental = false;
-
-    const dpalloc_result a = dpalloc(g, model, lambda, incremental);
-    const dpalloc_result b = dpalloc(g, model, lambda, reference);
     EXPECT_EQ(a.path.total_area, b.path.total_area);
     EXPECT_EQ(a.path.start, b.path.start);
     EXPECT_EQ(a.path.instance_of_op, b.path.instance_of_op);
@@ -102,6 +89,33 @@ TEST(LargeGraphIdentity, IncrementalParity150)
     EXPECT_EQ(a.stats.refinements, b.stats.refinements);
     EXPECT_EQ(a.stats.escalations, b.stats.escalations);
     EXPECT_EQ(a.stats.edges_deleted, b.stats.edges_deleted);
+}
+
+TEST(LargeGraphIdentity, IncrementalParity150)
+{
+    // Full allocator, incremental event pipeline vs the reference
+    // pipeline, on a preset graph small enough to run both end to end.
+    const sequencing_graph g = preset_graph(150);
+    const sonic_model model;
+    const int lambda = relaxed_lambda(min_latency(g, model), 0.10);
+    expect_same_allocation(dpalloc(g, model, lambda),
+                           oracle::dpalloc_from_scratch(g, model, lambda));
+}
+
+TEST(LargeGraphIdentity, WideCoverParity68)
+{
+    // 68 independent multipliers with distinct shapes (i, 136 - i) at
+    // lambda_min: refinement grows the scheduling set past 64 members, so
+    // the allocator's later iterations schedule on the generic event sweep
+    // instead of the signature tournament.
+    sequencing_graph g;
+    for (int i = 1; i <= 68; ++i) {
+        g.add_operation(op_shape::multiplier(i, 136 - i));
+    }
+    const sonic_model model;
+    const int lambda = min_latency(g, model);
+    expect_same_allocation(dpalloc(g, model, lambda),
+                           oracle::dpalloc_from_scratch(g, model, lambda));
 }
 
 } // namespace
