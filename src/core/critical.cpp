@@ -3,106 +3,71 @@
 #include "support/error.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <queue>
+#include <limits>
+#include <numeric>
 
 namespace mwl {
 namespace {
 
-void build_augmented(const sequencing_graph& graph,
-                     std::span<const int> start,
-                     std::span<const int> bound_lat,
-                     std::span<const std::size_t> instance_of_op,
-                     critical_path_scratch& aug)
+/// `order` = every operation by ascending start, ties by ascending id.
+void sort_by_start(std::span<const int> start, critical_path_scratch& aug)
 {
-    // The augmented graph is only needed transiently; we materialise it as
-    // adjacency lists over op indices (S edges plus S^b edges) in the
-    // scratch's reused rows.
-    const std::size_t n = graph.size();
-    aug.succs.resize(std::max(aug.succs.size(), n));
-    aug.preds.resize(std::max(aug.preds.size(), n));
-    for (std::size_t o = 0; o < n; ++o) {
-        aug.succs[o].clear();
-        aug.preds[o].clear();
-    }
-    const auto add_edge = [&](std::size_t from, std::size_t to) {
-        auto& row = aug.succs[from];
-        if (std::find(row.begin(), row.end(), to) == row.end()) {
-            row.push_back(to);
-            aug.preds[to].push_back(from);
-        }
-    };
-    for (const op_id o : graph.all_ops()) {
-        for (const op_id s : graph.successors(o)) {
-            add_edge(o.value(), s.value());
-        }
-    }
+    auto& order = aug.order;
+    order.resize(start.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return start[a] < start[b];
+                     });
+}
 
-    // S^b: back-to-back pairs on the same instance. Within one instance,
-    // sorted by start time, any qualifying pair (start1 + l1 == start2,
-    // l1 >= 1) has start2 strictly after start1, so scanning forward from
-    // each op until starts exceed the target finds every pair -- O(k log k)
-    // per instance instead of the all-pairs O(k^2) probe.
+/// S^b: back-to-back pairs on the same instance, as a flat successor
+/// table: o's S^b successors are sb_to[sb_begin[o] .. sb_end[o]).
+/// Within one instance, in start order, any qualifying pair (start1 + l1 ==
+/// start2, l1 >= 1) has start2 strictly after start1, so scanning forward
+/// from each op until starts exceed the target finds every pair -- O(k)
+/// per op for an instance of k ops. Bucketing the start order by instance
+/// (stably) yields every instance's ops in start order, with no sort.
+void build_serialisation_edges(std::span<const int> start,
+                               std::span<const int> bound_lat,
+                               std::span<const std::size_t> instance_of_op,
+                               critical_path_scratch& aug)
+{
+    const std::size_t n = start.size();
     std::size_t n_instances = 0;
     for (const std::size_t inst : instance_of_op) {
         n_instances = std::max(n_instances, inst + 1);
     }
-    auto& members = aug.members;
-    members.resize(std::max(members.size(), n_instances));
-    for (std::size_t i = 0; i < n_instances; ++i) {
-        members[i].clear();
+    auto& off = aug.instance_off;
+    off.assign(n_instances + 1, 0);
+    for (const std::size_t inst : instance_of_op) {
+        ++off[inst + 1];
     }
-    for (std::size_t o = 0; o < n; ++o) {
-        members[instance_of_op[o]].push_back(o);
+    std::partial_sum(off.begin(), off.end(), off.begin());
+    auto& by_instance = aug.by_instance;
+    by_instance.resize(n);
+    for (const std::size_t o : aug.order) {
+        by_instance[off[instance_of_op[o]]++] = o;
     }
-    for (std::size_t mi = 0; mi < n_instances; ++mi) {
-        auto& ops = members[mi];
-        std::sort(ops.begin(), ops.end(), [&](std::size_t a, std::size_t b) {
-            return start[a] < start[b];
-        });
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-            const int target = start[ops[i]] + bound_lat[ops[i]];
-            for (std::size_t j = i + 1;
-                 j < ops.size() && start[ops[j]] <= target; ++j) {
-                if (start[ops[j]] == target) {
-                    add_edge(ops[i], ops[j]);
-                }
-            }
-        }
-    }
-}
 
-std::vector<std::size_t> topo_order(const critical_path_scratch& aug,
-                                    std::size_t n)
-{
-    std::vector<std::size_t> in_degree(n, 0);
-    for (std::size_t o = 0; o < n; ++o) {
-        in_degree[o] = aug.preds[o].size();
-    }
-    std::priority_queue<std::size_t, std::vector<std::size_t>,
-                        std::greater<>>
-        ready;
-    for (std::size_t o = 0; o < n; ++o) {
-        if (in_degree[o] == 0) {
-            ready.push(o);
-        }
-    }
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    while (!ready.empty()) {
-        const std::size_t o = ready.top();
-        ready.pop();
-        order.push_back(o);
-        for (const std::size_t s : aug.succs[o]) {
-            if (--in_degree[s] == 0) {
-                ready.push(s);
+    aug.sb_begin.resize(n);
+    aug.sb_end.resize(n);
+    aug.sb_to.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t o = by_instance[i];
+        const std::size_t inst = instance_of_op[o];
+        aug.sb_begin[o] = aug.sb_to.size();
+        const int target = start[o] + bound_lat[o];
+        for (std::size_t j = i + 1; j < n &&
+                                    instance_of_op[by_instance[j]] == inst &&
+                                    start[by_instance[j]] <= target;
+             ++j) {
+            if (start[by_instance[j]] == target) {
+                aug.sb_to.push_back(by_instance[j]);
             }
         }
+        aug.sb_end[o] = aug.sb_to.size();
     }
-    // S^b edges always point forward in time (start strictly increases
-    // along them), so the augmented graph is acyclic.
-    MWL_ASSERT(order.size() == n);
-    return order;
 }
 
 } // namespace
@@ -123,34 +88,63 @@ bound_critical_path compute_bound_critical_path(
         return result;
     }
 
+    // The sweeps below visit operations in start order, which is a
+    // topological order of the augmented graph only for a real schedule:
+    // the per-operation half of that precondition is checked here, the
+    // dependency half by the ASAP sweep, which visits every S edge.
+    for (std::size_t o = 0; o < n; ++o) {
+        require(start[o] >= 0, "start step must be non-negative");
+        require(bound_latencies[o] >= 1, "bound latency must be >= 1");
+        require(start[o] <= std::numeric_limits<int>::max() -
+                                bound_latencies[o],
+                "finish step out of range");
+    }
+
     critical_path_scratch local;
     critical_path_scratch& aug = scratch ? *scratch : local;
-    build_augmented(graph, start, bound_latencies, instance_of_op, aug);
-    const std::vector<std::size_t> order = topo_order(aug, n);
+    sort_by_start(start, aug);
+    build_serialisation_edges(start, bound_latencies, instance_of_op, aug);
+    const auto sb_succs = [&](std::size_t o) {
+        return std::span<const std::size_t>(aug.sb_to).subspan(
+            aug.sb_begin[o], aug.sb_end[o] - aug.sb_begin[o]);
+    };
 
+    // ASAP and ALAP over S plus S^b. In ascending start order every
+    // predecessor precedes its successors, so pushing finish times forward
+    // settles each ASAP value before it is read; the reverse order does
+    // the same for ALAP. Neither value depends on which topological order
+    // is used.
     const auto latency = [&](std::size_t o) { return bound_latencies[o]; };
-
     auto& asap = aug.asap;
     asap.assign(n, 0);
-    for (const std::size_t o : order) {
-        for (const std::size_t p : aug.preds[o]) {
-            asap[o] = std::max(asap[o], asap[p] + latency(p));
-        }
-    }
     int length = 0;
-    for (std::size_t o = 0; o < n; ++o) {
-        length = std::max(length, asap[o] + latency(o));
+    for (const std::size_t o : aug.order) {
+        const int done = asap[o] + latency(o);
+        length = std::max(length, done);
+        for (const op_id s : graph.successors(op_id(o))) {
+            require(start[s.value()] >= start[o] + latency(o),
+                    "schedule starts an operation before its predecessor "
+                    "finishes");
+            asap[s.value()] = std::max(asap[s.value()], done);
+        }
+        for (const std::size_t s : sb_succs(o)) {
+            asap[s] = std::max(asap[s], done);
+        }
     }
     result.augmented_length = length;
 
     auto& alap = aug.alap;
     alap.assign(n, 0);
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    for (auto it = aug.order.rbegin(); it != aug.order.rend(); ++it) {
         const std::size_t o = *it;
-        alap[o] = length - latency(o);
-        for (const std::size_t s : aug.succs[o]) {
-            alap[o] = std::min(alap[o], alap[s] - latency(o));
+        int latest = length;
+        for (const op_id s : graph.successors(op_id(o))) {
+            latest = std::min(latest, alap[s.value()]);
         }
+        for (const std::size_t s : sb_succs(o)) {
+            latest = std::min(latest, alap[s]);
+        }
+        alap[o] = latest - latency(o);
     }
 
     for (std::size_t o = 0; o < n; ++o) {

@@ -30,15 +30,26 @@ struct bound_critical_path {
 };
 
 /// Compute Q^b for a (possibly constraint-violating) allocation.
+///
+/// Precondition (both overloads; `precondition_error` otherwise): the
+/// allocation is a schedule. Every start step is >= 0, every bound latency
+/// is >= 1, and every dependency o -> s of the sequencing graph has
+/// start[s] >= start[o] + bound latency of o. Then every S and S^b edge
+/// raises the start step, so ascending start is a topological order of the
+/// augmented graph, which is how the ASAP/ALAP sweeps visit it.
 [[nodiscard]] bound_critical_path compute_bound_critical_path(
     const sequencing_graph& graph, const datapath& path);
 
 /// Reusable buffers for compute_bound_critical_path; pure scratch owned by
 /// a looping caller (the DPAlloc refinement loop).
 struct critical_path_scratch {
-    std::vector<std::vector<std::size_t>> succs;
-    std::vector<std::vector<std::size_t>> preds;
-    std::vector<std::vector<std::size_t>> members;
+    std::vector<std::size_t> order;        ///< ops by ascending start
+    std::vector<std::size_t> instance_off; ///< instance buckets
+    std::vector<std::size_t> by_instance;  ///< ops by (instance, start)
+    /// S^b successors of o: sb_to[sb_begin[o] .. sb_end[o]).
+    std::vector<std::size_t> sb_begin;
+    std::vector<std::size_t> sb_end;
+    std::vector<std::size_t> sb_to;
     std::vector<int> asap;
     std::vector<int> alap;
 };

@@ -38,19 +38,17 @@ struct refine_metric {
     }
 };
 
-refine_metric metric_for(const wordlength_compatibility_graph& wcg, op_id o,
+refine_metric metric_for(op_id o, const refinement_counts& counts,
+                         std::span<const int> upper,
                          std::span<const int> bound_latencies)
 {
-    refine_metric m{.o = o};
-    const int top = wcg.latency_upper_bound(o);
-    for (const res_id r : wcg.resources_for(o)) {
-        m.pool += static_cast<std::int64_t>(wcg.ops_for(r).size());
-        if (wcg.latency(r) == top) {
-            ++m.deleted;
-        }
-    }
-    MWL_ASSERT(m.pool >= 1); // o itself is in O(r) for every r in H(o)
-    m.bound_below_upper = bound_latencies[o.value()] < top;
+    const std::size_t i = o.value();
+    const refine_metric m{.o = o,
+                          .deleted = counts.slowest[i],
+                          .pool = counts.pool[i],
+                          .bound_below_upper = bound_latencies[i] < upper[i]};
+    MWL_ASSERT(m.deleted >= 1); // some edge of H(o) attains L_o
+    MWL_ASSERT(m.pool >= 1);    // o itself is in O(r) for every r in H(o)
     return m;
 }
 
@@ -105,8 +103,15 @@ datapath assemble_datapath(const wordlength_compatibility_graph& wcg,
 std::optional<op_id> choose_refinement(
     const wordlength_compatibility_graph& wcg, std::span<const op_id> critical,
     std::span<const int> start, std::span<const int> upper,
-    std::span<const int> bound_latencies, int lambda)
+    std::span<const int> bound_latencies, const refinement_counts& counts,
+    int lambda)
 {
+    const std::size_t n = wcg.graph().size();
+    require(start.size() == n && upper.size() == n &&
+                bound_latencies.size() == n && counts.pool.size() == n &&
+                counts.slowest.size() == n,
+            "refinement inputs do not match graph");
+
     // Refinable operations (a strictly faster resource exists) on the bound
     // critical path, preferring those still within lambda under their upper
     // bound; else any refinable operation, since off-path refinement can
@@ -131,9 +136,10 @@ std::optional<op_id> choose_refinement(
         return std::nullopt;
     }
 
-    refine_metric best = metric_for(wcg, candidates.front(), bound_latencies);
+    refine_metric best =
+        metric_for(candidates.front(), counts, upper, bound_latencies);
     for (const op_id o : std::span(candidates).subspan(1)) {
-        best = std::min(best, metric_for(wcg, o, bound_latencies));
+        best = std::min(best, metric_for(o, counts, upper, bound_latencies));
     }
     return best.o;
 }
@@ -162,8 +168,8 @@ dpalloc_result dpalloc(const sequencing_graph& graph,
                                      options.reassign_cheapest};
 
     // Cross-iteration scratch: scheduling buffers plus the scheduling-set
-    // memo keyed on the WCG edge version. refine_op bumps the version, so
-    // refinement iterations recompute the cover (warm-started by the
+    // memo keyed on the WCG's serial and edge version. refine_op bumps the
+    // version, so refinement iterations recompute the cover (bounded by the
     // previous optimum) while capacity escalations reuse it outright.
     incomplete_sched_scratch scratch;
 
@@ -223,7 +229,8 @@ dpalloc_result dpalloc(const sequencing_graph& graph,
         const bound_critical_path qb = compute_bound_critical_path(
             graph, start, bound_lat, instance_of_op, &critical_sc);
         if (const std::optional<op_id> chosen = choose_refinement(
-                wcg, qb.ops, start, upper, bound_lat, lambda)) {
+                wcg, qb.ops, start, upper, bound_lat,
+                {wcg.sharing_pools(), wcg.slowest_edge_counts()}, lambda)) {
             result.stats.edges_deleted +=
                 static_cast<std::size_t>(wcg.refine_op(*chosen));
             ++result.stats.refinements;

@@ -31,6 +31,7 @@
 #include "wcg/wcg.hpp"
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 
@@ -91,6 +92,17 @@ struct dpalloc_result {
     const wordlength_compatibility_graph& wcg, std::span<const int> start,
     const binding& bind);
 
+/// The §2.4 metric's inputs, indexed by op id. dpalloc passes the counts
+/// the WCG carries across refinements (sharing_pools(),
+/// slowest_edge_counts()); the reference pipeline rescans H for them.
+struct refinement_counts {
+    /// Sum over r in H(o) of |O(r)|: the H edges incident to the resources
+    /// o may still use.
+    std::span<const std::uint32_t> pool;
+    /// The r in H(o) with latency(r) == L_o: the edges refining o deletes.
+    std::span<const std::uint32_t> slowest;
+};
+
 /// §2.4: the operation to refine when the bound design misses `lambda`,
 /// the metric's pick among the refinable operations on the bound critical
 /// path `critical`, or off it when it has none (DESIGN.md §2.4). Empty when
@@ -98,7 +110,8 @@ struct dpalloc_result {
 [[nodiscard]] std::optional<op_id> choose_refinement(
     const wordlength_compatibility_graph& wcg, std::span<const op_id> critical,
     std::span<const int> start, std::span<const int> upper,
-    std::span<const int> bound_latencies, int lambda);
+    std::span<const int> bound_latencies, const refinement_counts& counts,
+    int lambda);
 
 } // namespace mwl
 

@@ -3,21 +3,13 @@
 #include "support/error.hpp"
 #include "support/hash.hpp"
 
-#include <atomic>
-
 namespace mwl {
-
-hardware_model::hardware_model()
-{
-    static std::atomic<std::uint64_t> next_serial{1};
-    serial_ = next_serial.fetch_add(1);
-}
 
 std::uint64_t hardware_model::fingerprint() const
 {
     fnv1a_hasher h;
     h.mix("model:identity");
-    h.mix(static_cast<std::int64_t>(serial_));
+    h.mix(static_cast<std::int64_t>(serial_.value()));
     return h.digest();
 }
 

@@ -15,6 +15,7 @@
 #define MWL_MODEL_HARDWARE_MODEL_HPP
 
 #include "model/op_shape.hpp"
+#include "support/serial.hpp"
 
 #include <cstdint>
 
@@ -27,7 +28,7 @@ class hardware_model {
 public:
     virtual ~hardware_model() = default;
 
-    hardware_model();
+    hardware_model() = default;
     hardware_model(const hardware_model&) = delete;
     hardware_model& operator=(const hardware_model&) = delete;
 
@@ -49,7 +50,7 @@ public:
     [[nodiscard]] virtual std::uint64_t fingerprint() const;
 
 private:
-    std::uint64_t serial_; ///< process-unique, assigned at construction
+    instance_serial serial_;
 };
 
 /// SONIC-derived model used throughout the paper's evaluation.

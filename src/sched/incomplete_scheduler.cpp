@@ -309,7 +309,8 @@ incomplete_schedule_result schedule_incomplete(
     const std::int64_t budget = static_cast<std::int64_t>(capacity) * scale;
 
     const std::vector<int> upper = wcg.latency_upper_bounds();
-    const std::vector<int> priority = critical_path_priorities(graph, upper);
+    const std::vector<int> priority =
+        critical_path_priorities(graph, upper, wcg.topological_order());
 
     const int horizon = serial_horizon(upper);
     // usage[mi * horizon + t]: scaled usage of member mi during step t,

@@ -38,8 +38,8 @@ struct incomplete_schedule_result {
 
 /// Cross-iteration state for schedule_incomplete: the event-engine buffers
 /// and usage arena (so repeated passes allocate nothing) and the
-/// scheduling-set memo keyed on the WCG edge version. One instance lives
-/// for the duration of a DPAlloc run (core/dpalloc.cpp).
+/// scheduling-set memo keyed on the WCG's serial and edge version. One
+/// instance lives for the duration of a DPAlloc run (core/dpalloc.cpp).
 struct incomplete_sched_scratch {
     event_schedule_workspace ws;
     scheduling_set_cache cover_cache;

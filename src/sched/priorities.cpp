@@ -9,10 +9,19 @@ namespace mwl {
 std::vector<int> critical_path_priorities(const sequencing_graph& graph,
                                           std::span<const int> latencies)
 {
+    return critical_path_priorities(graph, latencies,
+                                    graph.topological_order());
+}
+
+std::vector<int> critical_path_priorities(const sequencing_graph& graph,
+                                          std::span<const int> latencies,
+                                          std::span<const op_id> order)
+{
     require(latencies.size() == graph.size(),
             "latency vector size must equal the number of operations");
+    require(order.size() == graph.size(),
+            "topological order must list every operation");
     std::vector<int> priority(graph.size(), 0);
-    const std::vector<op_id> order = graph.topological_order();
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
         const op_id o = *it;
         int best_succ = 0;

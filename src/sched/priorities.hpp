@@ -18,6 +18,13 @@ namespace mwl {
 [[nodiscard]] std::vector<int> critical_path_priorities(
     const sequencing_graph& graph, std::span<const int> latencies);
 
+/// As above, over a caller-held topological order of `graph` (e.g. the
+/// WCG's), so a looping caller sorts once. The priorities are longest
+/// paths, so they do not depend on which topological order is used.
+[[nodiscard]] std::vector<int> critical_path_priorities(
+    const sequencing_graph& graph, std::span<const int> latencies,
+    std::span<const op_id> order);
+
 } // namespace mwl
 
 #endif // MWL_SCHED_PRIORITIES_HPP

@@ -29,31 +29,55 @@ struct scheduling_set_result {
     bool proven_minimum = true;
 };
 
-/// Memo for min_scheduling_set across DPAlloc iterations, keyed on the WCG
-/// edge version. Two states:
-///  * same edge version as the cached entry -> the H edges are identical,
-///    so the cached cover is returned without any search (this is every
-///    capacity-escalation iteration, and every repeated query within one
-///    iteration);
-///  * different version -> the previous optimum warm-starts the branch and
-///    bound: if it still covers all operations, |previous| is an admissible
-///    upper bound that tightens pruning without changing which cover the
-///    search returns (see PERF.md, "warm start is prune-only"). If the
-///    warm search still hits the node cap it is rerun cold, so a capped
+/// Memo for min_scheduling_set across DPAlloc iterations, keyed on the
+/// WCG's serial and edge version (see PERF.md, "The carried cover"). On the
+/// same serial:
+///  * same edge version -> the H edges are identical, so the cached cover
+///    is returned without any search (every capacity-escalation iteration,
+///    and every repeated query within one iteration);
+///  * later edge version -> H has only shrunk, so two carried facts bound
+///    the new optimum without changing which cover the search returns:
+///    the last *proven* optimum size is a lower bound (a cover of the new
+///    H covers the old one too), and the previous cover, if it still
+///    covers, an upper bound. The search returns Chvátal's greedy cover
+///    outright when it already meets the lower bound and otherwise stops
+///    at its first cover that does; the upper bound only prunes. A search
+///    that hits the node cap under either bound is rerun cold, so a capped
 ///    query also matches the cold overload; the only possible divergence
-///    is a warm search that completes where the cold one would have
-///    capped -- the cached path then returns a proven minimum instead of
-///    the cold path's capped fallback.
+///    is a bounded query that completes (or whose greedy cover meets the
+///    lower bound) where the cold search would have capped -- the cached
+///    path then returns a proven minimum instead of the cold path's capped
+///    fallback (the same members in every case tested, see
+///    SchedulingSetCacheHitsAndWarmStarts).
+/// Each resource's last dominator is kept as a witness and tested first
+/// by the domination filter (same predicate, so the same kept set).
 struct scheduling_set_cache {
-    const wordlength_compatibility_graph* owner = nullptr; ///< source WCG
+    std::uint64_t wcg_serial = 0; ///< serial() of the source WCG, 0 = none
     std::uint64_t edge_version = 0;
     std::size_t node_cap = 0; ///< cap the cached result was computed under
-    bool valid = false;
     scheduling_set_result result;
-    // Reusable search buffers (pure scratch, reset per query): the
-    // candidate coverage arena and the per-operation cover lists.
-    std::vector<std::uint64_t> pool_ws;
-    std::vector<std::vector<std::size_t>> covers_ws;
+    /// Largest cover size proven minimum on this WCG so far; 0 = none.
+    std::size_t min_size = 0;
+    /// witness[r]: the resource that last dominated r, or UINT32_MAX.
+    std::vector<std::uint32_t> witness;
+
+    // Search scratch, reset per query.
+    struct candidate {
+        res_id id;
+        double area = 0.0;
+        std::size_t count = 0;              ///< |O(r)|
+        const std::uint64_t* cov = nullptr; ///< the WCG's ops_row(r)
+    };
+    std::vector<candidate> cands_ws; ///< indexed by res_id
+    std::vector<candidate> kept_ws;
+    /// Domination-filter order, the live candidates compacted to its front.
+    std::vector<std::size_t> order_ws;
+    std::vector<std::uint8_t> is_live_ws; ///< per resource
+    /// Covered-set rows: one per search depth.
+    std::vector<std::uint64_t> rows_ws;
+    /// Per-operation cover lists as a flat table.
+    std::vector<std::uint32_t> cover_off_ws;
+    std::vector<std::uint32_t> cover_flat_ws;
 };
 
 /// Compute the scheduling set over the current H edges of `wcg`.
@@ -62,8 +86,8 @@ struct scheduling_set_cache {
 min_scheduling_set(const wordlength_compatibility_graph& wcg,
                    std::size_t node_cap = 200000);
 
-/// Memoized / warm-started variant; updates `cache` in place. Returns the
-/// same cover as the cold overload whenever the node cap is not hit.
+/// Memoized / bounded variant; updates `cache` in place. Returns the same
+/// cover as the cold overload whenever the node cap is not hit.
 [[nodiscard]] scheduling_set_result
 min_scheduling_set(const wordlength_compatibility_graph& wcg,
                    scheduling_set_cache& cache,

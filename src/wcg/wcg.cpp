@@ -75,11 +75,18 @@ wordlength_compatibility_graph::wordlength_compatibility_graph(
         }
     }
 
-    lat_upper_.assign(graph.size(), 0);
-    lat_lower_.assign(graph.size(), 0);
+    lat_upper_.assign(n_ops, 0);
+    lat_lower_.assign(n_ops, 0);
+    slowest_.assign(n_ops, 0);
+    pool_.assign(n_ops, 0);
     for (const op_id o : graph.all_ops()) {
         recompute_bounds(o);
+        for (const res_id r : resources_for(o)) {
+            pool_[o.value()] +=
+                res_row_end_[r.value()] - res_row_begin_[r.value()];
+        }
     }
+    topo_order_ = graph.topological_order();
 }
 
 const op_shape& wordlength_compatibility_graph::resource(res_id r) const
@@ -151,9 +158,22 @@ void wordlength_compatibility_graph::delete_edge(op_id o, res_id r)
     --edge_count_;
     ++version_;
 
-    // The cached bounds only move when an extremal-latency edge went away.
+    // Pools: o loses r's whole old column, every other operation still in
+    // O(r) one edge of it.
+    pool_[o.value()] -= static_cast<std::uint32_t>(col_last - col_first);
+    for (const op_id other : ops_for(r)) {
+        --pool_[other.value()];
+    }
+
+    // The cached bounds only move when o's last slowest edge or a fastest
+    // edge went away.
     const int lat = res_latency_[r.value()];
-    if (lat == lat_upper_[o.value()] || lat == lat_lower_[o.value()]) {
+    const bool slowest = lat == lat_upper_[o.value()];
+    if (slowest) {
+        --slowest_[o.value()];
+    }
+    if ((slowest && slowest_[o.value()] == 0) ||
+        lat == lat_lower_[o.value()]) {
         recompute_bounds(o);
     }
 }
@@ -204,14 +224,20 @@ void wordlength_compatibility_graph::recompute_bounds(op_id o)
 {
     int upper = 0;
     int lower = 0;
+    std::uint32_t slowest = 0;
     for (const res_id r : resources_for(o)) {
         const int lat = res_latency_[r.value()];
-        upper = std::max(upper, lat);
+        if (lat > upper) {
+            upper = lat;
+            slowest = 0;
+        }
+        slowest += lat == upper ? 1 : 0;
         lower = (lower == 0) ? lat : std::min(lower, lat);
     }
     MWL_ASSERT(upper >= 1 && lower >= 1);
     lat_upper_[o.value()] = upper;
     lat_lower_[o.value()] = lower;
+    slowest_[o.value()] = slowest;
 }
 
 void wordlength_compatibility_graph::check_op(op_id o) const

@@ -17,6 +17,7 @@
 #include "model/hardware_model.hpp"
 #include "support/bitset.hpp"
 #include "support/ids.hpp"
+#include "support/serial.hpp"
 
 #include <cstdint>
 #include <span>
@@ -34,6 +35,17 @@ public:
 
     [[nodiscard]] const sequencing_graph& graph() const { return *graph_; }
     [[nodiscard]] const hardware_model& model() const { return *model_; }
+
+    /// Process-unique identity of this graph object; a copy gets a fresh
+    /// one. Caches of state derived from H (the scheduling-set memo) key
+    /// on it together with edge_version(), never on the address.
+    [[nodiscard]] std::uint64_t serial() const { return serial_.value(); }
+
+    /// graph().topological_order(), computed once at construction.
+    [[nodiscard]] std::span<const op_id> topological_order() const
+    {
+        return topo_order_;
+    }
 
     // -- resource-wordlength types -------------------------------------
 
@@ -87,8 +99,9 @@ public:
     }
 
     /// Monotone counter bumped by every successful `delete_edge` (and hence
-    /// by `refine_op`). Downstream caches key on it to detect staleness:
-    /// equal versions guarantee an identical H edge set.
+    /// by `refine_op`). Downstream caches key on it, with serial(), to
+    /// detect staleness: equal versions of one graph guarantee an identical
+    /// H edge set, and a later version's H is a subset of an earlier one's.
     [[nodiscard]] std::uint64_t edge_version() const { return version_; }
 
     /// Delete one H edge. Throws `precondition_error` if the edge is absent
@@ -99,7 +112,8 @@ public:
     //
     // Both bounds and refinability are cached per operation and maintained
     // incrementally by delete_edge / refine_op, so every query is O(1); a
-    // deletion only rescans H(o) when it removed an extremal-latency edge.
+    // deletion only rescans H(o) when it removed o's last slowest edge or a
+    // fastest one.
 
     /// L_o = max latency over H(o).
     [[nodiscard]] int latency_upper_bound(op_id o) const;
@@ -116,6 +130,25 @@ public:
     /// Returns the number of edges deleted. Throws `precondition_error`
     /// if o is not refinable.
     int refine_op(op_id o);
+
+    // -- §2.4 metric inputs, indexed by op id ----------------------------
+    //
+    // Maintained by delete_edge like the latency bounds: a deletion of
+    // {o, r} adjusts o's counts and the pools of the other operations in
+    // O(r), so reading them is O(1) per operation.
+
+    /// Pool of o: sum over r in H(o) of |O(r)|, the H edges incident to
+    /// the resources o may still use.
+    [[nodiscard]] std::span<const std::uint32_t> sharing_pools() const
+    {
+        return pool_;
+    }
+    /// Number of r in H(o) with latency(r) == L_o: the edges refine_op(o)
+    /// would delete.
+    [[nodiscard]] std::span<const std::uint32_t> slowest_edge_counts() const
+    {
+        return slowest_;
+    }
 
 private:
     void check_op(op_id o) const;
@@ -148,8 +181,12 @@ private:
 
     std::vector<int> lat_upper_;                // cached max latency of H(o)
     std::vector<int> lat_lower_;                // cached min latency of H(o)
+    std::vector<std::uint32_t> pool_;           // see sharing_pools()
+    std::vector<std::uint32_t> slowest_;        // see slowest_edge_counts()
+    std::vector<op_id> topo_order_;
     std::size_t edge_count_ = 0;
     std::uint64_t version_ = 0;
+    instance_serial serial_;
 };
 
 } // namespace mwl

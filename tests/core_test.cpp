@@ -161,6 +161,70 @@ TEST(BoundCriticalPath, EmptyGraph)
     EXPECT_EQ(qb.augmented_length, 0);
 }
 
+TEST(BoundCriticalPath, RejectsInputsThatAreNotASchedule)
+{
+    // The sweeps visit operations in start order, a topological order of
+    // the augmented graph only when the allocation is a real schedule.
+    const sequencing_graph g = fig1_graph(); // m1 -> a, m2 -> a
+    const std::vector<std::size_t> inst{0, 1, 2};
+    const std::vector<int> lat{3, 2, 2};
+    const std::vector<int> ok{0, 0, 3};
+    EXPECT_NO_THROW(
+        static_cast<void>(compute_bound_critical_path(g, ok, lat, inst)));
+
+    const std::vector<int> negative{-1, 0, 3};
+    EXPECT_THROW(static_cast<void>(
+                     compute_bound_critical_path(g, negative, lat, inst)),
+                 precondition_error);
+    const std::vector<int> zero_latency{3, 0, 2};
+    EXPECT_THROW(static_cast<void>(
+                     compute_bound_critical_path(g, ok, zero_latency, inst)),
+                 precondition_error);
+    // a starts one step before m1 finishes.
+    const std::vector<int> early{0, 0, 2};
+    EXPECT_THROW(
+        static_cast<void>(compute_bound_critical_path(g, early, lat, inst)),
+        precondition_error);
+    // a before its predecessors altogether.
+    const std::vector<int> reversed{5, 5, 0};
+    EXPECT_THROW(static_cast<void>(
+                     compute_bound_critical_path(g, reversed, lat, inst)),
+                 precondition_error);
+    // A datapath whose instance claims a zero-cycle latency.
+    const sonic_model model;
+    dpalloc_result r = dpalloc(g, model, 8);
+    r.path.instances.front().latency = 0;
+    EXPECT_THROW(static_cast<void>(compute_bound_critical_path(g, r.path)),
+                 precondition_error);
+}
+
+TEST(BoundCriticalPath, IdleGapsLeaveQbUnchanged)
+{
+    // Delaying the whole schedule by one offset, small or large enough to
+    // leave steps at which nothing runs, changes neither S nor S^b, so Q^b
+    // and the augmented length stay put.
+    const sonic_model model;
+    rng random(0xC417);
+    for (int trial = 0; trial < 20; ++trial) {
+        tgff_options opts;
+        opts.n_ops = 6 + static_cast<std::size_t>(trial);
+        const sequencing_graph g = generate_tgff(opts, random);
+        const dpalloc_result r = dpalloc(g, model, min_latency(g, model));
+        const bound_critical_path base = compute_bound_critical_path(g, r.path);
+        for (const int offset : {1, 1000000}) {
+            datapath shifted = r.path;
+            for (int& s : shifted.start) {
+                s += offset;
+            }
+            const bound_critical_path qb =
+                compute_bound_critical_path(g, shifted);
+            EXPECT_EQ(qb.ops, base.ops) << "trial " << trial;
+            EXPECT_EQ(qb.augmented_length, base.augmented_length)
+                << "trial " << trial;
+        }
+    }
+}
+
 // -------------------------------------------------------------- dpalloc --
 
 TEST(Dpalloc, Fig1SlackBuysAreaWithSingleMultiplier)

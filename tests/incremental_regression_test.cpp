@@ -10,6 +10,7 @@
 #include "oracle/oracle.hpp"
 #include "sched/incomplete_scheduler.hpp"
 #include "sched/list_scheduler.hpp"
+#include "sched/scheduling_set.hpp"
 #include "support/rng.hpp"
 #include "tgff/corpus.hpp"
 #include "tgff/generator.hpp"
@@ -18,6 +19,13 @@
 #include "test_seed.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
 
 namespace mwl {
 namespace {
@@ -277,44 +285,87 @@ TEST(IncrementalRegression, EventListScheduleMatchesReferenceScan)
     }
 }
 
+/// Every cached per-operation quantity of `wcg` against a rescan of its H
+/// rows: the latency bounds, refinability and the §2.4 metric's counts.
+void expect_counts_match_rescan(const wordlength_compatibility_graph& wcg,
+                                const std::string& label)
+{
+    for (const op_id o : wcg.graph().all_ops()) {
+        int upper = 0;
+        int lower = 0;
+        for (const res_id r : wcg.resources_for(o)) {
+            upper = std::max(upper, wcg.latency(r));
+            lower = lower == 0 ? wcg.latency(r)
+                               : std::min(lower, wcg.latency(r));
+        }
+        std::uint32_t pool = 0;
+        std::uint32_t slowest = 0;
+        for (const res_id r : wcg.resources_for(o)) {
+            pool += static_cast<std::uint32_t>(wcg.ops_for(r).size());
+            slowest += wcg.latency(r) == upper ? 1 : 0;
+        }
+        const std::string at = label + " op " + std::to_string(o.value());
+        EXPECT_EQ(wcg.latency_upper_bound(o), upper) << at;
+        EXPECT_EQ(wcg.latency_lower_bound(o), lower) << at;
+        EXPECT_EQ(wcg.refinable(o), lower < upper) << at;
+        EXPECT_EQ(wcg.sharing_pools()[o.value()], pool) << at;
+        EXPECT_EQ(wcg.slowest_edge_counts()[o.value()], slowest) << at;
+    }
+}
+
 TEST(IncrementalRegression, CachedWcgBoundsMatchRescan)
 {
-    // The cached latency bounds must track delete_edge/refine_op exactly.
+    // The cached latency bounds and §2.4 counts must track every
+    // delete_edge exactly, whichever latency tier the edge is in.
     rng random(0xE7E9);
     const sonic_model model;
     tgff_options opts;
     opts.n_ops = 14;
     const sequencing_graph g = generate_tgff(opts, random);
+
+    // Single deletions until every operation keeps one edge: a slowest
+    // edge of a refinable operation on even steps (the refinement path),
+    // a random edge on odd ones (middle tiers and fastest edges too).
     wordlength_compatibility_graph wcg(g, model);
-
-    const auto check_all = [&]() {
+    expect_counts_match_rescan(wcg, "initial");
+    for (int step = 0;; ++step) {
+        std::vector<op_id> open;
         for (const op_id o : g.all_ops()) {
-            int upper = 0;
-            int lower = 0;
-            for (const res_id r : wcg.resources_for(o)) {
-                upper = std::max(upper, wcg.latency(r));
-                lower = lower == 0 ? wcg.latency(r)
-                                   : std::min(lower, wcg.latency(r));
+            if (wcg.resources_for(o).size() > 1) {
+                open.push_back(o);
             }
-            EXPECT_EQ(wcg.latency_upper_bound(o), upper);
-            EXPECT_EQ(wcg.latency_lower_bound(o), lower);
-            EXPECT_EQ(wcg.refinable(o), lower < upper);
         }
-    };
+        if (open.empty()) {
+            break;
+        }
+        const op_id o = open[random.uniform(0, open.size() - 1)];
+        const auto row = wcg.resources_for(o);
+        res_id r = row[random.uniform(0, row.size() - 1)];
+        if (step % 2 == 0 && wcg.refinable(o)) {
+            r = *std::find_if(row.begin(), row.end(), [&](res_id x) {
+                return wcg.latency(x) == wcg.latency_upper_bound(o);
+            });
+        }
+        const std::uint64_t version = wcg.edge_version();
+        wcg.delete_edge(o, r);
+        EXPECT_EQ(wcg.edge_version(), version + 1);
+        expect_counts_match_rescan(wcg, "step " + std::to_string(step));
+    }
 
-    check_all();
-    std::uint64_t version = wcg.edge_version();
-    // Refine every op to exhaustion, re-checking the caches at each step.
+    // refine_op to exhaustion on a fresh graph, re-checking after each.
+    wordlength_compatibility_graph refined(g, model);
+    std::uint64_t version = refined.edge_version();
     bool progress = true;
     while (progress) {
         progress = false;
         for (const op_id o : g.all_ops()) {
-            if (wcg.refinable(o)) {
-                const int deleted = wcg.refine_op(o);
-                EXPECT_EQ(wcg.edge_version(),
+            if (refined.refinable(o)) {
+                const int deleted = refined.refine_op(o);
+                EXPECT_EQ(refined.edge_version(),
                           version + static_cast<std::uint64_t>(deleted));
-                version = wcg.edge_version();
-                check_all();
+                version = refined.edge_version();
+                expect_counts_match_rescan(
+                    refined, "refine op " + std::to_string(o.value()));
                 progress = true;
                 break;
             }
@@ -324,39 +375,154 @@ TEST(IncrementalRegression, CachedWcgBoundsMatchRescan)
 
 TEST(IncrementalRegression, SchedulingSetCacheHitsAndWarmStarts)
 {
+    // The cached path (memo, carried lower and upper bounds, domination
+    // witnesses) against a cold solve after every batch of refinements:
+    // |O| = 12, and |O| = 130 whose coverage rows span three 64-bit words.
+    // 1-3 refinements in a seeded random order between queries, until
+    // nothing is refinable. Each query also runs under node caps of 1, 10
+    // and 50 on caches of their own, against the cold overload under the
+    // same cap: the members must match, and proven_minimum may differ only
+    // by the cached path proving what the cold search could not within
+    // the cap (it does at cap 10 on some seeds).
+    const std::uint64_t seed = testing::env_seed("MWL_COVER_SEED", 0xE7EA);
+    MWL_TRACE_SEED("MWL_COVER_SEED", seed);
+    rng random(seed);
     const sonic_model model;
-    rng random(0xE7EA);
-    tgff_options opts;
-    opts.n_ops = 12;
-    const sequencing_graph g = generate_tgff(opts, random);
-    wordlength_compatibility_graph wcg(g, model);
-
-    scheduling_set_cache cache;
-    const scheduling_set_result cold = min_scheduling_set(wcg);
-    const scheduling_set_result warm = min_scheduling_set(wcg, cache);
-    EXPECT_EQ(cold.members, warm.members);
-    EXPECT_EQ(cold.proven_minimum, warm.proven_minimum);
-
-    // Unchanged version: memo hit must return the identical cover.
-    const scheduling_set_result hit = min_scheduling_set(wcg, cache);
-    EXPECT_EQ(hit.members, warm.members);
-
-    // After each refinement the cached path must agree with a cold solve.
-    bool progress = true;
-    while (progress) {
-        progress = false;
+    for (const std::size_t n : {12U, 130U}) {
+        tgff_options opts;
+        opts.n_ops = n;
+        const sequencing_graph g = generate_tgff(opts, random);
+        wordlength_compatibility_graph wcg(g, model);
+        scheduling_set_cache cache;
+        const std::array<std::size_t, 3> caps{1, 10, 50};
+        std::array<scheduling_set_cache, 3> capped_caches;
+        const auto expect_cold = [&](const std::string& label) {
+            const scheduling_set_result cold = min_scheduling_set(wcg);
+            const scheduling_set_result cached =
+                min_scheduling_set(wcg, cache);
+            EXPECT_EQ(cached.members, cold.members) << label;
+            EXPECT_EQ(cached.proven_minimum, cold.proven_minimum) << label;
+            // Unchanged version: a memo hit returns the identical cover.
+            EXPECT_EQ(min_scheduling_set(wcg, cache).members, cold.members)
+                << label;
+            for (std::size_t i = 0; i < caps.size(); ++i) {
+                const std::string cap_label =
+                    label + " cap " + std::to_string(caps[i]);
+                const scheduling_set_result cold_capped =
+                    min_scheduling_set(wcg, caps[i]);
+                const scheduling_set_result cached_capped =
+                    min_scheduling_set(wcg, capped_caches[i], caps[i]);
+                EXPECT_EQ(cached_capped.members, cold_capped.members)
+                    << cap_label;
+                // The greedy cover meeting the lower bound, or a bounded
+                // search completing, where the cold search hits the cap.
+                EXPECT_TRUE(cached_capped.proven_minimum ||
+                            !cold_capped.proven_minimum)
+                    << cap_label;
+            }
+        };
+        const std::string graph_label = "n=" + std::to_string(n);
+        expect_cold(graph_label + " initial");
+        std::vector<op_id> refinable;
         for (const op_id o : g.all_ops()) {
             if (wcg.refinable(o)) {
-                wcg.refine_op(o);
-                progress = true;
-                break;
+                refinable.push_back(o);
             }
         }
-        const scheduling_set_result a = min_scheduling_set(wcg);
-        const scheduling_set_result b = min_scheduling_set(wcg, cache);
-        EXPECT_EQ(a.members, b.members);
-        EXPECT_EQ(a.proven_minimum, b.proven_minimum);
+        for (int query = 0; !refinable.empty(); ++query) {
+            for (int k = random.uniform_int(1, 3); k > 0 && !refinable.empty();
+                 --k) {
+                const std::size_t i = random.uniform(0, refinable.size() - 1);
+                wcg.refine_op(refinable[i]);
+                if (!wcg.refinable(refinable[i])) {
+                    refinable.erase(refinable.begin() +
+                                    static_cast<std::ptrdiff_t>(i));
+                }
+            }
+            expect_cold(graph_label + " query " + std::to_string(query));
+        }
     }
+}
+
+TEST(IncrementalRegression, SchedulingSetCacheReordersAndRetestsWitnesses)
+{
+    // o1 = 8x8, o2 = 20x2, o3 = 12x12 close to the resources 8x8 {o1},
+    // 20x2 {o2}, 12x12 {o1, o3}, 20x8 {o1, o2} and 20x12 {o1, o2, o3}, the
+    // first query's witness of everything. Deleting {o3, 20x12} leaves
+    // 20x12 with 20x8's coverage at a larger area: it must now sort after
+    // 20x8 and be dominated by it, and 20x8 must not count its old witness
+    // 20x12 as a dominator, since 20x12 is no longer live before it.
+    sequencing_graph g;
+    g.add_operation(op_shape::multiplier(8, 8));
+    g.add_operation(op_shape::multiplier(20, 2));
+    const op_id o3 = g.add_operation(op_shape::multiplier(12, 12));
+    const sonic_model model;
+    wordlength_compatibility_graph wcg(g, model);
+    const auto resource_of = [&](const op_shape& shape) {
+        for (const res_id r : wcg.all_resources()) {
+            if (wcg.resource(r) == shape) {
+                return r;
+            }
+        }
+        return res_id::invalid();
+    };
+    const res_id top = resource_of(op_shape::multiplier(20, 12));
+    ASSERT_TRUE(top.is_valid());
+    ASSERT_EQ(wcg.ops_for(top).size(), 3U);
+
+    scheduling_set_cache cache;
+    EXPECT_EQ(min_scheduling_set(wcg, cache).members,
+              std::vector<res_id>{top});
+    wcg.delete_edge(o3, top);
+    const scheduling_set_result cached = min_scheduling_set(wcg, cache);
+    EXPECT_EQ(cached.members, min_scheduling_set(wcg).members);
+    std::vector<res_id> expected{resource_of(op_shape::multiplier(12, 12)),
+                                 resource_of(op_shape::multiplier(20, 8))};
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(cached.members, expected);
+}
+
+TEST(IncrementalRegression, SchedulingSetCacheKeysOnGraphIdentity)
+{
+    // Two WCGs at one address, both at edge version 0: the second is
+    // emplaced where the first was destroyed. Each is a different graph,
+    // so a cache keyed on the address and the edge version would serve
+    // the first graph's cover for it. The second is then refined until
+    // its proven cover grows, and a third graph with a smaller cover is
+    // copy-assigned over it: the carried lower bound must not survive
+    // the change of graph either.
+    const sonic_model model;
+    std::vector<sequencing_graph> graphs;
+    for (const std::uint64_t seed : {1U, 77U, 5U}) {
+        rng random(seed);
+        tgff_options opts;
+        opts.n_ops = 12;
+        graphs.push_back(generate_tgff(opts, random));
+    }
+    std::optional<wordlength_compatibility_graph> wcg;
+    scheduling_set_cache cache;
+    for (std::size_t i = 0; i < 2; ++i) {
+        wcg.emplace(graphs[i], model);
+        EXPECT_EQ(min_scheduling_set(*wcg, cache).members,
+                  min_scheduling_set(*wcg).members)
+            << "graph " << i;
+    }
+    for (const op_id o : graphs[1].all_ops()) {
+        while (wcg->refinable(o)) {
+            wcg->refine_op(o);
+            EXPECT_EQ(min_scheduling_set(*wcg, cache).members,
+                      min_scheduling_set(*wcg).members)
+                << "refined op " << o.value();
+        }
+    }
+    const std::size_t grown = min_scheduling_set(*wcg, cache).members.size();
+
+    const wordlength_compatibility_graph third(graphs[2], model);
+    const scheduling_set_result cold = min_scheduling_set(third);
+    ASSERT_LT(cold.members.size(), grown);
+    *wcg = third;
+    EXPECT_EQ(min_scheduling_set(*wcg, cache).members, cold.members)
+        << "copy-assigned graph";
 }
 
 } // namespace

@@ -80,6 +80,32 @@ std::vector<int> rescan_schedule(const sequencing_graph& graph,
     return start;
 }
 
+/// The §2.4 metric's inputs rescanned from the H rows instead of the
+/// counts the WCG carries across deletions.
+struct rescanned_counts {
+    std::vector<std::uint32_t> pool;
+    std::vector<std::uint32_t> slowest;
+};
+
+rescanned_counts refinement_counts_from_rows(
+    const wordlength_compatibility_graph& wcg, std::span<const int> upper)
+{
+    rescanned_counts counts;
+    counts.pool.reserve(wcg.graph().size());
+    counts.slowest.reserve(wcg.graph().size());
+    for (const op_id o : wcg.graph().all_ops()) {
+        std::uint32_t pool = 0;
+        std::uint32_t slowest = 0;
+        for (const res_id r : wcg.resources_for(o)) {
+            pool += static_cast<std::uint32_t>(wcg.ops_for(r).size());
+            slowest += wcg.latency(r) == upper[o.value()] ? 1 : 0;
+        }
+        counts.pool.push_back(pool);
+        counts.slowest.push_back(slowest);
+    }
+    return counts;
+}
+
 } // namespace
 
 incomplete_schedule_result schedule_incomplete_scan(
@@ -224,8 +250,11 @@ dpalloc_result dpalloc_from_scratch(const sequencing_graph& graph,
         }
         const bound_critical_path qb = compute_bound_critical_path(
             graph, start, bound_lat, path.instance_of_op);
+        const rescanned_counts counts =
+            refinement_counts_from_rows(wcg, upper);
         if (const std::optional<op_id> chosen = choose_refinement(
-                wcg, qb.ops, start, upper, bound_lat, lambda)) {
+                wcg, qb.ops, start, upper, bound_lat,
+                {counts.pool, counts.slowest}, lambda)) {
             result.stats.edges_deleted +=
                 static_cast<std::size_t>(wcg.refine_op(*chosen));
             ++result.stats.refinements;

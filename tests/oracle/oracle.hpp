@@ -5,17 +5,19 @@
 // It redoes, the way the original loop did, exactly what the incremental
 // DPAlloc pipeline (PERF.md) replaced:
 //   * latency upper bounds rescanned from the H rows every iteration,
-//   * a cold exact scheduling-set cover every iteration (no memo, no warm
-//     start),
+//   * the §2.4 metric's pool and slowest-edge counts rescanned from the H
+//     rows every iteration,
+//   * a cold exact scheduling-set cover every iteration (no memo, no
+//     carried bounds or witnesses),
 //   * schedulers that rescan the whole graph for ready operations at every
 //     control step, S(o) built by probing every (operation, member) pair,
 //   * BindSelect's reference arm (every resource's chain recomputed with
 //     the quadratic DP every round),
 //   * a datapath assembled every iteration.
-// Everything else -- the §2.4 candidate choice, datapath assembly, the
-// Eqn. 2 limits, the bound critical path -- is the library's own code
-// (core/dpalloc.hpp, core/critical.hpp), so a parity failure points at a
-// cache or a fast path, not at a second copy of the algorithm.
+// Everything else -- the §2.4 candidate choice over those counts, datapath
+// assembly, the Eqn. 2 limits, the bound critical path -- is the library's
+// own code (core/dpalloc.hpp, core/critical.hpp), so a parity failure
+// points at a cache or a fast path, not at a second copy of the algorithm.
 
 #ifndef MWL_TESTS_ORACLE_ORACLE_HPP
 #define MWL_TESTS_ORACLE_ORACLE_HPP

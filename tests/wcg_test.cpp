@@ -15,7 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <span>
+#include <vector>
 
 namespace mwl {
 namespace {
@@ -243,6 +246,58 @@ TEST(Wcg, DeletingAbsentEdgeThrows)
     }
     ASSERT_TRUE(mul_res.is_valid());
     EXPECT_THROW(wcg.delete_edge(op_id(2), mul_res), precondition_error);
+}
+
+TEST(Wcg, MetricCountsFollowDeletions)
+{
+    // H: o1 -> {mul12x8, mul20x18}, o2 -> {mul20x18}, o3 -> {add12}.
+    const sequencing_graph g = fig2_graph();
+    const sonic_model model;
+    wordlength_compatibility_graph wcg(g, model);
+    const auto as_vector = [](std::span<const std::uint32_t> s) {
+        return std::vector<std::uint32_t>(s.begin(), s.end());
+    };
+    EXPECT_EQ(as_vector(wcg.sharing_pools()),
+              (std::vector<std::uint32_t>{1 + 2, 2, 1}));
+    EXPECT_EQ(as_vector(wcg.slowest_edge_counts()),
+              (std::vector<std::uint32_t>{1, 1, 1}));
+    // Refining o1 drops {o1, mul20x18}: o1 keeps mul12x8 alone, and
+    // mul20x18 now serves o2 only.
+    wcg.refine_op(op_id(0));
+    EXPECT_EQ(as_vector(wcg.sharing_pools()),
+              (std::vector<std::uint32_t>{1, 1, 1}));
+    EXPECT_EQ(as_vector(wcg.slowest_edge_counts()),
+              (std::vector<std::uint32_t>{1, 1, 1}));
+}
+
+TEST(Wcg, SerialIsFreshForEveryObjectAndCopy)
+{
+    // Caches of H-derived state key on the serial, so no two graph objects
+    // -- a copy included -- may share one.
+    const sequencing_graph g = fig2_graph();
+    const sonic_model model;
+    const wordlength_compatibility_graph a(g, model);
+    const wordlength_compatibility_graph b(g, model);
+    EXPECT_NE(a.serial(), 0u);
+    EXPECT_NE(a.serial(), b.serial());
+    const wordlength_compatibility_graph copy = a;
+    EXPECT_NE(copy.serial(), a.serial());
+    EXPECT_EQ(copy.edge_count(), a.edge_count());
+    wordlength_compatibility_graph assigned(g, model);
+    const std::uint64_t before = assigned.serial();
+    assigned = a;
+    EXPECT_NE(assigned.serial(), before);
+    EXPECT_NE(assigned.serial(), a.serial());
+}
+
+TEST(Wcg, CarriesTheGraphsTopologicalOrder)
+{
+    const sequencing_graph g = fig2_graph();
+    const sonic_model model;
+    const wordlength_compatibility_graph wcg(g, model);
+    const std::vector<op_id> order(wcg.topological_order().begin(),
+                                   wcg.topological_order().end());
+    EXPECT_EQ(order, g.topological_order());
 }
 
 TEST(Wcg, ResourceAreaAndLatencyAreCached)
