@@ -22,15 +22,16 @@ std::vector<T> positive_list(const line_reader& line, const key_value& kv)
     while (pos <= kv.value.size()) {
         const std::size_t comma =
             std::min(kv.value.find(',', pos), kv.value.size());
-        const std::string item = kv.value.substr(pos, comma - pos);
+        const std::string_view item = kv.value.substr(pos, comma - pos);
         const T value = line.number<T>(item, kv.token);
         if (!(value > 0)) {
-            line.fail(kv.key + (std::is_integral_v<T>
-                                    ? " values must be >= 1"
-                                    : " values must be positive"));
+            line.fail(std::string(kv.key) + (std::is_integral_v<T>
+                                                 ? " values must be >= 1"
+                                                 : " values must be positive"));
         }
         if (std::find(values.begin(), values.end(), value) != values.end()) {
-            line.fail("duplicate " + kv.key + " value '" + item + "'");
+            line.fail("duplicate " + std::string(kv.key) + " value '" +
+                      std::string(item) + "'");
         }
         values.push_back(value);
         pos = comma + 1;
@@ -40,19 +41,19 @@ std::vector<T> positive_list(const line_reader& line, const key_value& kv)
 
 } // namespace
 
-campaign_spec campaign_spec::parse(std::istream& in)
+campaign_spec campaign_spec::parse(std::string_view text)
 {
     campaign_spec spec;
     std::unordered_set<std::string> seen_scenarios;
     const std::vector<std::string> known = scenario_names();
-    line_reader line(in, "spec");
+    line_reader line(text, "spec");
     while (line.next()) {
-        const std::string& keyword = line.keyword();
+        const std::string_view keyword = line.keyword();
         if (keyword == "scenario") {
             if (line.tokens().empty()) {
                 line.fail("expected 'scenario NAME ...'");
             }
-            for (const std::string& name : line.tokens()) {
+            for (const std::string_view name : line.tokens()) {
                 if (name == "all") {
                     for (const std::string& each : known) {
                         if (seen_scenarios.insert(each).second) {
@@ -63,12 +64,13 @@ campaign_spec campaign_spec::parse(std::istream& in)
                 }
                 if (std::find(known.begin(), known.end(), name) ==
                     known.end()) {
-                    line.fail("unknown scenario '" + name + "'");
+                    line.fail("unknown scenario '" + std::string(name) + "'");
                 }
-                if (!seen_scenarios.insert(name).second) {
-                    line.fail("duplicate scenario '" + name + "'");
+                if (!seen_scenarios.emplace(name).second) {
+                    line.fail("duplicate scenario '" + std::string(name) +
+                              "'");
                 }
-                spec.scenarios.push_back(name);
+                spec.scenarios.emplace_back(name);
             }
         } else if (keyword == "lambda") {
             line.once();
@@ -86,7 +88,8 @@ campaign_spec campaign_spec::parse(std::istream& in)
                 } else if (kv.key == "step") {
                     spec.slack_step = line.number<int>(kv.value, kv.token);
                 } else {
-                    line.fail("unknown lambda key '" + kv.key + "'");
+                    line.fail("unknown lambda key '" + std::string(kv.key) +
+                              "'");
                 }
             }
             if (spec.slack_lo < 0 || spec.slack_hi < spec.slack_lo) {
@@ -103,7 +106,8 @@ campaign_spec campaign_spec::parse(std::istream& in)
                 } else if (kv.key == "mul-bits-per-cycle") {
                     spec.mul_bits_per_cycle = positive_list<int>(line, kv);
                 } else {
-                    line.fail("unknown model key '" + kv.key + "'");
+                    line.fail("unknown model key '" + std::string(kv.key) +
+                              "'");
                 }
             }
         } else if (keyword == "perturb") {
@@ -121,7 +125,8 @@ campaign_spec campaign_spec::parse(std::istream& in)
                     spec.perturb_seed =
                         line.number<std::uint64_t>(kv.value, kv.token);
                 } else {
-                    line.fail("unknown perturb key '" + kv.key + "'");
+                    line.fail("unknown perturb key '" + std::string(kv.key) +
+                              "'");
                 }
             }
             if (spec.perturb_count < 1) {
@@ -146,7 +151,7 @@ campaign_spec campaign_spec::parse(std::istream& in)
                     spec.tune_anneal =
                         line.number<std::size_t>(kv.value, kv.token);
                 } else {
-                    line.fail("unknown tune key '" + kv.key + "'");
+                    line.fail("unknown tune key '" + std::string(kv.key) + "'");
                 }
             }
             if (spec.tune_budgets.empty()) {
@@ -157,19 +162,13 @@ campaign_spec campaign_spec::parse(std::istream& in)
                 line.fail("tune frac range must be 0 <= min <= max");
             }
         } else {
-            line.fail("unknown keyword '" + keyword + "'");
+            line.fail("unknown keyword '" + std::string(keyword) + "'");
         }
     }
     if (spec.scenarios.empty()) {
         throw spec_error("spec names no scenarios");
     }
     return spec;
-}
-
-campaign_spec campaign_spec::parse(const std::string& text)
-{
-    std::istringstream in(text);
-    return parse(in);
 }
 
 std::string campaign_point::key() const

@@ -36,8 +36,8 @@
 #include "io/line_reader.hpp"
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mwl {
@@ -86,8 +86,7 @@ struct campaign_spec {
     /// Parse a spec. Throws `spec_error` with the offending 1-based line
     /// number on unknown keywords/keys, bad values, duplicate sections,
     /// unknown scenario names, or a spec naming no scenarios.
-    [[nodiscard]] static campaign_spec parse(std::istream& in);
-    [[nodiscard]] static campaign_spec parse(const std::string& text);
+    [[nodiscard]] static campaign_spec parse(std::string_view text);
 };
 
 /// One point of the expanded grid.

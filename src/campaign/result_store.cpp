@@ -1,15 +1,16 @@
 #include "campaign/result_store.hpp"
 
+#include "io/line_reader.hpp"
 #include "support/atomic_write.hpp"
 #include "support/json.hpp"
+#include "support/parse_num.hpp"
 
-#include <cerrno>
+#include <charconv>
 #include <cinttypes>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <sstream>
+#include <optional>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace mwl {
@@ -32,80 +33,56 @@ std::string hex16(std::uint64_t value)
     throw store_format_error(message);
 }
 
-/// key=value tokenizer for record payloads. `detail=` swallows the rest
-/// of the payload (error messages contain spaces) and must come last.
-struct payload_fields {
-    explicit payload_fields(const std::string& payload)
+/// The key=value fields of a record payload after its tag token.
+/// `detail=` takes the rest of the payload verbatim (error messages
+/// contain spaces), so it must come last.
+class record_fields {
+public:
+    record_fields(std::string_view payload,
+                  const std::vector<std::string_view>& tokens)
     {
-        std::size_t pos = 0;
-        while (pos < payload.size()) {
-            while (pos < payload.size() && payload[pos] == ' ') {
-                ++pos;
-            }
-            const std::size_t eq = payload.find('=', pos);
-            if (eq == std::string::npos) {
+        for (std::size_t i = 1; i < tokens.size(); ++i) {
+            const std::string_view rest =
+                payload.substr(tokens[i].data() - payload.data());
+            std::optional<key_value> kv = split_key_value(tokens[i]);
+            if (!kv) {
                 bad_store("malformed record field near '" +
-                          payload.substr(pos) + "'");
+                          std::string(rest) + "'");
             }
-            const std::string key = payload.substr(pos, eq - pos);
-            if (key == "detail") {
-                fields.emplace_back(key, payload.substr(eq + 1));
+            if (kv->key == "detail") {
+                kv->value = rest.substr(kv->key.size() + 1);
+                fields_.push_back(*kv);
                 return;
             }
-            const std::size_t end =
-                std::min(payload.find(' ', eq + 1), payload.size());
-            fields.emplace_back(key,
-                                payload.substr(eq + 1, end - (eq + 1)));
-            pos = end;
+            fields_.push_back(*kv);
         }
     }
 
-    [[nodiscard]] const std::string& get(const char* key) const
+    [[nodiscard]] const key_value& get(const char* key) const
     {
-        for (const auto& [k, v] : fields) {
-            if (k == key) {
-                return v;
+        for (const key_value& kv : fields_) {
+            if (kv.key == key) {
+                return kv;
             }
         }
         bad_store(std::string("record is missing field '") + key + "'");
     }
 
-    std::vector<std::pair<std::string, std::string>> fields;
+    /// The field through parse_num, the token as context.
+    template <typename T>
+    [[nodiscard]] T number(const char* key) const
+    {
+        const key_value& kv = get(key);
+        try {
+            return parse_checked<T>(kv.value, kv.token);
+        } catch (const precondition_error& e) {
+            bad_store(e.what());
+        }
+    }
+
+private:
+    std::vector<key_value> fields_;
 };
-
-std::uint64_t parse_u64_field(const std::string& text, const char* what)
-{
-    char* end = nullptr;
-    errno = 0;
-    const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0') {
-        bad_store(std::string("bad ") + what + " '" + text + "'");
-    }
-    return value;
-}
-
-int parse_int_field(const std::string& text, const char* what)
-{
-    char* end = nullptr;
-    errno = 0;
-    const long value = std::strtol(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0' ||
-        value < INT_MIN || value > INT_MAX) {
-        bad_store(std::string("bad ") + what + " '" + text + "'");
-    }
-    return static_cast<int>(value);
-}
-
-std::uint64_t parse_hex_field(const std::string& text, const char* what)
-{
-    char* end = nullptr;
-    errno = 0;
-    const std::uint64_t value = std::strtoull(text.c_str(), &end, 16);
-    if (errno != 0 || end == text.c_str() || *end != '\0') {
-        bad_store(std::string("bad ") + what + " '" + text + "'");
-    }
-    return value;
-}
 
 struct header {
     int format_version = 0;
@@ -113,26 +90,28 @@ struct header {
     std::size_t points = 0;
 };
 
-header parse_header(const std::string& payload, const std::string& where)
+header parse_header(std::string_view payload, const std::string& where)
 {
-    std::istringstream in(payload);
-    std::string tag;
-    in >> tag;
-    if (tag != "campaign-store") {
+    const std::vector<std::string_view> tokens = split_tokens(payload);
+    if (tokens.empty() || tokens[0] != "campaign-store") {
         bad_store(where + ": first record is not a campaign-store header");
     }
-    const payload_fields fields(payload.substr(tag.size()));
+    const record_fields fields(payload, tokens);
     header h;
-    h.format_version =
-        parse_int_field(fields.get("format_version"), "format_version");
+    h.format_version = fields.number<int>("format_version");
     if (h.format_version != store_format_version) {
         bad_store(where + ": incompatible checkpoint format_version " +
                   std::to_string(h.format_version) + " (this build reads " +
                   std::to_string(store_format_version) + ")");
     }
-    h.fingerprint =
-        parse_hex_field(fields.get("fingerprint"), "fingerprint");
-    h.points = parse_u64_field(fields.get("points"), "points");
+    const std::string_view hex = fields.get("fingerprint").value;
+    const auto [end, ec] =
+        std::from_chars(hex.data(), hex.data() + hex.size(), h.fingerprint,
+                        16);
+    if (ec != std::errc() || hex.empty() || end != hex.data() + hex.size()) {
+        bad_store("bad fingerprint '" + std::string(hex) + "'");
+    }
+    h.points = fields.number<std::size_t>("points");
     return h;
 }
 
@@ -153,34 +132,28 @@ std::string to_payload(const point_result& result)
     return payload;
 }
 
-point_result parse_point_payload(const std::string& payload)
+point_result parse_point_payload(std::string_view payload)
 {
-    std::istringstream in(payload);
-    std::string tag;
-    in >> tag;
-    if (tag != "point") {
-        bad_store("record is not a point record: '" + payload + "'");
+    const std::vector<std::string_view> tokens = split_tokens(payload);
+    if (tokens.empty() || tokens[0] != "point") {
+        bad_store("record is not a point record: '" + std::string(payload) +
+                  "'");
     }
-    const payload_fields fields(payload.substr(tag.size()));
+    const record_fields fields(payload, tokens);
     point_result r;
-    r.index = parse_u64_field(fields.get("index"), "index");
-    r.key = fields.get("key");
-    r.lambda = parse_int_field(fields.get("lambda"), "lambda");
-    r.latency = parse_int_field(fields.get("latency"), "latency");
-    const std::string& area = fields.get("area");
-    char* end = nullptr;
-    r.area = std::strtod(area.c_str(), &end);
-    if (end == area.c_str() || *end != '\0') {
-        bad_store("bad area '" + area + "'");
-    }
-    const std::string& status = fields.get("status");
+    r.index = fields.number<std::size_t>("index");
+    r.key = fields.get("key").value;
+    r.lambda = fields.number<int>("lambda");
+    r.latency = fields.number<int>("latency");
+    r.area = fields.number<double>("area");
+    const std::string_view status = fields.get("status").value;
     if (status == "error") {
-        r.error = fields.get("detail");
+        r.error = fields.get("detail").value;
         if (r.error.empty()) {
             r.error = "unknown error";
         }
     } else if (status != "ok") {
-        bad_store("bad status '" + status + "'");
+        bad_store("bad status '" + std::string(status) + "'");
     }
     return r;
 }
@@ -264,10 +237,18 @@ result_store result_store::open(
         store.total_points_ = h.points;
         have_header = true;
     };
+    // Every record after a file's header; its points must lie inside the
+    // campaign the header describes. A header written by the headerless
+    // recovery below says points=0: that count is unknown, not zero.
     const auto ingest = [&](const std::vector<std::string>& payloads,
-                            std::size_t first, std::size_t& counter) {
-        for (std::size_t i = first; i < payloads.size(); ++i) {
+                            const std::string& where, std::size_t& counter) {
+        for (std::size_t i = 1; i < payloads.size(); ++i) {
             point_result r = parse_point_payload(payloads[i]);
+            if (store.total_points_ != 0 && r.index >= store.total_points_) {
+                bad_store(where + ": point index " + std::to_string(r.index) +
+                          " is beyond the campaign's " +
+                          std::to_string(store.total_points_) + " points");
+            }
             ++counter;
             if (!store.results_.emplace(r.index, std::move(r)).second) {
                 ++store.load_stats_.duplicates;
@@ -289,7 +270,8 @@ result_store result_store::open(
         }
         adopt_header(parse_header(loaded.payloads.front(), "snapshot.log"),
                      "snapshot.log");
-        ingest(loaded.payloads, 1, store.load_stats_.snapshot_records);
+        ingest(loaded.payloads, "snapshot.log",
+               store.load_stats_.snapshot_records);
     }
 
     // Journal: a torn tail is the expected crash signature; cut it off
@@ -301,7 +283,8 @@ result_store result_store::open(
     if (!loaded.payloads.empty()) {
         adopt_header(parse_header(loaded.payloads.front(), "journal.log"),
                      "journal.log");
-        ingest(loaded.payloads, 1, store.load_stats_.journal_records);
+        ingest(loaded.payloads, "journal.log",
+               store.load_stats_.journal_records);
     }
     if (!have_header) {
         // Both files empty or missing: a crash before the first header

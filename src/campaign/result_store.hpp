@@ -36,6 +36,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace mwl {
 
@@ -88,7 +89,8 @@ public:
 
     /// Open an existing store: load the snapshot (if any), replay the
     /// journal, drop a torn tail (truncating it from the file so appends
-    /// are safe), deduplicate, and verify header version + fingerprint.
+    /// are safe), deduplicate, and verify header version + fingerprint
+    /// and that every point index lies below the header's point count.
     /// Pass `expected_fingerprint` when the caller re-expanded the spec
     /// (run/resume); `nullopt` trusts the stored header (status/report).
     [[nodiscard]] static result_store open(
@@ -146,10 +148,11 @@ private:
 
 /// Serialise / parse one point record payload ("point index=... key=...
 /// lambda=... latency=... area=... status=..."); exposed for the store
-/// format tests. Doubles round-trip exactly (%.17g). Parse throws
-/// `store_format_error` on malformed payloads.
+/// format tests. Doubles round-trip exactly (%.17g). Parse splits fields
+/// with io/line_reader's splitter and numbers with support/parse_num, and
+/// throws `store_format_error` on malformed payloads.
 [[nodiscard]] std::string to_payload(const point_result& result);
-[[nodiscard]] point_result parse_point_payload(const std::string& payload);
+[[nodiscard]] point_result parse_point_payload(std::string_view payload);
 
 } // namespace mwl
 

@@ -1,108 +1,95 @@
 #include "io/graph_io.hpp"
 
+#include "io/line_reader.hpp"
 #include "support/hash.hpp"
 
+#include <functional>
 #include <map>
 #include <sstream>
 
 namespace mwl {
-namespace {
 
-[[noreturn]] void fail(std::size_t line, const std::string& message)
-{
-    throw parse_error("line " + std::to_string(line) + ": " + message);
-}
-
-int parse_width(std::istringstream& in, std::size_t line,
-                const char* what)
-{
-    int width = 0;
-    if (!(in >> width)) {
-        fail(line, std::string("expected ") + what);
-    }
-    if (width < 1) {
-        fail(line, std::string(what) + " must be >= 1");
-    }
-    if (width > op_shape::max_width) {
-        fail(line, std::string(what) + " must be <= " +
-                       std::to_string(op_shape::max_width));
-    }
-    return width;
-}
-
-} // namespace
-
-sequencing_graph parse_graph(std::istream& in)
+sequencing_graph parse_graph_string(std::string_view text)
 {
     sequencing_graph graph;
-    std::map<std::string, op_id> by_name;
-
-    std::string raw;
-    std::size_t line_no = 0;
-    while (std::getline(in, raw)) {
-        ++line_no;
-        std::istringstream line(raw);
-        std::string keyword;
-        if (!(line >> keyword) || keyword.front() == '#') {
-            continue; // blank or comment
+    std::map<std::string, op_id, std::less<>> by_name;
+    line_reader line(text, "");
+    const auto width = [&](std::size_t i, const char* what) {
+        if (i >= line.tokens().size()) {
+            line.fail(std::string("expected ") + what);
         }
-        if (keyword == "op") {
-            std::string name;
-            std::string kind;
-            if (!(line >> name >> kind)) {
-                fail(line_no, "expected 'op <name> <add|mul> ...'");
-            }
-            if (by_name.contains(name)) {
-                fail(line_no, "duplicate operation name '" + name + "'");
-            }
-            op_shape shape = op_shape::adder(1);
-            if (kind == "add") {
-                shape = op_shape::adder(
-                    parse_width(line, line_no, "adder width"));
-            } else if (kind == "mul") {
-                const int a =
-                    parse_width(line, line_no, "multiplier width_a");
-                const int b =
-                    parse_width(line, line_no, "multiplier width_b");
-                shape = op_shape::multiplier(a, b);
+        const int value = line.number<int>(line.tokens()[i]);
+        if (value < 1) {
+            line.fail(std::string(what) + " must be >= 1");
+        }
+        if (value > op_shape::max_width) {
+            line.fail(std::string(what) + " must be <= " +
+                      std::to_string(op_shape::max_width));
+        }
+        return value;
+    };
+    const auto op_named = [&](std::string_view name) {
+        const auto it = by_name.find(name);
+        if (it == by_name.end()) {
+            line.fail("unknown operation '" + std::string(name) + "'");
+        }
+        return it->second;
+    };
+    try {
+        while (line.next()) {
+            const std::vector<std::string_view>& tokens = line.tokens();
+            if (line.keyword() == "op") {
+                if (tokens.size() < 2) {
+                    line.fail("expected 'op <name> <add|mul> ...'");
+                }
+                const std::string_view name = tokens[0];
+                if (by_name.contains(name)) {
+                    line.fail("duplicate operation name '" +
+                              std::string(name) + "'");
+                }
+                op_shape shape = op_shape::adder(1);
+                std::size_t fields = 3;
+                if (tokens[1] == "add") {
+                    shape = op_shape::adder(width(2, "adder width"));
+                } else if (tokens[1] == "mul") {
+                    const int a = width(2, "multiplier width_a");
+                    const int b = width(3, "multiplier width_b");
+                    shape = op_shape::multiplier(a, b);
+                    fields = 4;
+                } else {
+                    line.fail("unknown operation kind '" +
+                              std::string(tokens[1]) + "'");
+                }
+                if (tokens.size() > fields) {
+                    line.fail("trailing tokens after operation");
+                }
+                by_name.emplace(
+                    name, graph.add_operation(shape, std::string(name)));
+            } else if (line.keyword() == "dep") {
+                if (tokens.size() < 2) {
+                    line.fail("expected 'dep <producer> <consumer>'");
+                }
+                const op_id from = op_named(tokens[0]);
+                const op_id to = op_named(tokens[1]);
+                if (tokens.size() > 2) {
+                    line.fail("trailing tokens after dependency");
+                }
+                try {
+                    graph.add_dependency(from, to);
+                } catch (const precondition_error& e) {
+                    line.fail(e.what());
+                }
             } else {
-                fail(line_no, "unknown operation kind '" + kind + "'");
+                line.fail("unknown keyword '" + std::string(line.keyword()) +
+                          "'");
             }
-            std::string extra;
-            if (line >> extra) {
-                fail(line_no, "trailing tokens after operation");
-            }
-            by_name.emplace(name, graph.add_operation(shape, name));
-        } else if (keyword == "dep") {
-            std::string from;
-            std::string to;
-            if (!(line >> from >> to)) {
-                fail(line_no, "expected 'dep <producer> <consumer>'");
-            }
-            const auto fi = by_name.find(from);
-            const auto ti = by_name.find(to);
-            if (fi == by_name.end()) {
-                fail(line_no, "unknown operation '" + from + "'");
-            }
-            if (ti == by_name.end()) {
-                fail(line_no, "unknown operation '" + to + "'");
-            }
-            try {
-                graph.add_dependency(fi->second, ti->second);
-            } catch (const precondition_error& e) {
-                fail(line_no, e.what());
-            }
-        } else {
-            fail(line_no, "unknown keyword '" + keyword + "'");
         }
+    } catch (const line_error& e) {
+        // .mwl keeps its own error type: tools map a graph's parse_error
+        // and a manifest's or spec's line_error to different exit codes.
+        throw parse_error(e.what());
     }
     return graph;
-}
-
-sequencing_graph parse_graph_string(const std::string& text)
-{
-    std::istringstream in(text);
-    return parse_graph(in);
 }
 
 std::string write_graph(const sequencing_graph& graph)

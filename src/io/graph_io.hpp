@@ -2,14 +2,16 @@
 //
 //   # comment
 //   op  <name> add <width>
-//   op  <name> mul <width_a> <width_b>
+//   op  <name> mul <width_a> <width_b>   # trailing comment
 //   dep <producer-name> <consumer-name>
 //
-// Names are unique identifiers (no whitespace). Widths lie in
-// [1, op_shape::max_width]. Dependencies may only reference operations
-// declared earlier in the file; cycles are rejected by the underlying
-// graph. The parser reports malformed input with 1-based line numbers via
-// `parse_error`.
+// A line grammar on io/line_reader: blank lines and `#` comments (whole
+// line or trailing) are skipped, and a line with tokens beyond its fields
+// is rejected. Names are unique identifiers (no whitespace, not starting
+// with '#'). Widths lie in [1, op_shape::max_width]. Dependencies may only
+// reference operations declared earlier in the file; cycles are rejected
+// by the underlying graph. The parser reports malformed input with 1-based
+// line numbers via `parse_error`.
 
 #ifndef MWL_IO_GRAPH_IO_HPP
 #define MWL_IO_GRAPH_IO_HPP
@@ -18,20 +20,19 @@
 #include "support/error.hpp"
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 namespace mwl {
 
-/// Malformed .mwl input; `what()` includes the line number.
+/// Malformed .mwl input; `what()` reads "line N: ...".
 class parse_error : public error {
 public:
     using error::error;
 };
 
 /// Parse a graph from text. Throws `parse_error` on malformed input.
-[[nodiscard]] sequencing_graph parse_graph(std::istream& in);
-[[nodiscard]] sequencing_graph parse_graph_string(const std::string& text);
+[[nodiscard]] sequencing_graph parse_graph_string(std::string_view text);
 
 /// Serialise a graph; `parse_graph_string(write_graph(g))` reproduces `g`.
 /// Unnamed operations are given stable names ("o<N>").

@@ -1,16 +1,28 @@
-// Line-grammar reader: the scaffolding shared by every line-oriented text
-// format in the repository -- campaign specs, tune specs and graph/corpus
-// manifests.
+// The one tokenizer behind every text grammar in the repository:
+//
+//   * `.mwl` graphs (io/graph_io), through line_reader with an empty kind;
+//   * graph/corpus manifests (io/manifest), kind "manifest";
+//   * campaign and tune specs (campaign/campaign_spec,
+//     wordlength/tune_spec), kind "spec";
+//   * corpus specs (tgff/corpus), through split_key_value;
+//   * MWL1 request and response headers (serve/protocol) and campaign
+//     journal records (campaign/result_store), through split_tokens and
+//     split_key_value -- one-line grammars that take no comments.
 //
 // A grammar line is a keyword followed by whitespace-separated tokens:
 //
 //   # comment
 //   keyword token token key=value   # trailing comment
 //
-// Blank lines are skipped and a token starting with '#' comments out the
-// rest of its line. Every diagnostic reads "<kind> line N: message" with
-// N 1-based, thrown as `line_error`; numbers go through support/parse_num,
-// so a malformed value fails its line with parse_num's wording.
+// Whitespace is the C-locale isspace set (space, \t, \n, \v, \f, \r), the
+// set operator>> splits on, so CRLF line ends and tabs parse. Blank lines
+// are skipped and a token starting with '#' comments out the rest of its
+// line. Tokens are views into the caller's buffer, which must outlive
+// them; the rest of a line from token i is therefore the buffer from
+// `tokens[i].data()` on. Every diagnostic reads "<kind> line N: message"
+// ("line N: message" for an empty kind) with N 1-based, thrown as
+// `line_error`; numbers go through support/parse_num, so a malformed value
+// fails its line with parse_num's wording.
 
 #ifndef MWL_IO_LINE_READER_HPP
 #define MWL_IO_LINE_READER_HPP
@@ -19,9 +31,11 @@
 #include "support/parse_num.hpp"
 
 #include <cstddef>
-#include <iosfwd>
+#include <functional>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mwl {
@@ -33,25 +47,36 @@ public:
     using error::error;
 };
 
+/// The whitespace-separated tokens of `text`, comments not stripped.
+[[nodiscard]] std::vector<std::string_view> split_tokens(
+    std::string_view text);
+
 /// One `key=value` token, split at its first '='.
 struct key_value {
-    std::string key;
-    std::string value;
-    std::string token; ///< the whole token, for diagnostics
+    std::string_view key;
+    std::string_view value;
+    std::string_view token; ///< the whole token, for diagnostics
 };
+
+/// `token` split at its first '='; nullopt when it has none. Either side
+/// may be empty.
+[[nodiscard]] std::optional<key_value> split_key_value(
+    std::string_view token);
 
 class line_reader {
 public:
-    /// `kind` names the grammar in diagnostics ("spec", "manifest").
-    line_reader(std::istream& in, std::string kind);
+    /// Read the lines of `text`, which must outlive the reader. `kind`
+    /// names the grammar in diagnostics ("spec", "manifest"; empty for
+    /// .mwl).
+    line_reader(std::string_view text, std::string kind);
 
     /// Advance to the next line that has a keyword; false at end of input.
     [[nodiscard]] bool next();
 
     [[nodiscard]] std::size_t line_number() const { return line_no_; }
-    [[nodiscard]] const std::string& keyword() const { return keyword_; }
+    [[nodiscard]] std::string_view keyword() const { return keyword_; }
     /// The tokens after the keyword, comments dropped.
-    [[nodiscard]] const std::vector<std::string>& tokens() const
+    [[nodiscard]] const std::vector<std::string_view>& tokens() const
     {
         return tokens_;
     }
@@ -70,8 +95,8 @@ public:
     /// `text` through parse_checked<T>; a bad value fails the line with
     /// parse_num's message (`context` as there, e.g. the whole token).
     template <typename T>
-    [[nodiscard]] T number(const std::string& text,
-                           const std::string& context = {}) const
+    [[nodiscard]] T number(std::string_view text,
+                           std::string_view context = {}) const
     {
         try {
             return parse_checked<T>(text, context);
@@ -81,12 +106,12 @@ public:
     }
 
 private:
-    std::istream& in_;
+    std::string_view rest_;
     std::string kind_;
     std::size_t line_no_ = 0;
-    std::string keyword_;
-    std::vector<std::string> tokens_;
-    std::set<std::string> seen_once_;
+    std::string_view keyword_;
+    std::vector<std::string_view> tokens_;
+    std::set<std::string, std::less<>> seen_once_;
 };
 
 } // namespace mwl

@@ -2,34 +2,23 @@
 
 #include "io/graph_io.hpp"
 #include "model/hardware_model.hpp"
+#include "support/atomic_write.hpp"
 #include "support/json.hpp"
 #include "tgff/corpus.hpp"
-
-#include <fstream>
 
 namespace mwl {
 
 namespace {
 
-/// The value of `token` if it starts with `prefix`.
-std::optional<std::string> value_of(const std::string& token,
-                                    const std::string& prefix)
-{
-    if (token.rfind(prefix, 0) != 0) {
-        return std::nullopt;
-    }
-    return token.substr(prefix.size());
-}
-
 void read_line(const line_reader& line, std::vector<manifest_entry>& out)
 {
     const bool graph_line = line.keyword() == "graph";
     if (!graph_line && line.keyword() != "corpus") {
-        line.fail("unknown keyword '" + line.keyword() + "'");
+        line.fail("unknown keyword '" + std::string(line.keyword()) + "'");
     }
     manifest_directives what;
-    std::vector<std::string> rest;
-    for (const std::string& token : line.tokens()) {
+    std::vector<std::string_view> rest;
+    for (const std::string_view token : line.tokens()) {
         if (!parse_directive(token, what)) {
             rest.push_back(token);
         }
@@ -42,13 +31,14 @@ void read_line(const line_reader& line, std::vector<manifest_entry>& out)
             line.fail("expected 'graph FILE ...'");
         }
         if (rest.size() > 1) {
-            line.fail("unknown graph token '" + rest[1] + "'");
+            line.fail("unknown graph token '" + std::string(rest[1]) + "'");
         }
-        std::ifstream in(rest.front());
-        if (!in) {
-            line.fail("cannot open graph file " + rest.front());
+        const std::string path(rest.front());
+        std::string text;
+        if (!read_file(path, text)) {
+            line.fail("cannot open graph file " + path);
         }
-        out.push_back({rest.front(), parse_graph(in), what,
+        out.push_back({path, parse_graph_string(text), what,
                        line.line_number(), std::nullopt, 0});
         return;
     }
@@ -66,18 +56,22 @@ void read_line(const line_reader& line, std::vector<manifest_entry>& out)
 
 } // namespace
 
-bool parse_directive(const std::string& token, manifest_directives& out)
+bool parse_directive(std::string_view token, manifest_directives& out)
 {
-    if (const auto v = value_of(token, "lambda=")) {
-        out.lambda = parse_int_checked(*v, token);
-    } else if (const auto v = value_of(token, "slack=")) {
-        out.slack = parse_double_checked(*v, token) / 100.0;
+    const std::optional<key_value> kv = split_key_value(token);
+    if (!kv) {
+        return false;
+    }
+    if (kv->key == "lambda") {
+        out.lambda = parse_int_checked(kv->value, token);
+    } else if (kv->key == "slack") {
+        out.slack = parse_double_checked(kv->value, token) / 100.0;
         require(*out.slack >= 0.0, "slack must be non-negative");
-    } else if (const auto v = value_of(token, "sweep=")) {
-        out.sweep = parse_double_checked(*v, token) / 100.0;
+    } else if (kv->key == "sweep") {
+        out.sweep = parse_double_checked(kv->value, token) / 100.0;
         require(*out.sweep >= 0.0, "sweep must be non-negative");
-    } else if (const auto v = value_of(token, "verify=")) {
-        out.verify = parse_size_checked(*v, token);
+    } else if (kv->key == "verify") {
+        out.verify = parse_size_checked(kv->value, token);
         require(*out.verify >= 1, "verify needs >= 1 input");
     } else {
         return false;
@@ -85,10 +79,10 @@ bool parse_directive(const std::string& token, manifest_directives& out)
     return true;
 }
 
-std::vector<manifest_entry> parse_manifest(std::istream& in)
+std::vector<manifest_entry> parse_manifest(std::string_view text)
 {
     std::vector<manifest_entry> entries;
-    line_reader line(in, "manifest");
+    line_reader line(text, "manifest");
     while (line.next()) {
         try {
             read_line(line, entries);

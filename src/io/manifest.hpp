@@ -31,9 +31,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mwl {
@@ -61,11 +61,12 @@ struct manifest_entry {
 /// Take `token` into `out` if it is a directive (lambda=, slack=, sweep=,
 /// verify=); false for any other token. Throws `precondition_error` on a
 /// bad value (parse_num wording, or "slack must be non-negative" etc.).
-bool parse_directive(const std::string& token, manifest_directives& out);
+bool parse_directive(std::string_view token, manifest_directives& out);
 
 /// Parse and expand a whole manifest (graph files are read relative to
 /// the working directory).
-[[nodiscard]] std::vector<manifest_entry> parse_manifest(std::istream& in);
+[[nodiscard]] std::vector<manifest_entry> parse_manifest(
+    std::string_view text);
 
 /// One result row of a manifest run. mwl_batch and mwl_client both render
 /// their results through the two functions below, so a served run and a

@@ -1,5 +1,7 @@
 #include "serve/client.hpp"
 
+#include "support/parse_num.hpp"
+
 #include <cerrno>
 #include <cstring>
 #include <thread>
@@ -90,15 +92,11 @@ endpoint parse_endpoint(const std::string& text)
         }
         ep.host = rest.substr(0, colon);
         try {
-            std::size_t used = 0;
-            ep.port = std::stoi(rest.substr(colon + 1), &used);
-            if (used != rest.size() - colon - 1 || ep.port < 1 ||
-                ep.port > 65535) {
-                usage_error(text);
-            }
+            ep.port = parse_int_checked(rest.substr(colon + 1));
         } catch (const precondition_error&) {
-            throw;
-        } catch (const std::exception&) {
+            usage_error(text);
+        }
+        if (ep.port < 1 || ep.port > 65535) {
             usage_error(text);
         }
         return ep;

@@ -1,10 +1,13 @@
 #include "serve/protocol.hpp"
 
+#include "io/line_reader.hpp"
+#include "support/json.hpp"
+#include "support/parse_num.hpp"
+
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
-#include <limits>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -123,103 +126,36 @@ namespace {
     throw protocol_error(message);
 }
 
-/// Split "key=value"; returns false when `token` has no '='.
-bool split_kv(const std::string& token, std::string& key, std::string& value)
-{
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-        return false;
-    }
-    key = token.substr(0, eq);
-    value = token.substr(eq + 1);
-    return true;
-}
-
-std::uint64_t parse_u64(const std::string& token, const std::string& value)
+/// The value of `kv` through parse_num, the token as context. Failures
+/// become protocol_errors: the reader thread in server::serve_connection
+/// catches only that type.
+template <typename T>
+T number(const key_value& kv)
 {
     try {
-        if (value.empty() || value[0] == '-') {
-            throw std::invalid_argument(value);
-        }
-        return std::stoull(value);
-    } catch (const std::exception&) {
-        bad("bad numeric value in '" + token + "'");
+        return parse_checked<T>(kv.value, kv.token);
+    } catch (const precondition_error& e) {
+        bad(e.what());
     }
 }
 
-long parse_long(const std::string& token, const std::string& value)
-{
-    try {
-        std::size_t used = 0;
-        const long parsed = std::stol(value, &used);
-        if (used != value.size()) {
-            throw std::invalid_argument(value);
-        }
-        return parsed;
-    } catch (const std::exception&) {
-        bad("bad numeric value in '" + token + "'");
-    }
-}
-
-/// `parse_long` + an explicit int range check: a value like
-/// retry-after-ms=99999999999 parses as a long on LP64, so an unchecked
-/// `static_cast<int>` would silently truncate it to garbage. Out-of-range
-/// is a malformed frame, same as an unparseable one.
-int parse_int(const std::string& token, const std::string& value)
-{
-    const long parsed = parse_long(token, value);
-    if (parsed < std::numeric_limits<int>::min() ||
-        parsed > std::numeric_limits<int>::max()) {
-        bad("numeric value out of range in '" + token + "'");
-    }
-    return static_cast<int>(parsed);
-}
-
-double parse_double(const std::string& token, const std::string& value)
-{
-    try {
-        std::size_t used = 0;
-        const double parsed = std::stod(value, &used);
-        if (used != value.size()) {
-            throw std::invalid_argument(value);
-        }
-        return parsed;
-    } catch (const std::exception&) {
-        bad("bad numeric value in '" + token + "'");
-    }
-}
-
-/// First line of the payload as tokens, plus the body after it.
-std::vector<std::string> split_header(const std::string& payload,
-                                      std::string& body)
+/// The header line (up to the first newline) and the body after it.
+std::pair<std::string_view, std::string_view> split_payload(
+    std::string_view payload)
 {
     const std::size_t newline = payload.find('\n');
-    const std::string header = payload.substr(0, newline);
-    body = newline == std::string::npos ? std::string()
-                                        : payload.substr(newline + 1);
-    std::vector<std::string> tokens;
-    std::istringstream in(header);
-    std::string token;
-    while (in >> token) {
-        tokens.push_back(token);
+    if (newline == std::string_view::npos) {
+        return {payload, {}};
     }
-    return tokens;
-}
-
-/// Doubles survive the wire bit-exactly: shortest round-trip formatting.
-std::string wire_double(double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.17g", value);
-    return buffer;
+    return {payload.substr(0, newline), payload.substr(newline + 1)};
 }
 
 } // namespace
 
-request parse_request(const std::string& payload)
+request parse_request(std::string_view payload)
 {
-    std::string body;
-    const std::vector<std::string> tokens = split_header(payload, body);
+    const auto [header, body] = split_payload(payload);
+    const std::vector<std::string_view> tokens = split_tokens(header);
     if (tokens.empty()) {
         bad("empty request");
     }
@@ -231,36 +167,34 @@ request parse_request(const std::string& payload)
     } else if (tokens[0] == "ping") {
         r.what = request::kind::ping;
     } else {
-        bad("unknown request verb '" + tokens[0] + "'");
+        bad("unknown request verb '" + std::string(tokens[0]) + "'");
     }
     bool have_lambda = false;
     bool have_slack = false;
     for (std::size_t i = 1; i < tokens.size(); ++i) {
-        std::string key;
-        std::string value;
-        if (!split_kv(tokens[i], key, value)) {
-            bad("unknown request token '" + tokens[i] + "'");
-        }
+        const std::optional<key_value> kv = split_key_value(tokens[i]);
+        const std::string_view key = kv ? kv->key : std::string_view();
+        const bool alloc = r.what == request::kind::alloc;
         if (key == "id") {
-            r.id = parse_u64(tokens[i], value);
-        } else if (key == "lambda" && r.what == request::kind::alloc) {
-            r.lambda = parse_int(tokens[i], value);
+            r.id = number<std::uint64_t>(*kv);
+        } else if (key == "lambda" && alloc) {
+            r.lambda = number<int>(*kv);
             have_lambda = true;
-        } else if (key == "slack" && r.what == request::kind::alloc) {
-            r.slack = parse_double(tokens[i], value) / 100.0;
+        } else if (key == "slack" && alloc) {
+            r.slack = number<double>(*kv) / 100.0;
             if (r.slack < 0.0) {
                 bad("slack must be non-negative");
             }
             have_slack = true;
         } else {
-            bad("unknown request token '" + tokens[i] + "'");
+            bad("unknown request token '" + std::string(tokens[i]) + "'");
         }
     }
     if (have_lambda && have_slack) {
         bad("lambda= and slack= are mutually exclusive");
     }
     if (r.what == request::kind::alloc) {
-        r.graph_text = std::move(body);
+        r.graph_text = body;
     }
     return r;
 }
@@ -273,7 +207,7 @@ std::string format_alloc_request(std::uint64_t id, std::optional<int> lambda,
     if (lambda) {
         out << " lambda=" << *lambda;
     } else if (slack != 0.0) {
-        out << " slack=" << wire_double(slack * 100.0);
+        out << " slack=" << format_double(slack * 100.0);
     }
     out << '\n' << graph_text;
     return out.str();
@@ -297,10 +231,10 @@ std::string format_response(const response& r)
         out << "ok id=" << r.id;
         if (r.body.empty()) {
             out << " lambda=" << r.lambda << " latency=" << r.latency
-                << " area=" << wire_double(r.area)
+                << " area=" << format_double(r.area)
                 << " cached=" << (r.cached ? 1 : 0)
                 << " coalesced=" << (r.coalesced ? 1 : 0)
-                << " micros=" << wire_double(r.micros);
+                << " micros=" << format_double(r.micros);
         } else {
             out << '\n' << r.body;
         }
@@ -315,10 +249,10 @@ std::string format_response(const response& r)
     return out.str();
 }
 
-response parse_response(const std::string& payload)
+response parse_response(std::string_view payload)
 {
-    std::string body;
-    const std::vector<std::string> tokens = split_header(payload, body);
+    const auto [header, body] = split_payload(payload);
+    const std::vector<std::string_view> tokens = split_tokens(header);
     if (tokens.empty()) {
         bad("empty response");
     }
@@ -330,52 +264,45 @@ response parse_response(const std::string& payload)
     } else if (tokens[0] == "error") {
         r.what = response::status::error;
     } else {
-        bad("unknown response verb '" + tokens[0] + "'");
+        bad("unknown response verb '" + std::string(tokens[0]) + "'");
     }
-    r.body = std::move(body);
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-        std::string key;
-        std::string value;
-        if (!split_kv(tokens[i], key, value)) {
-            if (r.what == response::status::error) {
-                // The error message is free text: everything from this
-                // token to the end of the header line.
-                std::string message = tokens[i];
-                for (std::size_t j = i + 1; j < tokens.size(); ++j) {
-                    message += ' ';
-                    message += tokens[j];
-                }
-                r.message = std::move(message);
-                break;
-            }
-            bad("unknown response token '" + tokens[i] + "'");
+    r.body = body;
+    if (r.what == response::status::error) {
+        // `error id=N MESSAGE`: the message is free text, the rest of the
+        // header after id=N taken as one substring.
+        std::size_t text = 1;
+        const std::optional<key_value> id =
+            tokens.size() > 1 ? split_key_value(tokens[1]) : std::nullopt;
+        if (id && id->key == "id") {
+            r.id = number<std::uint64_t>(*id);
+            text = 2;
         }
+        if (text < tokens.size()) {
+            r.message = header.substr(tokens[text].data() - header.data());
+        }
+        return r;
+    }
+    for (std::size_t i = 1; i < tokens.size(); ++i) {
+        const std::optional<key_value> kv = split_key_value(tokens[i]);
+        const std::string_view key = kv ? kv->key : std::string_view();
         if (key == "id") {
-            r.id = parse_u64(tokens[i], value);
+            r.id = number<std::uint64_t>(*kv);
         } else if (key == "lambda") {
-            r.lambda = parse_int(tokens[i], value);
+            r.lambda = number<int>(*kv);
         } else if (key == "latency") {
-            r.latency = parse_int(tokens[i], value);
+            r.latency = number<int>(*kv);
         } else if (key == "area") {
-            r.area = parse_double(tokens[i], value);
+            r.area = number<double>(*kv);
         } else if (key == "cached") {
-            r.cached = parse_long(tokens[i], value) != 0;
+            r.cached = number<int>(*kv) != 0;
         } else if (key == "coalesced") {
-            r.coalesced = parse_long(tokens[i], value) != 0;
+            r.coalesced = number<int>(*kv) != 0;
         } else if (key == "micros") {
-            r.micros = parse_double(tokens[i], value);
+            r.micros = number<double>(*kv);
         } else if (key == "retry-after-ms") {
-            r.retry_after_ms = parse_int(tokens[i], value);
-        } else if (r.what == response::status::error) {
-            // A message that happens to contain '=': treat as free text.
-            r.message = tokens[i];
-            for (std::size_t j = i + 1; j < tokens.size(); ++j) {
-                r.message += ' ';
-                r.message += tokens[j];
-            }
-            break;
+            r.retry_after_ms = number<int>(*kv);
         } else {
-            bad("unknown response token '" + tokens[i] + "'");
+            bad("unknown response token '" + std::string(tokens[i]) + "'");
         }
     }
     return r;

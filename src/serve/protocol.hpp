@@ -15,8 +15,9 @@
 // gets a whole frame or a clean truncation (peer died mid-frame) --
 // "no torn frames" is the invariant the drain tests pin.
 //
-// Payloads are text. Line one is a header of space-separated tokens
-// (first token = verb, then `key=value` pairs); everything after the
+// Payloads are text. Line one is a header of whitespace-separated tokens
+// (first token = verb, then `key=value` pairs; io/line_reader's splitter,
+// no comments, numbers through support/parse_num); everything after the
 // first newline is the body. Requests:
 //
 //   alloc id=N [lambda=L | slack=PCT]    body: the graph, .mwl format
@@ -28,7 +29,8 @@
 //   ok id=N lambda=L latency=T area=A cached=B coalesced=B micros=U
 //   ok id=N                              body: stats JSON (stats request)
 //   busy id=N retry-after-ms=R           admission rejection; retry later
-//   error id=N MESSAGE...                bad request or infeasible job
+//   error id=N MESSAGE...                bad request or infeasible job;
+//                                        MESSAGE is the rest of the line
 //
 // The request id is chosen by the client and only needs to be unique
 // among its own outstanding requests; the server never interprets it.
@@ -96,7 +98,7 @@ struct request {
 
 /// Parse a request payload. Throws `protocol_error` on an unknown verb,
 /// an unparseable token, or a conflicting lambda=/slack= pair.
-[[nodiscard]] request parse_request(const std::string& payload);
+[[nodiscard]] request parse_request(std::string_view payload);
 
 /// Client-side formatters.
 [[nodiscard]] std::string format_alloc_request(std::uint64_t id,
@@ -128,7 +130,7 @@ struct response {
 [[nodiscard]] std::string format_response(const response& r);
 
 /// Parse a response payload. Throws `protocol_error` on grammar errors.
-[[nodiscard]] response parse_response(const std::string& payload);
+[[nodiscard]] response parse_response(std::string_view payload);
 
 } // namespace mwl::serve
 

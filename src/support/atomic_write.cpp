@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -102,7 +103,11 @@ bool read_file(const std::filesystem::path& path, std::string& out)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
-        if (!std::filesystem::exists(path)) {
+        // The non-throwing overload: a path that cannot even be resolved
+        // (too long, a symlink loop) reads as missing, not as a
+        // filesystem_error escaping every caller's `mwl::error` handler.
+        std::error_code ec;
+        if (!std::filesystem::exists(path, ec)) {
             return false;
         }
         fail("cannot open", path);

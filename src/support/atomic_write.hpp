@@ -40,7 +40,8 @@ void atomic_write_file(const std::filesystem::path& path,
                        std::string_view content, bool fault_point = false);
 
 /// Durably read a whole file into a string. Returns false if the file
-/// does not exist; throws `io_error` on any other failure.
+/// does not exist or its path cannot be resolved; throws `io_error` on any
+/// other failure.
 bool read_file(const std::filesystem::path& path, std::string& out);
 
 } // namespace mwl

@@ -4,40 +4,42 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace mwl {
 namespace {
 
-[[noreturn]] void bad_value(const std::string& text,
-                            const std::string& context)
+[[noreturn]] void bad_value(std::string_view text, std::string_view context)
 {
     if (context.empty()) {
-        throw precondition_error("bad numeric value '" + text + "'");
-    }
-    throw precondition_error("bad numeric value in '" + context + "'");
-}
-
-[[noreturn]] void out_of_range(const std::string& text,
-                               const std::string& context)
-{
-    if (context.empty()) {
-        throw precondition_error("numeric value out of range '" + text +
+        throw precondition_error("bad numeric value '" + std::string(text) +
                                  "'");
     }
-    throw precondition_error("numeric value out of range in '" + context +
-                             "'");
+    throw precondition_error("bad numeric value in '" +
+                             std::string(context) + "'");
+}
+
+[[noreturn]] void out_of_range(std::string_view text,
+                               std::string_view context)
+{
+    if (context.empty()) {
+        throw precondition_error("numeric value out of range '" +
+                                 std::string(text) + "'");
+    }
+    throw precondition_error("numeric value out of range in '" +
+                             std::string(context) + "'");
 }
 
 /// Runs one of the std::sto* functions under the shared contract: the
 /// whole token consumed, range errors distinct from parse errors.
 template <typename Fn>
-auto checked(Fn&& convert, const std::string& text,
-             const std::string& context)
+auto checked(Fn&& convert, std::string_view text, std::string_view context)
 {
+    const std::string owned(text); // sto* need a terminated string
     std::size_t used = 0;
     try {
-        const auto value = convert(text, &used);
-        if (used != text.size()) {
+        const auto value = convert(owned, &used);
+        if (used != owned.size()) {
             bad_value(text, context);
         }
         return value;
@@ -48,7 +50,7 @@ auto checked(Fn&& convert, const std::string& text,
     }
 }
 
-void reject_sign(const std::string& text, const std::string& context)
+void reject_sign(std::string_view text, std::string_view context)
 {
     // stoul wraps negatives silently ("-1" -> 1.8e19); reject up front.
     if (!text.empty() && text[0] == '-') {
@@ -58,7 +60,7 @@ void reject_sign(const std::string& text, const std::string& context)
 
 } // namespace
 
-int parse_int_checked(const std::string& text, const std::string& context)
+int parse_int_checked(std::string_view text, std::string_view context)
 {
     return checked(
         [](const std::string& t, std::size_t* used) {
@@ -67,8 +69,8 @@ int parse_int_checked(const std::string& text, const std::string& context)
         text, context);
 }
 
-std::size_t parse_size_checked(const std::string& text,
-                               const std::string& context)
+std::size_t parse_size_checked(std::string_view text,
+                               std::string_view context)
 {
     reject_sign(text, context);
     const unsigned long long value = checked(
@@ -82,8 +84,8 @@ std::size_t parse_size_checked(const std::string& text,
     return static_cast<std::size_t>(value);
 }
 
-std::uint64_t parse_u64_checked(const std::string& text,
-                                const std::string& context)
+std::uint64_t parse_u64_checked(std::string_view text,
+                                std::string_view context)
 {
     reject_sign(text, context);
     return checked(
@@ -93,8 +95,7 @@ std::uint64_t parse_u64_checked(const std::string& text,
         text, context);
 }
 
-double parse_double_checked(const std::string& text,
-                            const std::string& context)
+double parse_double_checked(std::string_view text, std::string_view context)
 {
     const double value = checked(
         [](const std::string& t, std::size_t* used) {

@@ -20,30 +20,30 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <type_traits>
 
 namespace mwl {
 
-[[nodiscard]] int parse_int_checked(const std::string& text,
-                                    const std::string& context = {});
+[[nodiscard]] int parse_int_checked(std::string_view text,
+                                    std::string_view context = {});
 
-[[nodiscard]] std::size_t parse_size_checked(const std::string& text,
-                                             const std::string& context = {});
+[[nodiscard]] std::size_t parse_size_checked(std::string_view text,
+                                             std::string_view context = {});
 
-[[nodiscard]] std::uint64_t parse_u64_checked(const std::string& text,
-                                              const std::string& context = {});
+[[nodiscard]] std::uint64_t parse_u64_checked(std::string_view text,
+                                              std::string_view context = {});
 
 /// Requires a finite value (rejects "inf"/"nan" -- no budget, slack or
 /// fraction in this codebase wants them).
-[[nodiscard]] double parse_double_checked(const std::string& text,
-                                          const std::string& context = {});
+[[nodiscard]] double parse_double_checked(std::string_view text,
+                                          std::string_view context = {});
 
 /// The checked parser for `T` (int, double, std::size_t or
 /// std::uint64_t), for callers that are generic over the target type.
 template <typename T>
-[[nodiscard]] T parse_checked(const std::string& text,
-                              const std::string& context = {})
+[[nodiscard]] T parse_checked(std::string_view text,
+                              std::string_view context = {})
 {
     if constexpr (std::is_same_v<T, int>) {
         return parse_int_checked(text, context);

@@ -1,11 +1,14 @@
 #include "tgff/corpus.hpp"
 
 #include "dfg/analysis.hpp"
+#include "io/line_reader.hpp"
 #include "support/error.hpp"
 #include "support/parse_num.hpp"
 
+#include <climits>
 #include <cmath>
-#include <stdexcept>
+#include <cstdio>
+#include <optional>
 
 namespace mwl {
 
@@ -33,20 +36,27 @@ std::vector<corpus_entry> make_corpus(std::size_t n_ops, std::size_t count,
 int relaxed_lambda(int lambda_min, double slack)
 {
     require(slack >= 0.0, "slack must be non-negative");
-    return static_cast<int>(
-        std::ceil(static_cast<double>(lambda_min) * (1.0 + slack)));
+    const double relaxed =
+        std::ceil(static_cast<double>(lambda_min) * (1.0 + slack));
+    if (relaxed > INT_MAX) {
+        char text[32];
+        std::snprintf(text, sizeof text, "%g", slack);
+        throw precondition_error(
+            std::string("relaxed lambda exceeds INT_MAX at slack ") + text);
+    }
+    return static_cast<int>(relaxed);
 }
 
-corpus_spec corpus_spec::parse(const std::vector<std::string>& tokens)
+corpus_spec corpus_spec::parse(const std::vector<std::string_view>& tokens)
 {
     corpus_spec spec;
-    for (const std::string& token : tokens) {
-        const std::size_t eq = token.find('=');
-        require(eq != std::string::npos && eq > 0 && eq + 1 < token.size(),
-                "corpus spec tokens must look like key=value, got '" + token +
-                    "'");
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
+    for (const std::string_view token : tokens) {
+        const std::optional<key_value> kv = split_key_value(token);
+        require(kv && !kv->key.empty() && !kv->value.empty(),
+                "corpus spec tokens must look like key=value, got '" +
+                    std::string(token) + "'");
+        const std::string_view key = kv->key;
+        const std::string_view value = kv->value;
         // parse_*_checked (support/parse_num.hpp): whole-token parses
         // only, negatives rejected where unsigned, range errors named --
         // so "ops=4x" and "count=-1" are diagnostics, not silent garbage.
@@ -63,7 +73,8 @@ corpus_spec corpus_spec::parse(const std::vector<std::string>& tokens)
         } else if (key == "max-width") {
             spec.prototype.max_width = parse_int_checked(value, token);
         } else {
-            require(false, "unknown corpus spec key '" + key + "'");
+            require(false, "unknown corpus spec key '" + std::string(key) +
+                               "'");
         }
     }
     require(spec.n_ops >= 1, "corpus spec needs ops >= 1");

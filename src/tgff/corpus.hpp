@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mwl {
@@ -31,7 +32,8 @@ struct corpus_entry {
     std::uint64_t base_seed, const tgff_options& prototype = {});
 
 /// Latency constraint for a given relaxation: ceil(lambda_min*(1+slack)).
-/// slack = 0.0 reproduces the paper's lambda = lambda_min point.
+/// slack = 0.0 reproduces the paper's lambda = lambda_min point. Throws
+/// `precondition_error` on a negative slack or a result above INT_MAX.
 [[nodiscard]] int relaxed_lambda(int lambda_min, double slack);
 
 /// A `make_corpus` call as data, so tools can name a corpus in text form
@@ -46,7 +48,7 @@ struct corpus_spec {
     /// mul-fraction, min-width, max-width. Throws `precondition_error` on
     /// unknown keys or unparseable values.
     [[nodiscard]] static corpus_spec parse(
-        const std::vector<std::string>& tokens);
+        const std::vector<std::string_view>& tokens);
 };
 
 /// The corpus a spec describes (same derivation as the base overload).

@@ -3,24 +3,23 @@
 #include "scenarios/scenarios.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <unordered_set>
 
 namespace mwl {
 
-tune_spec tune_spec::parse(std::istream& in)
+tune_spec tune_spec::parse(std::string_view text)
 {
     tune_spec spec;
     std::unordered_set<std::string> seen_names;
     const std::vector<std::string> known = scenario_names();
-    line_reader line(in, "spec");
+    line_reader line(text, "spec");
     while (line.next()) {
-        const std::string& keyword = line.keyword();
+        const std::string_view keyword = line.keyword();
         if (keyword == "scenario") {
             if (line.tokens().empty()) {
                 line.fail("expected 'scenario NAME ...'");
             }
-            for (const std::string& name : line.tokens()) {
+            for (const std::string_view name : line.tokens()) {
                 if (name == "all") {
                     for (const std::string& each : known) {
                         if (seen_names.insert(each).second) {
@@ -31,37 +30,38 @@ tune_spec tune_spec::parse(std::istream& in)
                 }
                 if (std::find(known.begin(), known.end(), name) ==
                     known.end()) {
-                    line.fail("unknown scenario '" + name + "'");
+                    line.fail("unknown scenario '" + std::string(name) + "'");
                 }
-                if (!seen_names.insert(name).second) {
-                    line.fail("duplicate design '" + name + "'");
+                if (!seen_names.emplace(name).second) {
+                    line.fail("duplicate design '" + std::string(name) + "'");
                 }
-                spec.entries.push_back({name, {}});
+                spec.entries.push_back({std::string(name), {}});
             }
         } else if (keyword == "graph") {
             if (line.tokens().empty()) {
                 line.fail("expected 'graph FILE ...'");
             }
-            for (const std::string& file : line.tokens()) {
-                if (!seen_names.insert(file).second) {
-                    line.fail("duplicate design '" + file + "'");
+            for (const std::string_view file : line.tokens()) {
+                if (!seen_names.emplace(file).second) {
+                    line.fail("duplicate design '" + std::string(file) + "'");
                 }
-                spec.entries.push_back({{}, file});
+                spec.entries.push_back({{}, std::string(file)});
             }
         } else if (keyword == "budget") {
             line.once();
             if (line.tokens().empty()) {
                 line.fail("expected 'budget VALUE ...'");
             }
-            for (const std::string& token : line.tokens()) {
+            for (const std::string_view token : line.tokens()) {
                 const double value = line.number<double>(token);
                 if (value <= 0.0) {
-                    line.fail("budgets must be positive, got '" + token +
-                              "'");
+                    line.fail("budgets must be positive, got '" +
+                              std::string(token) + "'");
                 }
                 if (std::find(spec.budgets.begin(), spec.budgets.end(),
                               value) != spec.budgets.end()) {
-                    line.fail("duplicate budget '" + token + "'");
+                    line.fail("duplicate budget '" + std::string(token) +
+                              "'");
                 }
                 spec.budgets.push_back(value);
             }
@@ -73,7 +73,7 @@ tune_spec tune_spec::parse(std::istream& in)
                 } else if (kv.key == "max") {
                     spec.max_frac_bits = line.number<int>(kv.value, kv.token);
                 } else {
-                    line.fail("unknown frac key '" + kv.key + "'");
+                    line.fail("unknown frac key '" + std::string(kv.key) + "'");
                 }
             }
             if (spec.min_frac_bits < 0 ||
@@ -97,7 +97,8 @@ tune_spec tune_spec::parse(std::istream& in)
                         line.fail("temp must be positive");
                     }
                 } else {
-                    line.fail("unknown search key '" + kv.key + "'");
+                    line.fail("unknown search key '" + std::string(kv.key) +
+                              "'");
                 }
             }
         } else if (keyword == "gain") {
@@ -109,7 +110,8 @@ tune_spec tune_spec::parse(std::istream& in)
                     } else if (kv.value == "attenuating") {
                         spec.gains = gain_model::attenuating;
                     } else {
-                        line.fail("unknown gain model '" + kv.value +
+                        line.fail("unknown gain model '" +
+                                  std::string(kv.value) +
                                   "' (unit | attenuating)");
                     }
                 } else if (kv.key == "base-frac") {
@@ -123,14 +125,15 @@ tune_spec tune_spec::parse(std::istream& in)
                         line.fail("cap must be in [4, 48]");
                     }
                 } else {
-                    line.fail("unknown gain key '" + kv.key + "'");
+                    line.fail("unknown gain key '" + std::string(kv.key) + "'");
                 }
             }
         } else if (keyword == "lambda") {
             line.once();
             for (const key_value& kv : line.key_values()) {
                 if (kv.key != "slack") {
-                    line.fail("unknown lambda key '" + kv.key + "'");
+                    line.fail("unknown lambda key '" + std::string(kv.key) +
+                              "'");
                 }
                 const double percent = line.number<double>(kv.value, kv.token);
                 if (percent < 0.0) {
@@ -139,7 +142,7 @@ tune_spec tune_spec::parse(std::istream& in)
                 spec.slack = percent / 100.0;
             }
         } else {
-            line.fail("unknown keyword '" + keyword + "'");
+            line.fail("unknown keyword '" + std::string(keyword) + "'");
         }
     }
     if (spec.entries.empty()) {
@@ -149,12 +152,6 @@ tune_spec tune_spec::parse(std::istream& in)
         throw spec_error("spec names no budgets");
     }
     return spec;
-}
-
-tune_spec tune_spec::parse(const std::string& text)
-{
-    std::istringstream in(text);
-    return parse(in);
 }
 
 } // namespace mwl

@@ -25,8 +25,8 @@
 #include "wordlength/tuned_graph.hpp"
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mwl {
@@ -67,8 +67,7 @@ struct tune_spec {
     /// on unknown keywords/keys, bad or out-of-range values, duplicate
     /// sections, unknown scenario names, a spec naming no designs, or a
     /// spec naming no budgets.
-    [[nodiscard]] static tune_spec parse(std::istream& in);
-    [[nodiscard]] static tune_spec parse(const std::string& text);
+    [[nodiscard]] static tune_spec parse(std::string_view text);
 };
 
 } // namespace mwl

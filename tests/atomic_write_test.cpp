@@ -233,6 +233,82 @@ TEST(ResultStoreDamage, PointPayloadRoundTripsExactly)
     EXPECT_EQ(parse_point_payload(to_payload(failed)), failed);
 }
 
+TEST(ResultStoreDamage, PointFieldsAreWholeFiniteNumbers)
+{
+    const std::string tail = " key=k lambda=3 latency=2 area=5 status=ok";
+    try {
+        static_cast<void>(parse_point_payload("point index=-1" + tail));
+        ADD_FAILURE() << "parsed index=-1";
+    } catch (const store_format_error& e) {
+        EXPECT_STREQ(e.what(), "bad numeric value in 'index=-1'");
+    }
+    for (const char* area : {"nan", "inf", "1e999", "1e-310"}) {
+        EXPECT_THROW(static_cast<void>(parse_point_payload(
+                         "point index=1 key=k lambda=3 latency=2 area=" +
+                         std::string(area) + " status=ok")),
+                     store_format_error)
+            << area;
+    }
+}
+
+TEST(ResultStoreDamage, RecordFieldsSplitOnAnyWhitespace)
+{
+    // Tabs separate fields like spaces do, so a key cannot hold one;
+    // detail= still takes the rest of the payload verbatim.
+    const point_result r = parse_point_payload(
+        "point\tindex=2\tkey=k lambda=3 latency=2 area=5 status=error "
+        "detail=a\tb  c ");
+    EXPECT_EQ(r.index, 2u);
+    EXPECT_EQ(r.key, "k");
+    EXPECT_EQ(r.error, "a\tb  c ");
+    EXPECT_THROW(static_cast<void>(parse_point_payload(
+                     "point index=2 key=a\tb lambda=3 latency=2 area=5 "
+                     "status=ok")),
+                 store_format_error);
+}
+
+TEST(ResultStoreDamage, PointsBeyondTheHeaderCountAreRejected)
+{
+    const fs::path dir = scratch("beyond_journal");
+    result_store store = result_store::create(dir, "scenario fir4\n",
+                                              /*fingerprint=*/0x77,
+                                              /*total_points=*/2);
+    store.record(make_result(1));
+    {
+        journal_writer writer(dir / "journal.log",
+                              slurp(dir / "journal.log").size());
+        writer.append(to_payload(make_result(2)));
+    }
+    EXPECT_THROW(static_cast<void>(result_store::open(dir, std::nullopt)),
+                 store_format_error);
+
+    const fs::path snap = scratch("beyond_snapshot");
+    static_cast<void>(result_store::create(snap, "scenario fir4\n", 0x77, 2));
+    const std::string header =
+        load_journal(snap / "journal.log").payloads.front();
+    std::ofstream(snap / "snapshot.log", std::ios::binary)
+        << frame_record(header) << frame_record(to_payload(make_result(5)));
+    EXPECT_THROW(
+        static_cast<void>(result_store::open(snap, std::uint64_t{0x77})),
+        store_format_error);
+}
+
+TEST(ResultStoreDamage, HeaderNumbersAreWholeTokens)
+{
+    for (const char* header :
+         {"campaign-store format_version=1 fingerprint=0x77 points=1",
+          "campaign-store format_version=1 fingerprint=-77 points=1",
+          "campaign-store format_version=1 fingerprint=77 points=-1"}) {
+        const fs::path dir = scratch("header_tokens");
+        atomic_write_file(dir / "spec.campaign", "scenario fir4\n");
+        std::ofstream(dir / "journal.log", std::ios::binary)
+            << frame_record(header);
+        EXPECT_THROW(static_cast<void>(result_store::open(dir, std::nullopt)),
+                     store_format_error)
+            << header;
+    }
+}
+
 TEST(ResultStoreDamage, DuplicateRecordsDeduplicateFirstWins)
 {
     const fs::path dir = scratch("duplicates");

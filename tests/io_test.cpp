@@ -10,7 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <sstream>
+#include <optional>
+#include <string_view>
 
 namespace mwl {
 namespace {
@@ -112,6 +113,59 @@ TEST(GraphIo, TrailingTokensRejected)
                  parse_error);
 }
 
+/// The `what()` of the parse_error `text` throws, or "" if it parses.
+std::string graph_error(const std::string& text)
+{
+    try {
+        static_cast<void>(parse_graph_string(text));
+    } catch (const parse_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(GraphIo, OpAndDepLinesShareTheExtraTokenRule)
+{
+    // Trailing comments are allowed on both kinds of line, extra tokens
+    // on neither.
+    const sequencing_graph g = parse_graph_string(
+        "op a add 8  # note\nop b mul 4 4\t# note\ndep a b # note\n");
+    ASSERT_EQ(g.size(), 2u);
+    EXPECT_EQ(g.shape(op_id(0)), op_shape::adder(8));
+    EXPECT_EQ(g.edge_count(), 1u);
+    EXPECT_EQ(graph_error("op a add 8\nop b add 8\ndep a b junk\n"),
+              "line 3: trailing tokens after dependency");
+    EXPECT_EQ(graph_error("op a add 4 junk\n"),
+              "line 1: trailing tokens after operation");
+}
+
+TEST(GraphIo, NamesCannotStartWithTheCommentMarker)
+{
+    EXPECT_EQ(graph_error("op #a add 4\n"),
+              "line 1: expected 'op <name> <add|mul> ...'");
+}
+
+TEST(GraphIo, WidthsUseTheSharedNumberRule)
+{
+    EXPECT_EQ(graph_error("op a add 99999999999\n"),
+              "line 1: numeric value out of range '99999999999'");
+    EXPECT_EQ(graph_error("op a mul 4x 5\n"),
+              "line 1: bad numeric value '4x'");
+    EXPECT_EQ(graph_error("op a add\n"), "line 1: expected adder width");
+    EXPECT_EQ(graph_error("op a mul 4\n"),
+              "line 1: expected multiplier width_b");
+}
+
+TEST(GraphIo, CrlfLineEndsAndTabsParse)
+{
+    const sequencing_graph g = parse_graph_string(
+        "op\ta\tadd\t8\r\nop b mul 4 6\r\n\r\ndep a\tb\r\n");
+    ASSERT_EQ(g.size(), 2u);
+    EXPECT_EQ(g.op(op_id(0)).name, "a");
+    EXPECT_EQ(g.shape(op_id(1)), op_shape::multiplier(6, 4));
+    EXPECT_EQ(g.edge_count(), 1u);
+}
+
 TEST(GraphIo, DanglingDependencyRejected)
 {
     EXPECT_THROW(
@@ -185,25 +239,27 @@ TEST(GraphIo, EmptyInputYieldsEmptyGraph)
 /// number<int>() of each token for "num".
 std::string read_all(const std::string& text)
 {
-    std::istringstream in(text);
-    line_reader line(in, "spec");
+    line_reader line(text, "spec");
     std::string out;
     while (line.next()) {
-        out += std::to_string(line.line_number()) + ":" + line.keyword();
+        out += std::to_string(line.line_number()) + ":" +
+               std::string(line.keyword());
         if (line.keyword().rfind("one", 0) == 0) {
             line.once();
         }
         if (line.keyword() == "kv") {
             for (const key_value& kv : line.key_values()) {
-                out += " " + kv.key + "=" + kv.value;
+                out += " " + std::string(kv.key) + "=" +
+                       std::string(kv.value);
             }
             out += ";";
             continue;
         }
-        for (const std::string& token : line.tokens()) {
-            out += " " + (line.keyword() == "num"
-                              ? std::to_string(line.number<int>(token))
-                              : token);
+        for (const std::string_view token : line.tokens()) {
+            out += ' ';
+            out += line.keyword() == "num"
+                       ? std::to_string(line.number<int>(token))
+                       : std::string(token);
         }
         out += ";";
     }
@@ -218,6 +274,30 @@ TEST(LineReader, SkipsBlanksAndCommentsAndCountsLinesFromOne)
               "1:kv a=1 b=x=y;2:num 4 -2;");
     EXPECT_EQ(read_all("one\none_more\n"), "1:one;2:one_more;");
     EXPECT_EQ(read_all(""), "");
+}
+
+TEST(LineReader, CrlfLineEndsAndTabsAreWhitespace)
+{
+    EXPECT_EQ(read_all("a\tx\r\nkv\ta=1\tb=2\r\n\r\nnum\t4\v-2\f\r\n"),
+              "1:a x;2:kv a=1 b=2;4:num 4 -2;");
+}
+
+TEST(LineReader, TheOneLineSplitterKeepsCommentMarkers)
+{
+    const std::string text = "alloc\tid=1 # x=y\r";
+    const std::vector<std::string_view> tokens = split_tokens(text);
+    ASSERT_EQ(tokens.size(), 4u);
+    EXPECT_EQ(tokens[2], "#");
+    EXPECT_EQ(tokens[3], "x=y");
+    // Views into the buffer: the rest of the line from a token is a
+    // substring.
+    EXPECT_EQ(text.substr(tokens[2].data() - text.data()), "# x=y\r");
+    const std::optional<key_value> kv = split_key_value(tokens[3]);
+    ASSERT_TRUE(kv);
+    EXPECT_EQ(kv->key, "x");
+    EXPECT_EQ(kv->value, "y");
+    EXPECT_FALSE(split_key_value("alloc"));
+    EXPECT_EQ(split_key_value("a=b=c")->value, "b=c");
 }
 
 TEST(LineReader, EveryDiagnosticCarriesItsLineNumber)
@@ -247,8 +327,7 @@ TEST(LineReader, EveryDiagnosticCarriesItsLineNumber)
 
 TEST(LineReader, NumbersCarryTheirContext)
 {
-    std::istringstream in("lambda step=2x\n");
-    line_reader line(in, "manifest");
+    line_reader line("lambda step=2x\n", "manifest");
     ASSERT_TRUE(line.next());
     const key_value kv = line.key_values().front();
     try {
@@ -267,8 +346,7 @@ TEST(LineReader, NumbersCarryTheirContext)
 
 std::vector<manifest_entry> manifest_of(const std::string& text)
 {
-    std::istringstream in(text);
-    return parse_manifest(in);
+    return parse_manifest(text);
 }
 
 TEST(Manifest, ParsesGraphAndCorpusLinesWithDirectives)
@@ -297,6 +375,15 @@ TEST(Manifest, ParsesGraphAndCorpusLinesWithDirectives)
     EXPECT_EQ(entries[3].what.sweep, 0.3);
     EXPECT_EQ(entries[4].what.verify, 4u);
     EXPECT_EQ(entries[4].name, "tgff(ops=3,seed=2001)#4");
+}
+
+TEST(Manifest, CrlfLineEndsAndTabsParse)
+{
+    const std::vector<manifest_entry> entries =
+        manifest_of("corpus\tops=4\tcount=1 lambda=7\r\n\r\n");
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].what.lambda, 7);
+    EXPECT_EQ(entries[0].graph.size(), 4u);
 }
 
 TEST(Manifest, IdenticalCorpusLinesGetUniqueNames)
@@ -357,6 +444,19 @@ TEST(Manifest, EveryDiagnosticCarriesItsLineNumber)
                 << "expected '" << c.message << "' at the start of: "
                 << e.what();
         }
+    }
+}
+
+TEST(Manifest, UnresolvableGraphPathCannotBeOpened)
+{
+    // A name past NAME_MAX is not merely missing: resolving it fails.
+    const std::string name(300, 'x');
+    try {
+        static_cast<void>(manifest_of("graph " + name + "\n"));
+        ADD_FAILURE() << "parsed a graph line naming " << name;
+    } catch (const line_error& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "manifest line 1: cannot open graph file " + name);
     }
 }
 

@@ -263,6 +263,22 @@ TEST(ServeGrammar, RequestErrorsAreProtocolErrors)
         serve::protocol_error);
 }
 
+TEST(ServeGrammar, RequestNumbersAreWholeTokensAndFinite)
+{
+    for (const char* payload : {"alloc id=12abc\ng", "alloc id=1 slack=inf\ng",
+                                "alloc id=1 slack=nan\ng"}) {
+        EXPECT_THROW(static_cast<void>(serve::parse_request(payload)),
+                     serve::protocol_error)
+            << payload;
+    }
+    try {
+        static_cast<void>(serve::parse_request("alloc id=12x\ng"));
+        ADD_FAILURE() << "parsed id=12x";
+    } catch (const serve::protocol_error& e) {
+        EXPECT_STREQ(e.what(), "bad numeric value in 'id=12x'");
+    }
+}
+
 TEST(ServeGrammar, ResponseRoundTripsBitExactDoubles)
 {
     serve::response ok;
@@ -302,6 +318,17 @@ TEST(ServeGrammar, ResponseRoundTripsBitExactDoubles)
         serve::parse_response(serve::format_response(err));
     EXPECT_EQ(err2.what, serve::response::status::error);
     EXPECT_EQ(err2.message, "lambda 1 below minimum latency");
+    // The message is the rest of the header after id=N, whatever it
+    // looks like: key=value text neither sets fields nor moves the id.
+    for (const char* message :
+         {"lambda=5 is below the minimum", "id=9 tail", "two  spaces  "}) {
+        err.message = message;
+        const serve::response err3 =
+            serve::parse_response(serve::format_response(err));
+        EXPECT_EQ(err3.id, 6u) << message;
+        EXPECT_EQ(err3.lambda, 0) << message;
+        EXPECT_EQ(err3.message, message);
+    }
 
     serve::response stats;
     stats.what = serve::response::status::ok;
@@ -329,6 +356,40 @@ TEST(ServeGrammar, IntFieldsBeyondIntRangeAreMalformedNotTruncated)
     EXPECT_THROW(static_cast<void>(serve::parse_request(
                      "alloc id=1 lambda=99999999999\ng")),
                  serve::protocol_error);
+}
+
+TEST(ServeGrammar, ResponseNumbersAreWholeTokensAndFinite)
+{
+    for (const char* payload :
+         {"ok id=5x", "error id=5x boom", "ok id=1 area=inf",
+          "ok id=1 micros=nan", "ok id=1 cached=99999999999"}) {
+        EXPECT_THROW(static_cast<void>(serve::parse_response(payload)),
+                     serve::protocol_error)
+            << payload;
+    }
+}
+
+TEST(ServeGrammar, ErrorMessageWithoutIdIsTheWholeRestOfTheHeader)
+{
+    const serve::response bare = serve::parse_response("error lambda=5 boom");
+    EXPECT_EQ(bare.id, 0u);
+    EXPECT_EQ(bare.lambda, 0);
+    EXPECT_EQ(bare.message, "lambda=5 boom");
+}
+
+TEST(ServeGrammar, CrlfAndTabsSeparateHeaderTokens)
+{
+    const serve::request req =
+        serve::parse_request("alloc\tid=3\tlambda=4\r\nop a add 4\n");
+    EXPECT_EQ(req.id, 3u);
+    EXPECT_EQ(req.lambda, 4);
+    EXPECT_EQ(req.graph_text, "op a add 4\n");
+    const serve::response resp = serve::parse_response(
+        "ok\tid=5 lambda=2\tlatency=2 area=1.5 cached=1 coalesced=0 "
+        "micros=3\r");
+    EXPECT_EQ(resp.id, 5u);
+    EXPECT_EQ(resp.area, 1.5);
+    EXPECT_TRUE(resp.cached);
 }
 
 TEST(ServeGrammar, EndpointParsing)
@@ -452,6 +513,23 @@ TEST(ServeServer, BadJobsGetErrorResponsesAndTheConnectionSurvives)
     auto pong = conn.receive();
     ASSERT_TRUE(pong.has_value());
     EXPECT_EQ(pong->what, serve::response::status::ok);
+}
+
+TEST(ServeServer, SlackBeyondIntLambdaIsAnErrorFrame)
+{
+    const sample_graph sample = make_sample();
+    serve::server_options options;
+    options.unix_path = socket_path("hugeslack");
+    options.jobs = 1;
+    test_server ts(options);
+    serve::client_connection conn(unix_endpoint(options.unix_path));
+    ASSERT_TRUE(conn.send("alloc id=4 slack=1e300\n" + sample.text));
+    const auto resp = conn.receive();
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->what, serve::response::status::error);
+    EXPECT_EQ(resp->id, 4u);
+    EXPECT_EQ(resp->message,
+              "relaxed lambda exceeds INT_MAX at slack 1e+298");
 }
 
 // ------------------------------------- protocol abuse against a server --

@@ -325,5 +325,17 @@ TEST(Corpus, NegativeSlackThrows)
                  precondition_error);
 }
 
+TEST(Corpus, SlackPastIntRangeThrowsInsteadOfWrapping)
+{
+    // ceil(2 * (1 + 3e9)) does not fit an int; the boundary still does.
+    try {
+        static_cast<void>(relaxed_lambda(2, 3e9));
+        FAIL() << "relaxed_lambda(2, 3e9) returned";
+    } catch (const precondition_error& e) {
+        EXPECT_STREQ(e.what(), "relaxed lambda exceeds INT_MAX at slack 3e+09");
+    }
+    EXPECT_EQ(relaxed_lambda(1, 2147483646.0), 2147483647);
+}
+
 } // namespace
 } // namespace mwl

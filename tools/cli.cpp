@@ -3,7 +3,9 @@
 #include "support/error.hpp"
 
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <iterator>
 #include <utility>
 
 namespace mwl::cli {
@@ -114,14 +116,17 @@ std::ostream& report_stream(const std::string& json_path)
 
 input::input(const std::string& path)
 {
-    if (path == "-") {
-        in_ = &std::cin;
-        return;
+    std::ifstream file;
+    if (path != "-") {
+        file.open(path);
+        if (!file) {
+            return;
+        }
     }
-    file_.open(path);
-    if (file_) {
-        in_ = &file_;
-    }
+    std::istream& in = path == "-" ? std::cin : file;
+    text_.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+    opened_ = true;
 }
 
 } // namespace mwl::cli

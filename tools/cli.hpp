@@ -24,7 +24,6 @@
 #include "support/parse_num.hpp"
 
 #include <climits>
-#include <fstream>
 #include <functional>
 #include <iosfwd>
 #include <optional>
@@ -117,16 +116,17 @@ private:
 /// stdout to the JSON document, stdout otherwise.
 [[nodiscard]] std::ostream& report_stream(const std::string& json_path);
 
-/// An input path opened for reading, "-" meaning stdin.
+/// An input path read whole, "-" meaning stdin.
 class input {
 public:
     explicit input(const std::string& path);
-    [[nodiscard]] explicit operator bool() const { return in_ != nullptr; }
-    [[nodiscard]] std::istream& stream() const { return *in_; }
+    /// False when the path could not be opened.
+    [[nodiscard]] explicit operator bool() const { return opened_; }
+    [[nodiscard]] const std::string& text() const { return text_; }
 
 private:
-    std::ifstream file_;
-    std::istream* in_ = nullptr;
+    std::string text_;
+    bool opened_ = false;
 };
 
 } // namespace mwl::cli

@@ -103,7 +103,7 @@ int main(int argc, char** argv)
             std::cerr << "mwl_alloc: cannot open " << graph_file << '\n';
             return 1;
         }
-        const sequencing_graph graph = parse_graph(in.stream());
+        const sequencing_graph graph = parse_graph_string(in.text());
 
         const sonic_model model;
         const int lambda_min = min_latency(graph, model);

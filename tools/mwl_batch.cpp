@@ -90,7 +90,7 @@ int main(int argc, char** argv)
         }
         std::vector<manifest_entry> items;
         try {
-            items = parse_manifest(in.stream());
+            items = parse_manifest(in.text());
         } catch (const line_error& e) {
             std::cerr << "mwl_batch: " << e.what() << '\n';
             return 2;

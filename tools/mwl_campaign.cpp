@@ -24,12 +24,11 @@
 #include "campaign/campaign_runner.hpp"
 #include "campaign/report.hpp"
 #include "cli.hpp"
+#include "support/atomic_write.hpp"
 #include "support/interrupt.hpp"
 #include "support/timer.hpp"
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 namespace {
@@ -173,15 +172,12 @@ int main(int argc, char** argv)
     }
     try {
         if (c.mode == "run") {
-            std::ifstream in(c.spec_file);
-            if (!in) {
+            std::string spec_text;
+            if (!read_file(c.spec_file, spec_text)) {
                 std::cerr << "mwl_campaign: cannot open spec "
                           << c.spec_file << '\n';
                 return 2;
             }
-            std::ostringstream buffer;
-            buffer << in.rdbuf();
-            const std::string spec_text = std::move(buffer).str();
             const campaign_spec spec = campaign_spec::parse(spec_text);
             const std::vector<campaign_point> points = expand(spec);
             result_store store = result_store::create(

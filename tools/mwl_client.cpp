@@ -29,12 +29,12 @@
 #include "io/manifest.hpp"
 #include "report/table.hpp"
 #include "serve/client.hpp"
+#include "support/atomic_write.hpp"
 #include "support/json.hpp"
 #include "support/stats.hpp"
 #include "support/timer.hpp"
 
 #include <csignal>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <optional>
@@ -113,10 +113,10 @@ serve_item request_of(const manifest_directives& what)
 
 /// Expand a manifest into wire-ready items; throws `line_error` on a bad
 /// line.
-std::vector<serve_item> read_manifest(std::istream& in)
+std::vector<serve_item> read_manifest(std::string_view text)
 {
     std::vector<serve_item> items;
-    for (const manifest_entry& e : parse_manifest(in)) {
+    for (const manifest_entry& e : parse_manifest(text)) {
         try {
             serve_item item = request_of(e.what);
             item.name = e.name;
@@ -275,14 +275,14 @@ int one_shot(const cli::tool& cli, const serve::endpoint& ep,
             }
         }
         const serve_item item = request_of(what);
-        std::ifstream gf(args[0]);
-        if (!gf) {
+        std::string text;
+        if (!read_file(args[0], text)) {
             std::cerr << "mwl_client: cannot open graph file " << args[0]
                       << '\n';
             return 2;
         }
         payload = serve::format_alloc_request(
-            1, item.lambda, item.slack, write_graph(parse_graph(gf)));
+            1, item.lambda, item.slack, write_graph(parse_graph_string(text)));
     } else {
         cli.fail("unknown command '" + command + "'");
     }
@@ -375,7 +375,7 @@ int main(int argc, char** argv)
             std::cerr << "mwl_client: cannot open " << manifest_file << '\n';
             return 1;
         }
-        const std::vector<serve_item> items = read_manifest(in.stream());
+        const std::vector<serve_item> items = read_manifest(in.text());
         if (items.empty()) {
             std::cerr << "mwl_client: manifest has no entries\n";
             return 2;

@@ -24,12 +24,12 @@
 #include "io/manifest.hpp"
 #include "model/hardware_model.hpp"
 #include "scenarios/scenarios.hpp"
+#include "support/atomic_write.hpp"
 #include "support/json.hpp"
 #include "support/timer.hpp"
 #include "verify/differential.hpp"
 
 #include <deque>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -157,12 +157,12 @@ int main(int argc, char** argv)
             add_scenario(make_scenario(name)); // throws on unknown names
         }
         for (const std::string& path : graph_files) {
-            std::ifstream in(path);
-            if (!in) {
+            std::string text;
+            if (!read_file(path, text)) {
                 std::cerr << "mwl_lint: cannot open " << path << '\n';
                 return 2;
             }
-            graphs.push_back(parse_graph(in));
+            graphs.push_back(parse_graph_string(text));
             items.push_back({path, &graphs.back(), std::nullopt,
                              default_slack});
         }
@@ -187,7 +187,7 @@ int main(int argc, char** argv)
             // lambda=/slack= pick the allocation point; mwl_batch's
             // sweep=/verify= directives are about *dynamic* work and are
             // ignored here so one manifest can drive both tools.
-            manifest = parse_manifest(in.stream());
+            manifest = parse_manifest(in.text());
             for (const manifest_entry& e : manifest) {
                 items.push_back({e.name, &e.graph, e.what.lambda,
                                  e.what.slack.value_or(default_slack)});

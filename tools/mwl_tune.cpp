@@ -38,13 +38,13 @@
 #include "model/hardware_model.hpp"
 #include "report/table.hpp"
 #include "scenarios/scenarios.hpp"
+#include "support/atomic_write.hpp"
 #include "support/interrupt.hpp"
 #include "support/json.hpp"
 #include "support/timer.hpp"
 #include "wordlength/optimizer.hpp"
 #include "wordlength/tune_spec.hpp"
 
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -141,7 +141,7 @@ int main(int argc, char** argv)
             std::cerr << "mwl_tune: cannot open " << spec_file << '\n';
             return 1;
         }
-        spec = tune_spec::parse(in.stream());
+        spec = tune_spec::parse(in.text());
     } catch (const spec_error& e) {
         std::cerr << "mwl_tune: " << e.what() << '\n';
         return 2;
@@ -160,13 +160,13 @@ int main(int argc, char** argv)
             if (!e.scenario.empty()) {
                 graph = make_scenario(e.scenario).graph;
             } else {
-                std::ifstream gf(e.graph_file);
-                if (!gf) {
+                std::string text;
+                if (!read_file(e.graph_file, text)) {
                     std::cerr << "mwl_tune: cannot open graph file "
                               << e.graph_file << '\n';
                     return 2;
                 }
-                graph = parse_graph(gf);
+                graph = parse_graph_string(text);
             }
             designs.push_back({e.name(),
                                make_tune_problem(graph, spec.gains,

@@ -28,10 +28,10 @@
 #include "dfg/analysis.hpp"
 #include "io/graph_io.hpp"
 #include "model/hardware_model.hpp"
+#include "support/atomic_write.hpp"
 #include "support/timer.hpp"
 #include "verify/differential.hpp"
 
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -125,13 +125,13 @@ int main(int argc, char** argv)
                 graphs = spec.count;
             } else {
                 for (const std::string& path : graph_files) {
-                    std::ifstream in(path);
-                    if (!in) {
+                    std::string text;
+                    if (!read_file(path, text)) {
                         std::cerr << "mwl_verify: cannot open " << path
                                   << '\n';
                         return 1;
                     }
-                    const sequencing_graph graph = parse_graph(in);
+                    const sequencing_graph graph = parse_graph_string(text);
                     const int lambda = relaxed_lambda(
                         min_latency(graph, model), options.slack);
                     report.merge(static_verify_graph(graph, path, model,
@@ -171,12 +171,12 @@ int main(int argc, char** argv)
         } else {
             for (std::size_t g = 0; g < graph_files.size(); ++g) {
                 const std::string& path = graph_files[g];
-                std::ifstream in(path);
-                if (!in) {
+                std::string text;
+                if (!read_file(path, text)) {
                     std::cerr << "mwl_verify: cannot open " << path << '\n';
                     return 1;
                 }
-                const sequencing_graph graph = parse_graph(in);
+                const sequencing_graph graph = parse_graph_string(text);
                 const int lambda = relaxed_lambda(
                     min_latency(graph, model), options.slack);
                 report.merge(verify_graph(
