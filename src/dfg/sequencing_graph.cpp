@@ -27,9 +27,17 @@ void sequencing_graph::add_dependency(op_id from, op_id to)
     if (std::find(succ.begin(), succ.end(), to) != succ.end()) {
         return; // duplicate edge: idempotent
     }
-    require(!reaches(to, from),
-            "dependency " + std::to_string(from.value()) + " -> " +
-                std::to_string(to.value()) + " would create a cycle");
+    // While every edge runs from a lower id to a higher one, every path
+    // does too, so an ascending edge cannot close a cycle and needs no
+    // search. Generated graphs and their .mwl text are built that way.
+    const bool ascending = from.value() < to.value();
+    if ((!ascending || !all_ascending_) && reaches(to, from)) {
+        throw precondition_error("dependency " +
+                                 std::to_string(from.value()) + " -> " +
+                                 std::to_string(to.value()) +
+                                 " would create a cycle");
+    }
+    all_ascending_ = all_ascending_ && ascending;
 
     succ.push_back(to);
     preds_[to.value()].push_back(from);

@@ -62,6 +62,7 @@ private:
     std::vector<std::vector<op_id>> preds_;
     std::vector<std::vector<op_id>> succs_;
     std::size_t edge_count_ = 0;
+    bool all_ascending_ = true; ///< every edge so far has from < to
 };
 
 } // namespace mwl

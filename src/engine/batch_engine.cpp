@@ -75,20 +75,15 @@ std::size_t batch_engine::submit(const sequencing_graph& graph,
 {
     const job_key key{graph_fingerprint(graph), model.fingerprint(), lambda,
                       options};
-    submitted_.fetch_add(1, std::memory_order_relaxed);
 
     // Cache lookup first, touching only the key's shard lock. A result
     // published between this miss and the in-flight registration below is
     // recomputed -- a benign race costing one duplicate execution, never a
     // wrong answer (equal keys imply byte-identical results).
-    if (auto cached = cache_.get(key)) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    if (std::optional<outcome> hit = probe(key)) {
         std::unique_lock<std::mutex> lock(mutex_);
         const std::size_t index = entries_.size();
-        outcome& entry = entries_.emplace_back();
-        entry.key = job_key_hash{}(key);
-        entry.result = std::move(*cached);
-        entry.from_cache = true;
+        const outcome& entry = entries_.emplace_back(std::move(*hit));
         if (hook_) {
             // Hook with the lock released; the caller is inside submit(),
             // so the engine cannot be destroyed underneath the call.
@@ -99,6 +94,7 @@ std::size_t batch_engine::submit(const sequencing_graph& graph,
         }
         return index;
     }
+    submitted_.fetch_add(1, std::memory_order_relaxed);
 
     std::unique_lock<std::mutex> lock(mutex_);
     const std::size_t index = entries_.size();
@@ -120,6 +116,31 @@ std::size_t batch_engine::submit(const sequencing_graph& graph,
     return index;
 }
 
+std::optional<batch_engine::outcome> batch_engine::probe(const job_key& key)
+{
+    std::optional<std::shared_ptr<const dpalloc_result>> cached =
+        cache_.get(key);
+    if (!cached) {
+        return std::nullopt;
+    }
+    // Submitted before hits: snapshot() reads them in the other order.
+    submitted_.fetch_add(1, std::memory_order_relaxed);
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    outcome out;
+    out.result = std::move(*cached);
+    out.key = job_key_hash{}(key);
+    out.from_cache = true;
+    return out;
+}
+
+std::optional<batch_engine::outcome> batch_engine::lookup(
+    const sequencing_graph& graph, const hardware_model& model, int lambda,
+    const dpalloc_options& options)
+{
+    return probe(job_key{graph_fingerprint(graph), model.fingerprint(),
+                         lambda, options});
+}
+
 batch_engine::outcome batch_engine::run(const sequencing_graph& graph,
                                         const hardware_model& model,
                                         int lambda,
@@ -127,17 +148,11 @@ batch_engine::outcome batch_engine::run(const sequencing_graph& graph,
 {
     const job_key key{graph_fingerprint(graph), model.fingerprint(), lambda,
                       options};
+    if (std::optional<outcome> hit = probe(key)) {
+        return std::move(*hit);
+    }
     const std::uint64_t key_hash = job_key_hash{}(key);
     submitted_.fetch_add(1, std::memory_order_relaxed);
-
-    if (auto cached = cache_.get(key)) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        outcome out;
-        out.result = std::move(*cached);
-        out.key = key_hash;
-        out.from_cache = true;
-        return out;
-    }
 
     {
         std::unique_lock<std::mutex> lock(mutex_);

@@ -23,9 +23,12 @@
 //  * Batch: submit() many jobs, drain() them in submission order
 //    (mwl_batch, the campaign runner).
 //  * Direct: run() one job to completion on the calling thread
-//    (mwl_serve's per-request path). run() never touches the batch
-//    entry list, so concurrent callers do not contend on drain()'s
-//    global barrier; it coalesces with in-flight work from either style.
+//    (mwl_serve's cache misses, mwl_tune's candidates). run() never
+//    touches the batch entry list, so concurrent callers do not contend
+//    on drain()'s global barrier; it coalesces with in-flight work from
+//    either style. lookup() is run()'s first step on its own: a cache
+//    probe that never executes, which mwl_serve's reader threads use to
+//    answer hits without a pool hop.
 //
 // Identity is structural: the graph fingerprint covers shapes and edges
 // (io/graph_io.hpp), the model contributes hardware_model::fingerprint(),
@@ -49,6 +52,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -133,12 +137,22 @@ public:
                        const hardware_model& model, int lambda,
                        const dpalloc_options& options = {});
 
+    /// Answer one job from the result cache without waiting on anything
+    /// but the key's shard lock. A hit counts one submission and one cache
+    /// hit, exactly as a hit inside run() does; a miss counts nothing, so
+    /// a run() of the same job afterwards counts it once. run() and
+    /// submit() probe through the same path. Thread-safe.
+    [[nodiscard]] std::optional<outcome> lookup(
+        const sequencing_graph& graph, const hardware_model& model,
+        int lambda, const dpalloc_options& options = {});
+
     /// Run one job to completion on the calling thread: answer from the
-    /// cache, coalesce onto an identical in-flight job (helping the pool
-    /// while waiting, so run() may be called from a pool task), or execute
-    /// dpalloc inline. Never touches the batch entry list -- concurrent
-    /// run() calls from N serve connections share only the striped cache
-    /// and the (brief) in-flight registration, not drain()'s barrier.
+    /// cache (through lookup()'s probe), coalesce onto an identical
+    /// in-flight job (helping the pool while waiting, so run() may be
+    /// called from a pool task), or execute dpalloc inline. Never touches
+    /// the batch entry list -- concurrent run() calls from N serve
+    /// connections share only the striped cache and the (brief)
+    /// in-flight registration, not drain()'s barrier.
     /// The completion hook does not fire for run() jobs (it is an index
     /// contract over submit()). Thread-safe; `graph`/`model` only need to
     /// live for the duration of the call.
@@ -203,6 +217,10 @@ private:
         std::vector<std::size_t> indices;  ///< batch waiters (entry index)
         std::shared_ptr<sync_slot> sync;   ///< run() waiters, lazily made
     };
+
+    /// The one cache probe: on a hit, count the submission and the hit
+    /// and return the cached outcome; on a miss, count nothing.
+    std::optional<outcome> probe(const job_key& key);
 
     void execute(const job_key& key, const sequencing_graph& graph,
                  const hardware_model& model);

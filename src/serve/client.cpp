@@ -145,6 +145,7 @@ std::optional<response> client_connection::receive()
         return parse_response(payload);
     case frame_status::eof:
     case frame_status::truncated:
+    case frame_status::abandoned:
         return std::nullopt;
     case frame_status::malformed:
         throw protocol_error("malformed response frame from server");

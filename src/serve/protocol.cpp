@@ -5,11 +5,12 @@
 #include "support/parse_num.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
-#include <sstream>
 #include <utility>
 #include <vector>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -19,15 +20,28 @@ namespace {
 
 constexpr char frame_magic[4] = {'M', 'W', 'L', '1'};
 
-/// Read exactly `n` bytes unless the stream ends first; returns the
-/// number of bytes actually read (EINTR retried).
-std::size_t read_exact(int fd, char* buffer, std::size_t n)
+/// Read exactly `n` bytes unless the stream ends first or, with
+/// `abandon`, it holds while no byte is ready (then `abandoned` is set);
+/// returns the number of bytes actually read (EINTR retried).
+std::size_t read_exact(int fd, char* buffer, std::size_t n,
+                       const std::function<bool()>& abandon, bool& abandoned)
 {
     std::size_t got = 0;
     while (got < n) {
-        const ssize_t r = ::read(fd, buffer + got, n - got);
+        const ssize_t r =
+            abandon ? ::recv(fd, buffer + got, n - got, MSG_DONTWAIT)
+                    : ::read(fd, buffer + got, n - got);
         if (r < 0) {
             if (errno == EINTR) {
+                continue;
+            }
+            if (abandon && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+                if (abandon()) {
+                    abandoned = true;
+                    return got;
+                }
+                pollfd p = {fd, POLLIN, 0};
+                static_cast<void>(::poll(&p, 1, poll_interval_ms));
                 continue;
             }
             return got;
@@ -50,15 +64,22 @@ const char* to_string(frame_status status)
     case frame_status::truncated: return "truncated";
     case frame_status::malformed: return "malformed";
     case frame_status::oversized: return "oversized";
+    case frame_status::abandoned: return "abandoned";
     }
     return "?";
 }
 
 frame_status read_frame(int fd, std::string& payload,
-                        std::size_t max_payload)
+                        std::size_t max_payload,
+                        const std::function<bool()>& abandon)
 {
+    bool abandoned = false;
     char header[frame_header_bytes];
-    const std::size_t got = read_exact(fd, header, sizeof header);
+    const std::size_t got =
+        read_exact(fd, header, sizeof header, abandon, abandoned);
+    if (abandoned) {
+        return frame_status::abandoned;
+    }
     if (got == 0) {
         return frame_status::eof;
     }
@@ -78,8 +99,9 @@ frame_status read_frame(int fd, std::string& payload,
         return frame_status::oversized;
     }
     payload.resize(length);
-    if (read_exact(fd, payload.data(), length) < length) {
-        return frame_status::truncated;
+    if (read_exact(fd, payload.data(), length, abandon, abandoned) <
+        length) {
+        return abandoned ? frame_status::abandoned : frame_status::truncated;
     }
     return frame_status::ok;
 }
@@ -137,6 +159,15 @@ T number(const key_value& kv)
     } catch (const precondition_error& e) {
         bad(e.what());
     }
+}
+
+/// Append `value` in decimal, as `std::ostream <<` prints it.
+template <typename Int>
+void append_int(std::string& out, Int value)
+{
+    char buf[24];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, value);
+    out.append(buf, r.ptr);
 }
 
 /// The header line (up to the first newline) and the body after it.
@@ -202,15 +233,20 @@ request parse_request(std::string_view payload)
 std::string format_alloc_request(std::uint64_t id, std::optional<int> lambda,
                                  double slack, std::string_view graph_text)
 {
-    std::ostringstream out;
-    out << "alloc id=" << id;
+    std::string out;
+    out.reserve(64 + graph_text.size());
+    out += "alloc id=";
+    append_int(out, id);
     if (lambda) {
-        out << " lambda=" << *lambda;
+        out += " lambda=";
+        append_int(out, *lambda);
     } else if (slack != 0.0) {
-        out << " slack=" << format_double(slack * 100.0);
+        out += " slack=";
+        append_double(out, slack * 100.0);
     }
-    out << '\n' << graph_text;
-    return out.str();
+    out += '\n';
+    out += graph_text;
+    return out;
 }
 
 std::string format_stats_request(std::uint64_t id)
@@ -225,28 +261,42 @@ std::string format_ping_request(std::uint64_t id)
 
 std::string format_response(const response& r)
 {
-    std::ostringstream out;
+    std::string out;
+    out.reserve(160 + r.body.size() + r.message.size());
     switch (r.what) {
     case response::status::ok:
-        out << "ok id=" << r.id;
+        out += "ok id=";
+        append_int(out, r.id);
         if (r.body.empty()) {
-            out << " lambda=" << r.lambda << " latency=" << r.latency
-                << " area=" << format_double(r.area)
-                << " cached=" << (r.cached ? 1 : 0)
-                << " coalesced=" << (r.coalesced ? 1 : 0)
-                << " micros=" << format_double(r.micros);
+            out += " lambda=";
+            append_int(out, r.lambda);
+            out += " latency=";
+            append_int(out, r.latency);
+            out += " area=";
+            append_double(out, r.area);
+            out += r.cached ? " cached=1" : " cached=0";
+            out += r.coalesced ? " coalesced=1" : " coalesced=0";
+            out += " micros=";
+            append_double(out, r.micros);
         } else {
-            out << '\n' << r.body;
+            out += '\n';
+            out += r.body;
         }
         break;
     case response::status::busy:
-        out << "busy id=" << r.id << " retry-after-ms=" << r.retry_after_ms;
+        out += "busy id=";
+        append_int(out, r.id);
+        out += " retry-after-ms=";
+        append_int(out, r.retry_after_ms);
         break;
     case response::status::error:
-        out << "error id=" << r.id << ' ' << r.message;
+        out += "error id=";
+        append_int(out, r.id);
+        out += ' ';
+        out += r.message;
         break;
     }
-    return out.str();
+    return out;
 }
 
 response parse_response(std::string_view payload)

@@ -41,6 +41,7 @@
 #include "support/error.hpp"
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -52,6 +53,10 @@ inline constexpr std::size_t default_max_frame = 4u << 20;
 
 /// Bytes of framing preceding every payload (magic + length).
 inline constexpr std::size_t frame_header_bytes = 8;
+
+/// How long a blocked reader sleeps between looks at its stop condition
+/// (read_frame's `abandon`, the server's accept and connection loops).
+inline constexpr int poll_interval_ms = 50;
 
 /// A peer violated the payload grammar (framing itself reports through
 /// `frame_status`, not exceptions -- a broken stream is an expected event
@@ -67,6 +72,8 @@ enum class frame_status {
     truncated, ///< stream ended mid-header or mid-payload
     malformed, ///< header magic mismatch (desynced or foreign peer)
     oversized, ///< declared length exceeds the `max_payload` bound
+    abandoned, ///< `abandon()` held while waiting for bytes; any partial
+               ///< frame was consumed and dropped
 };
 
 /// Human-readable name of a status ("ok", "eof", ...).
@@ -75,8 +82,15 @@ enum class frame_status {
 /// Read one frame from `fd` into `payload` (blocking). On `oversized`
 /// the payload bytes are left unread -- the stream is desynced and the
 /// connection should be closed after reporting the rejection.
-[[nodiscard]] frame_status read_frame(int fd, std::string& payload,
-                                      std::size_t max_payload);
+///
+/// With `abandon`, `fd` must be a socket and the read never blocks for
+/// longer than `poll_interval_ms` at a time: whenever no byte is ready it
+/// asks `abandon()` and returns `abandoned` once that holds, also in the
+/// middle of a frame (a peer that stops sending mid-frame cannot hold the
+/// reader, e.g. a server drain, hostage).
+[[nodiscard]] frame_status read_frame(
+    int fd, std::string& payload, std::size_t max_payload,
+    const std::function<bool()>& abandon = {});
 
 /// Write one frame (header + payload) to `fd`, looping over short
 /// writes. Returns false when the peer is gone (EPIPE/ECONNRESET --

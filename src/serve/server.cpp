@@ -22,8 +22,6 @@ namespace mwl::serve {
 
 namespace {
 
-constexpr int poll_interval_ms = 50;
-
 [[noreturn]] void fail_errno(const std::string& what)
 {
     throw error(what + ": " + std::strerror(errno));
@@ -283,8 +281,77 @@ void server::respond(connection& conn, const response& r)
     }
 }
 
-void server::handle_alloc(connection& conn, request req)
+void server::answer(connection& conn, const response& r)
 {
+    if (r.what == response::status::ok) {
+        ok_responses_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+        error_responses_.fetch_add(1, std::memory_order_relaxed);
+    }
+    respond(conn, r);
+}
+
+namespace {
+
+response error_response(std::uint64_t id, std::string message)
+{
+    response r;
+    r.what = response::status::error;
+    r.id = id;
+    r.message = std::move(message);
+    return r;
+}
+
+/// The response to an alloc job that reached the engine.
+response engine_response(std::uint64_t id, int lambda,
+                         const batch_engine::outcome& out, double micros)
+{
+    if (!out.ok()) {
+        return error_response(id, out.error);
+    }
+    response r;
+    r.id = id;
+    r.lambda = lambda;
+    r.latency = out.result->path.latency;
+    r.area = out.result->path.total_area;
+    r.cached = out.from_cache;
+    r.coalesced = out.coalesced;
+    r.micros = micros;
+    return r;
+}
+
+} // namespace
+
+void server::handle_alloc(connection& conn, const request& req)
+{
+    // Parse and probe on the reader thread: a bad body or a cache hit is
+    // answered right here, so only a miss takes a pool slot.
+    sequencing_graph graph;
+    int lambda = 0;
+    try {
+        graph = parse_graph_string(req.graph_text);
+        if (graph.empty()) {
+            response r;
+            r.id = req.id;
+            answer(conn, r);
+            return;
+        }
+        lambda = req.lambda ? *req.lambda
+                            : relaxed_lambda(min_latency(graph, model_),
+                                             req.slack);
+    } catch (const std::exception& e) {
+        answer(conn, error_response(req.id, e.what()));
+        return;
+    }
+    const stopwatch clock;
+    if (const std::optional<batch_engine::outcome> hit =
+            engine_.lookup(graph, model_, lambda)) {
+        const double micros = clock.seconds() * 1e6;
+        latency_.record(micros / 1e3);
+        answer(conn, engine_response(req.id, lambda, *hit, micros));
+        return;
+    }
+
     // Admission control, decided on the reader thread before anything is
     // queued: both bounds reject with a retry hint instead of letting the
     // backlog (and every client's latency) grow without bound.
@@ -308,52 +375,23 @@ void server::handle_alloc(connection& conn, request req)
     queued_.fetch_add(1, std::memory_order_relaxed);
 
     retain_task(engine_.pool().submit(
-        [this, &conn, id = req.id, lambda_opt = req.lambda,
-         slack = req.slack, graph_text = std::move(req.graph_text)] {
+        [this, &conn, id = req.id, lambda, graph = std::move(graph)] {
             if (stall_ms() > 0) {
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(stall_ms()));
             }
             response r;
-            r.id = id;
             try {
-                const sequencing_graph graph =
-                    parse_graph_string(graph_text);
-                if (graph.empty()) {
-                    r.what = response::status::ok;
-                } else {
-                    const int lambda =
-                        lambda_opt ? *lambda_opt
-                                   : relaxed_lambda(
-                                         min_latency(graph, model_), slack);
-                    const stopwatch clock;
-                    const batch_engine::outcome out =
-                        engine_.run(graph, model_, lambda);
-                    const double micros = clock.seconds() * 1e6;
-                    latency_.record(micros / 1e3);
-                    if (out.ok()) {
-                        r.what = response::status::ok;
-                        r.lambda = lambda;
-                        r.latency = out.result->path.latency;
-                        r.area = out.result->path.total_area;
-                        r.cached = out.from_cache;
-                        r.coalesced = out.coalesced;
-                        r.micros = micros;
-                    } else {
-                        r.what = response::status::error;
-                        r.message = out.error;
-                    }
-                }
+                const stopwatch clock;
+                const batch_engine::outcome out =
+                    engine_.run(graph, model_, lambda);
+                const double micros = clock.seconds() * 1e6;
+                latency_.record(micros / 1e3);
+                r = engine_response(id, lambda, out, micros);
             } catch (const std::exception& e) {
-                r.what = response::status::error;
-                r.message = e.what();
+                r = error_response(id, e.what());
             }
-            if (r.what == response::status::ok) {
-                ok_responses_.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                error_responses_.fetch_add(1, std::memory_order_relaxed);
-            }
-            respond(conn, r);
+            answer(conn, r);
             queued_.fetch_sub(1, std::memory_order_relaxed);
             {
                 const std::lock_guard<std::mutex> lock(pending_mutex_);
@@ -369,7 +407,12 @@ void server::handle_alloc(connection& conn, request req)
 void server::serve_connection(connection& conn)
 {
     std::string payload;
-    while (!draining_.load(std::memory_order_relaxed)) {
+    // A drain also ends a frame that is still arriving: its bytes are
+    // dropped unanswered, like a frame that never arrived.
+    const std::function<bool()> abandon = [this] {
+        return draining_.load(std::memory_order_relaxed);
+    };
+    while (!abandon()) {
         pollfd p = {conn.fd, POLLIN, 0};
         const int ready = ::poll(&p, 1, poll_interval_ms);
         if (ready < 0) {
@@ -382,8 +425,9 @@ void server::serve_connection(connection& conn)
             continue;
         }
         const frame_status status =
-            read_frame(conn.fd, payload, options_.max_frame);
-        if (status == frame_status::eof) {
+            read_frame(conn.fd, payload, options_.max_frame, abandon);
+        if (status == frame_status::eof ||
+            status == frame_status::abandoned) {
             break;
         }
         if (status != frame_status::ok) {
@@ -433,7 +477,7 @@ void server::serve_connection(connection& conn)
         }
         case request::kind::alloc:
             alloc_requests_.fetch_add(1, std::memory_order_relaxed);
-            handle_alloc(conn, std::move(req));
+            handle_alloc(conn, req);
             break;
         }
     }

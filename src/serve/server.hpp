@@ -2,12 +2,24 @@
 //
 // A `server` owns listeners (unix and/or TCP), a batch engine with a
 // lock-striped result cache, and one reader thread per connection.
-// Requests are parsed off the socket, admitted against two bounds, and
-// executed as tasks on the engine's work-stealing pool; responses are
-// written back frame-at-a-time under a per-connection lock, so frames
-// never tear even when many jobs for one client finish at once.
+// The reader thread parses each alloc request's header and `.mwl` body,
+// derives lambda (given, or relaxed from min_latency by the slack) and
+// probes the result cache itself. It answers on the spot:
 //
-// Admission control / backpressure: an alloc request is rejected with
+//   * a cache hit (`cached=1`, `micros` = the probe's time), with no pool
+//     hop -- DPAlloc is deterministic, so a repeated (graph, lambda) is
+//     served straight from the cache;
+//   * a body that does not parse, or a lambda it cannot derive
+//     (`error`), and an empty graph (`ok`).
+//
+// Only a miss is admitted against two bounds and executed as a task on
+// the engine's work-stealing pool, carrying the already-parsed graph.
+// Responses are written back frame-at-a-time under a per-connection
+// lock, so frames never tear even when many jobs for one client finish
+// at once. A hit can therefore overtake an earlier miss on the same
+// connection; responses echo the request id, so clients match by id.
+//
+// Admission control / backpressure: a miss is rejected with
 // `busy retry-after-ms=R` (nothing queued, reader keeps reading) when
 // either bound would be exceeded --
 //
@@ -17,19 +29,26 @@
 //   * global: more than `max_inflight` jobs admitted across all clients
 //     (the pool's backlog stays bounded; latency stays predictable).
 //
-// Within a bound, TCP flow control is the natural backpressure: the
-// reader thread only parses as fast as jobs are admitted.
+// Hits and bad requests never count against either bound and are never
+// answered `busy`. Because the reader parses and probes before it
+// admits, an overloaded server still parses each request before it can
+// reject it; `max_frame` bounds that parse. Within a bound, TCP flow
+// control is the natural backpressure: the reader thread only parses as
+// fast as jobs are admitted or answered.
 //
 // Graceful drain: `run()` polls `stop` every poll interval. Once it
 // returns true (mwl_serve passes `interrupt_requested`), the server
-// stops accepting, every reader stops parsing new frames, admitted jobs
-// finish and their responses are written whole, connections close, and
-// run() returns -- the tool then exits 3, mirroring mwl_batch and
-// mwl_campaign. A client therefore sees one of: a complete response for
-// every admitted request, then EOF; never a torn frame.
+// stops accepting, every reader stops parsing new frames -- a frame
+// still arriving is dropped unanswered, so a peer that stops sending
+// mid-frame cannot hold the drain -- admitted jobs finish and their
+// responses are written whole, connections close, and run() returns --
+// the tool then exits 3, mirroring mwl_batch and mwl_campaign. A client
+// therefore sees one of: a complete response for every admitted
+// request, then EOF; never a torn frame.
 //
 // Test knob (mirrors support/fault_inject): MWL_SERVE_STALL_MS=<n> makes
-// every alloc job sleep n ms before allocating, so the queue-full,
+// every admitted alloc job (a miss; hits never reach the pool) sleep
+// n ms before allocating, so the queue-full, hit-path,
 // drain-during-inflight, and disconnect-with-inflight suites can pin
 // their races deterministically.
 
@@ -132,8 +151,10 @@ private:
     };
 
     void serve_connection(connection& conn);
-    void handle_alloc(connection& conn, request req);
+    void handle_alloc(connection& conn, const request& req);
     void respond(connection& conn, const response& r);
+    /// respond() to an alloc request, counted as an ok or error response.
+    void answer(connection& conn, const response& r);
     void reap_finished(bool join_all);
     void retain_task(std::future<void> task);
     void await_tasks();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -35,11 +36,19 @@ std::string json_quote(std::string_view text)
     return out;
 }
 
+void append_double(std::string& out, double value)
+{
+    char buf[32]; // "-1.2345678901234567e-308" is 24
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof buf, value, std::chars_format::general, 17);
+    out.append(buf, r.ptr);
+}
+
 std::string format_double(double value)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    return buf;
+    std::string out;
+    append_double(out, value);
+    return out;
 }
 
 namespace {

@@ -11,7 +11,10 @@
 //    character escaped;
 //  * `format_double` -- "%.17g", which round-trips every finite double
 //    through strtod bit-exactly. Campaign journal records use it too, so a
-//    result serialises to the same digits on disk and in a report.
+//    result serialises to the same digits on disk and in a report. It is
+//    printed by std::to_chars at precision 17 in general format, which
+//    the standard defines as printf's "%.17g" (support_test pins the
+//    two against each other), without printf's format parsing.
 //
 // `parse_json` reads back what those writers produce (objects, arrays,
 // strings with any standard escape, numbers, booleans, null).
@@ -33,6 +36,9 @@ namespace mwl {
 
 /// "%.17g": the shortest fixed-precision form that round-trips exactly.
 [[nodiscard]] std::string format_double(double value);
+
+/// Append format_double(value) to `out` (no temporary string).
+void append_double(std::string& out, double value);
 
 /// Malformed JSON, or a document without the member/type a reader wants;
 /// `what()` names the byte offset or the key.

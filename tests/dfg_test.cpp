@@ -94,6 +94,55 @@ TEST(SequencingGraph, CycleCreationThrows)
     EXPECT_EQ(g.edge_count(), 2u); // rejected edge not inserted
 }
 
+TEST(SequencingGraph, AscendingEdgeAfterADescendingOneIsCycleChecked)
+{
+    // Ascending edges skip the cycle search only while no descending edge
+    // exists; after c -> a, the ascending a -> c closes a cycle.
+    sequencing_graph g;
+    const op_id a = g.add_operation(op_shape::adder(4));
+    g.add_operation(op_shape::adder(4));
+    const op_id c = g.add_operation(op_shape::adder(4));
+    g.add_dependency(c, a);
+    try {
+        g.add_dependency(a, c);
+        ADD_FAILURE() << "a -> c after c -> a was accepted";
+    } catch (const precondition_error& e) {
+        EXPECT_STREQ(e.what(), "dependency 0 -> 2 would create a cycle");
+    }
+    EXPECT_EQ(g.edge_count(), 1u);
+
+    // The same through a path: a -> b, c -> a, then b -> c.
+    sequencing_graph h;
+    const op_id x = h.add_operation(op_shape::adder(4));
+    const op_id y = h.add_operation(op_shape::adder(4));
+    const op_id z = h.add_operation(op_shape::adder(4));
+    h.add_dependency(x, y);
+    h.add_dependency(z, x);
+    try {
+        h.add_dependency(y, z);
+        ADD_FAILURE() << "y -> z closing x -> y -> z -> x was accepted";
+    } catch (const precondition_error& e) {
+        EXPECT_STREQ(e.what(), "dependency 1 -> 2 would create a cycle");
+    }
+    EXPECT_EQ(h.edge_count(), 2u);
+    EXPECT_TRUE(h.reaches(z, y));
+}
+
+TEST(SequencingGraph, DuplicateAfterADescendingEdgeIsIdempotent)
+{
+    sequencing_graph g;
+    const op_id a = g.add_operation(op_shape::adder(4));
+    const op_id b = g.add_operation(op_shape::adder(4));
+    const op_id c = g.add_operation(op_shape::adder(4));
+    g.add_dependency(a, b);
+    g.add_dependency(c, a);
+    g.add_dependency(c, a);
+    g.add_dependency(a, b);
+    EXPECT_EQ(g.edge_count(), 2u);
+    EXPECT_EQ(g.successors(c).size(), 1u);
+    EXPECT_EQ(g.predecessors(b).size(), 1u);
+}
+
 TEST(SequencingGraph, InvalidIdsThrow)
 {
     sequencing_graph g;

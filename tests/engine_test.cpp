@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -287,6 +288,36 @@ TEST(BatchEngine, RunMatchesDpallocAndHitsTheCacheOnRepeat)
     EXPECT_EQ(s.cache_hits, corpus.size());
     EXPECT_EQ(s.executed, corpus.size());
     EXPECT_EQ(s.in_flight, 0u);
+}
+
+TEST(BatchEngine, LookupAnswersHitsAndCountsNothingOnAMiss)
+{
+    const sonic_model model;
+    const auto corpus = make_corpus(10, 1, model, 49);
+    const corpus_entry& e = corpus.front();
+    batch_engine engine(batch_options{.jobs = 1, .cache_capacity = 16});
+
+    EXPECT_FALSE(engine.lookup(e.graph, model, e.lambda_min).has_value());
+    EXPECT_EQ(engine.snapshot().submitted, 0u);
+
+    // The run() after the miss counts the job once, as an execution.
+    const batch_engine::outcome first =
+        engine.run(e.graph, model, e.lambda_min);
+    ASSERT_TRUE(first.ok()) << first.error;
+    EXPECT_FALSE(engine.lookup(e.graph, model, e.lambda_min + 1).has_value());
+
+    const std::optional<batch_engine::outcome> hit =
+        engine.lookup(e.graph, model, e.lambda_min);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(hit->from_cache);
+    EXPECT_FALSE(hit->coalesced);
+    EXPECT_EQ(hit->key, first.key);
+    EXPECT_EQ(hit->result.get(), first.result.get());
+
+    const engine_stats s = engine.snapshot();
+    EXPECT_EQ(s.submitted, 2u);
+    EXPECT_EQ(s.cache_hits, 1u);
+    EXPECT_EQ(s.executed, 1u);
 }
 
 TEST(BatchEngine, RunReportsInfeasibleJobsAsErrors)

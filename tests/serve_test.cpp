@@ -23,7 +23,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -340,6 +342,83 @@ TEST(ServeGrammar, ResponseRoundTripsBitExactDoubles)
 
     EXPECT_THROW(static_cast<void>(serve::parse_response("yes id=1")),
                  serve::protocol_error);
+}
+
+TEST(ServeGrammar, FormattersWriteThePinnedBytes)
+{
+    // Wire bytes, not just round trips: a reformatted formatter must
+    // print exactly what the daemon and its clients always have.
+    serve::response ok;
+    ok.id = 11;
+    ok.lambda = 9;
+    ok.latency = 8;
+    ok.area = 0.1;
+    ok.cached = true;
+    ok.micros = 1234.5678;
+    EXPECT_EQ(serve::format_response(ok),
+              "ok id=11 lambda=9 latency=8 area=0.10000000000000001 "
+              "cached=1 coalesced=0 micros=1234.5678");
+    EXPECT_EQ(serve::format_response(serve::response{}),
+              "ok id=0 lambda=0 latency=0 area=0 cached=0 coalesced=0 "
+              "micros=0");
+    serve::response big;
+    big.id = 18446744073709551615u;
+    big.lambda = 2147483647;
+    big.latency = -3;
+    big.area = 1e21;
+    big.coalesced = true;
+    big.micros = 123456789012345678.0;
+    EXPECT_EQ(serve::format_response(big),
+              "ok id=18446744073709551615 lambda=2147483647 latency=-3 "
+              "area=1e+21 cached=0 coalesced=1 "
+              "micros=1.2345678901234568e+17");
+    serve::response third;
+    third.id = 4;
+    third.lambda = 12;
+    third.latency = 12;
+    third.area = 100.0 / 3.0;
+    third.micros = 2.5e-7;
+    EXPECT_EQ(serve::format_response(third),
+              "ok id=4 lambda=12 latency=12 area=33.333333333333336 "
+              "cached=0 coalesced=0 micros=2.4999999999999999e-07");
+
+    serve::response busy;
+    busy.what = serve::response::status::busy;
+    busy.id = 5;
+    busy.retry_after_ms = 40;
+    EXPECT_EQ(serve::format_response(busy), "busy id=5 retry-after-ms=40");
+
+    serve::response err;
+    err.what = serve::response::status::error;
+    err.id = 6;
+    err.message = "line 3: unknown operation 'x'";
+    EXPECT_EQ(serve::format_response(err),
+              "error id=6 line 3: unknown operation 'x'");
+    err.id = 0;
+    err.message.clear();
+    EXPECT_EQ(serve::format_response(err), "error id=0 ");
+
+    serve::response stats;
+    stats.id = 2;
+    stats.body = "{\"engine\":{\"hit_rate\":0.5}}";
+    EXPECT_EQ(serve::format_response(stats),
+              "ok id=2\n{\"engine\":{\"hit_rate\":0.5}}");
+
+    EXPECT_EQ(serve::format_alloc_request(9, 12, 0.0, "op a add 4\n"),
+              "alloc id=9 lambda=12\nop a add 4\n");
+    EXPECT_EQ(serve::format_alloc_request(1, -2, 0.5, ""),
+              "alloc id=1 lambda=-2\n"); // lambda= wins over slack
+    EXPECT_EQ(
+        serve::format_alloc_request(3, std::nullopt, 0.001, "op a add 4\n"),
+        "alloc id=3 slack=0.10000000000000001\nop a add 4\n");
+    EXPECT_EQ(serve::format_alloc_request(3, std::nullopt, 0.1, "g\n"),
+              "alloc id=3 slack=10\ng\n");
+    EXPECT_EQ(serve::format_alloc_request(18446744073709551615u,
+                                          std::nullopt, 1e20, "x"),
+              "alloc id=18446744073709551615 slack=1e+22\nx");
+    EXPECT_EQ(
+        serve::format_alloc_request(7, std::nullopt, 0.0, "op a add 4\n"),
+        "alloc id=7\nop a add 4\n");
 }
 
 TEST(ServeGrammar, IntFieldsBeyondIntRangeAreMalformedNotTruncated)
@@ -684,6 +763,91 @@ TEST(ServeServer, DisconnectWithJobsInFlightLeavesServerHealthy)
     ts.halt();
 }
 
+TEST(ServeServer, CacheHitsBypassThePoolAndAdmission)
+{
+    // One pool thread, one admitted job at a time, and every pool job
+    // stalls: anything answered while B stalls was answered on the
+    // reader thread, without a pool hop or an admission slot.
+    const sample_graph sample = make_sample();
+    const stall_guard stall(300);
+    serve::server_options options;
+    options.unix_path = socket_path("hitpath");
+    options.jobs = 1;
+    options.queue_depth = 1;
+    options.max_inflight = 1;
+    test_server ts(options);
+    const auto request = [&](std::uint64_t id, int lambda_offset) {
+        return serve::format_alloc_request(
+            id, sample.lambda_min + lambda_offset, 0.0, sample.text);
+    };
+
+    // A, warmed through the pool on a connection of its own: its worker
+    // frees the global admission slot only after writing the response,
+    // so wait for that before B needs the slot.
+    std::optional<serve::response> a;
+    {
+        serve::client_connection warm(unix_endpoint(options.unix_path));
+        ASSERT_TRUE(warm.send(request(1, 1)));
+        a = warm.receive();
+    }
+    ASSERT_TRUE(a.has_value());
+    ASSERT_EQ(a->what, serve::response::status::ok) << a->message;
+    EXPECT_FALSE(a->cached);
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (ts.srv->counters().queued != 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(1ms);
+    }
+    ASSERT_EQ(ts.srv->counters().queued, 0u);
+
+    serve::client_connection conn(unix_endpoint(options.unix_path));
+    const auto alloc = [&](std::uint64_t id, int lambda_offset) {
+        return conn.send(request(id, lambda_offset));
+    };
+    ASSERT_TRUE(alloc(2, 2)); // B: a distinct miss, admitted, stalls
+    ASSERT_TRUE(alloc(3, 1)); // A again: a hit
+    ASSERT_TRUE(conn.send(serve::format_alloc_request(
+        4, std::nullopt, 0.0, "this is not a graph\n")));
+    ASSERT_TRUE(alloc(5, 3)); // C: a distinct miss while B holds the slot
+
+    const auto hit = conn.receive();
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->id, 3u) << "the hit did not overtake the stalled miss";
+    ASSERT_EQ(hit->what, serve::response::status::ok) << hit->message;
+    EXPECT_TRUE(hit->cached);
+    EXPECT_EQ(hit->lambda, a->lambda);
+    EXPECT_EQ(hit->latency, a->latency);
+    EXPECT_EQ(hit->area, a->area);
+
+    const auto bad = conn.receive();
+    ASSERT_TRUE(bad.has_value());
+    EXPECT_EQ(bad->id, 4u);
+    EXPECT_EQ(bad->what, serve::response::status::error);
+
+    const auto c = conn.receive();
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(c->id, 5u);
+    EXPECT_EQ(c->what, serve::response::status::busy);
+
+    const auto b = conn.receive();
+    ASSERT_TRUE(b.has_value());
+    EXPECT_EQ(b->id, 2u);
+    ASSERT_EQ(b->what, serve::response::status::ok) << b->message;
+    EXPECT_FALSE(b->cached);
+
+    ts.halt();
+    const serve::server_counters counters = ts.srv->counters();
+    EXPECT_EQ(counters.alloc_requests, 5u);
+    EXPECT_EQ(counters.ok_responses, 3u);
+    EXPECT_EQ(counters.error_responses, 1u);
+    EXPECT_EQ(counters.rejected_busy, 1u);
+    EXPECT_EQ(counters.queued, 0u);
+    const engine_stats e = ts.srv->engine_snapshot();
+    EXPECT_EQ(e.submitted, 3u); // A, A's hit, B; C never reached it
+    EXPECT_EQ(e.cache_hits, 1u);
+    EXPECT_EQ(e.executed, 2u);
+}
+
 // ---------------------------------------------------------------- drain --
 
 TEST(ServeServer, DrainAnswersEveryAdmittedJobWholeThenEof)
@@ -730,6 +894,49 @@ TEST(ServeServer, DrainAnswersEveryAdmittedJobWholeThenEof)
     EXPECT_EQ(replies.size(), c.ok_responses + c.error_responses +
                                   c.rejected_busy);
     EXPECT_EQ(c.queued, 0u);
+}
+
+TEST(ServeServer, DrainIsNotBlockedByAPartialFrame)
+{
+    // A peer that stops mid-frame -- half a header, or a header and half
+    // its payload -- must not hold the drain: its partial frame is
+    // dropped, the connection closes cleanly, and run() returns.
+    const unsigned char frame_start[] = {'M', 'W', 'L', '1', 0, 0, 0, 16,
+                                         'p', 'i', 'n', 'g'};
+    for (const std::size_t sent : {std::size_t{4}, sizeof frame_start}) {
+        serve::server_options options;
+        options.unix_path = socket_path("partial");
+        options.jobs = 1;
+        test_server ts(options);
+        const auto fd =
+            serve::connect_with_retry(unix_endpoint(options.unix_path), 2000);
+        ASSERT_TRUE(fd.has_value());
+        ASSERT_EQ(::write(*fd, frame_start, sent),
+                  static_cast<ssize_t>(sent));
+        // Let the reader thread take the partial frame before the drain.
+        const auto deadline = std::chrono::steady_clock::now() + 5s;
+        while (ts.srv->counters().accepted == 0 &&
+               std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(1ms);
+        }
+        std::this_thread::sleep_for(200ms);
+
+        std::future<void> halted =
+            std::async(std::launch::async, [&ts] { ts.halt(); });
+        const bool returned =
+            halted.wait_for(2s) == std::future_status::ready;
+        EXPECT_TRUE(returned)
+            << "run() still draining 2 s after stop, " << sent
+            << " bytes of a frame sent";
+        if (returned) {
+            char byte = 0;
+            EXPECT_EQ(::read(*fd, &byte, 1), 0) << "no clean EOF";
+        }
+        // Closing the client also frees a reader stuck in a blocking
+        // read, so a failure above cannot hang the suite.
+        ::close(*fd);
+        halted.wait();
+    }
 }
 
 // ------------------------------------------ the real binaries, under fire --

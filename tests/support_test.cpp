@@ -18,8 +18,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -487,6 +489,47 @@ TEST(Json, SeededRandomDoublesRoundTripBitExactly)
     }
     EXPECT_EQ(format_double(0.1), "0.10000000000000001");
     EXPECT_EQ(format_double(24.5), "24.5");
+}
+
+TEST(Json, FormatDoubleIsPrintfPercent17g)
+{
+    const auto printf_17g = [](double value) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%.17g", value);
+        return std::string(buf);
+    };
+    const double table[] = {
+        0.0, -0.0, 0.1, 0.5, 24.5, 1e21, 1e-7, 1e16, 1e17,
+        100.0 / 3.0, 123456789012345678.0, -1.25e-5,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        2.2250738585072009e-308, // largest subnormal
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()};
+    for (const double value : table) {
+        EXPECT_EQ(format_double(value), printf_17g(value)) << printf_17g(value);
+    }
+    EXPECT_EQ(format_double(-0.0), "-0");
+    EXPECT_EQ(format_double(1e21), "1e+21");
+    EXPECT_EQ(format_double(1e-7), "9.9999999999999995e-08");
+    EXPECT_EQ(format_double(std::numeric_limits<double>::denorm_min()),
+              "4.9406564584124654e-324");
+
+    rng random(2001);
+    for (int i = 0; i < 20000; ++i) {
+        const double value = std::bit_cast<double>(random());
+        if (!std::isnan(value)) { // a NaN's sign and payload are not pinned
+            ASSERT_EQ(format_double(value), printf_17g(value));
+        }
+    }
+
+    std::string out = "area=";
+    append_double(out, 0.1);
+    EXPECT_EQ(out, "area=0.10000000000000001");
 }
 
 TEST(Json, ReaderHandlesEveryValueKindAndRejectsJunk)
