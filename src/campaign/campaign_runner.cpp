@@ -19,11 +19,11 @@ namespace mwl {
 namespace {
 
 /// The tuning path: one wordlength optimization per pending point, run
-/// as tasks on the engine's pool. Each task evaluates its candidates
-/// with engine.run() (batch_neighbors=false -- drain() is a global
-/// barrier, so concurrent optimizers must not use batch mode), which
-/// still shares the dedup+LRU across points. A point interrupted
-/// mid-search records nothing: its partial best is not the
+/// as tasks on the engine's pool. Each search prices its candidates
+/// through engine.run(), fanned out over the same pool (parallel_for),
+/// so the points share the dedup+LRU, and a point waiting on its own
+/// step never runs another queued point's search on its stack. A point
+/// interrupted mid-search records nothing: its partial best is not the
 /// deterministic answer, so resume re-runs it from scratch.
 campaign_run_summary run_tuning_campaign(
     const campaign_spec& spec,
@@ -89,7 +89,6 @@ campaign_run_summary run_tuning_campaign(
                 search.seed = spec.tune_seed;
                 search.max_steps = spec.tune_max_steps;
                 search.anneal_iterations = spec.tune_anneal;
-                search.batch_neighbors = false;
                 point_result r;
                 r.index = p->index;
                 r.key = p->key();

@@ -2,6 +2,10 @@
 
 #include "support/error.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+
 namespace mwl {
 
 namespace {
@@ -178,5 +182,86 @@ void task_group::wait_nothrow() noexcept
         // completion, not delivery.
     }
 }
+
+namespace detail {
+
+namespace {
+
+/// One parallel_for call, co-owned by the caller and every helper it
+/// posted, so a helper that starts late finds a live cursor. `fn_` lives
+/// in the caller's frame; it is called only for a claimed index, and the
+/// caller does not return before every claimed index has finished.
+class fan_out {
+public:
+    fan_out(std::size_t n, index_body body, void* fn)
+        : n_(n), body_(body), fn_(fn), failed_index_(n)
+    {
+    }
+
+    /// Claim and run indices until the cursor passes n.
+    void work()
+    {
+        for (std::size_t i = next_.fetch_add(1); i < n_;
+             i = next_.fetch_add(1)) {
+            std::exception_ptr failure;
+            try {
+                body_(fn_, i);
+            } catch (...) {
+                failure = std::current_exception();
+            }
+            const std::lock_guard<std::mutex> lock(mutex_);
+            if (failure && i < failed_index_) {
+                failed_index_ = i;
+                failure_ = std::move(failure);
+            }
+            if (++finished_ == n_) {
+                done_.notify_all();
+            }
+        }
+    }
+
+    /// Block until every index has finished; rethrow the lowest failure.
+    void wait()
+    {
+        std::exception_ptr failure;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            done_.wait(lock, [this] { return finished_ == n_; });
+            // Take the exception out of the shared state: a late helper
+            // may free that state while the caller still handles it.
+            failure = std::move(failure_);
+        }
+        if (failure) {
+            std::rethrow_exception(failure);
+        }
+    }
+
+private:
+    const std::size_t n_;
+    const index_body body_;
+    void* const fn_;
+    std::atomic<std::size_t> next_{0}; ///< the claim cursor
+
+    std::mutex mutex_;
+    std::condition_variable done_;
+    std::size_t finished_ = 0;       ///< under mutex_
+    std::size_t failed_index_;       ///< under mutex_; n_ = none failed
+    std::exception_ptr failure_;     ///< under mutex_
+};
+
+} // namespace
+
+void parallel_for(thread_pool& pool, std::size_t n, index_body body, void* fn)
+{
+    const auto state = std::make_shared<fan_out>(n, body, fn);
+    const std::size_t helpers = std::min(n - 1, pool.size());
+    for (std::size_t h = 0; h < helpers; ++h) {
+        pool.post([state] { state->work(); });
+    }
+    state->work();
+    state->wait();
+}
+
+} // namespace detail
 
 } // namespace mwl

@@ -22,6 +22,12 @@
 //
 // Exceptions thrown by a task travel through its future; `task_group::wait`
 // rethrows the first one after every task in the group has finished.
+//
+// `parallel_for` is the other way to wait: caller-runs. The caller works
+// through the indices itself, idle workers join in, and the caller then
+// waits only for indices a helper already started. It never runs a
+// foreign pool task, so a pool task can fan out without nesting other
+// queued tasks on its stack (which `task_group::wait` may do).
 
 #ifndef MWL_SUPPORT_THREAD_POOL_HPP
 #define MWL_SUPPORT_THREAD_POOL_HPP
@@ -40,6 +46,16 @@
 #include <vector>
 
 namespace mwl {
+
+class thread_pool;
+
+namespace detail {
+/// `parallel_for`'s type-erased body: calls the caller's callable `fn`
+/// with one index.
+using index_body = void (*)(void* fn, std::size_t index);
+void parallel_for(thread_pool& pool, std::size_t n, index_body body,
+                  void* fn);
+} // namespace detail
 
 class thread_pool {
 public:
@@ -71,6 +87,9 @@ public:
     bool run_one();
 
 private:
+    friend void detail::parallel_for(thread_pool&, std::size_t,
+                                     detail::index_body, void*);
+
     struct queue {
         std::mutex mutex;
         std::deque<std::function<void()>> tasks;
@@ -131,6 +150,38 @@ private:
     thread_pool& pool_;
     std::vector<std::future<void>> futures_;
 };
+
+/// Run `fn(i)` exactly once for every i in [0, n). The calling thread and
+/// up to min(n - 1, pool.size()) pool helpers claim indices from one
+/// shared cursor, so the caller does all the work itself when every
+/// worker is busy, and the call completes on any pool size. n <= 1 runs
+/// inline and never touches the pool.
+///
+/// Returns once every index has finished; the caller blocks only on
+/// indices a helper has claimed, and never runs a foreign pool task. A
+/// helper that starts after the last index was claimed returns without
+/// touching `fn`. If indices throw, the exception of the lowest failing
+/// index is rethrown -- the one a serial loop would have thrown first.
+/// `fn` is called concurrently from several threads; each index should
+/// write only its own preallocated slot.
+template <typename F>
+void parallel_for(thread_pool& pool, std::size_t n, F&& fn)
+{
+    if (n == 0) {
+        return;
+    }
+    if (n == 1) {
+        fn(std::size_t{0});
+        return;
+    }
+    using callable = std::remove_reference_t<F>;
+    detail::parallel_for(
+        pool, n,
+        [](void* target, std::size_t index) {
+            (*static_cast<callable*>(target))(index);
+        },
+        const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
+}
 
 } // namespace mwl
 

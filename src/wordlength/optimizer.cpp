@@ -4,11 +4,11 @@
 #include "support/error.hpp"
 #include "support/interrupt.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 #include "tgff/corpus.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <utility>
 
 namespace mwl {
@@ -88,52 +88,39 @@ private:
         return total;
     }
 
-    /// Evaluate candidates through the engine, in order. Batch mode
-    /// submits them all and drains once (parallel across the pool, and
-    /// duplicates of anything seen before answer from the LRU); run mode
-    /// executes them one by one, safe under a shared engine.
+    /// Price one candidate: re-width it, derive its lambda, and run it
+    /// through the engine. Pure in (problem, model, options, frac), and
+    /// safe to call from several threads at once.
+    candidate_eval evaluate(std::vector<int> frac) const
+    {
+        candidate_eval e;
+        e.bits = total_frac_bits(frac);
+        const sequencing_graph graph = apply_frac_bits(problem_, frac);
+        e.lambda =
+            relaxed_lambda(min_latency(graph, model_), options_.slack);
+        const batch_engine::outcome out =
+            engine_.run(graph, model_, e.lambda);
+        e.reused = out.from_cache || out.coalesced;
+        if (out.ok()) {
+            e.ok = true;
+            e.latency = out.result->path.latency;
+            e.area = out.result->path.total_area;
+        }
+        e.frac = std::move(frac);
+        return e;
+    }
+
+    /// Price a step's candidates concurrently: this thread and idle
+    /// workers of the engine's pool share them (parallel_for), each
+    /// writing only its own slot. The stats are summed here afterwards.
     std::vector<candidate_eval>
     evaluate_all(std::vector<std::vector<int>> candidates)
     {
-        std::deque<sequencing_graph> graphs; // borrowed until drain
-        std::vector<candidate_eval> evals;
-        evals.reserve(candidates.size());
-        for (std::vector<int>& frac : candidates) {
-            candidate_eval e;
-            e.bits = total_frac_bits(frac);
-            graphs.push_back(apply_frac_bits(problem_, frac));
-            e.lambda = relaxed_lambda(min_latency(graphs.back(), model_),
-                                      options_.slack);
-            e.frac = std::move(frac);
-            evals.push_back(std::move(e));
-        }
+        std::vector<candidate_eval> evals(candidates.size());
+        parallel_for(engine_.pool(), candidates.size(), [&](std::size_t i) {
+            evals[i] = evaluate(std::move(candidates[i]));
+        });
         stats_.evaluations += evals.size();
-
-        const auto absorb = [](candidate_eval& e,
-                               const batch_engine::outcome& out) {
-            e.reused = out.from_cache || out.coalesced;
-            if (out.ok()) {
-                e.ok = true;
-                e.latency = out.result->path.latency;
-                e.area = out.result->path.total_area;
-            }
-        };
-        if (options_.batch_neighbors) {
-            for (std::size_t i = 0; i < evals.size(); ++i) {
-                static_cast<void>(engine_.submit(graphs[i], model_,
-                                                 evals[i].lambda));
-            }
-            const std::vector<batch_engine::outcome> outcomes =
-                engine_.drain();
-            for (std::size_t i = 0; i < evals.size(); ++i) {
-                absorb(evals[i], outcomes[i]);
-            }
-        } else {
-            for (std::size_t i = 0; i < evals.size(); ++i) {
-                absorb(evals[i],
-                       engine_.run(graphs[i], model_, evals[i].lambda));
-            }
-        }
         for (const candidate_eval& e : evals) {
             if (e.reused) {
                 ++stats_.reused;

@@ -14,14 +14,38 @@
 // Search pipeline (all deterministic):
 //  1. Water-filling seed from `assign_fractional_widths` -- the noise
 //     model's minimum-bits start.
-//  2. Greedy descent over +-1 per-operation moves; each step evaluates
-//     every noise-feasible neighbour (one engine batch -- the dedup+LRU
-//     cache makes revisited candidates free) and takes the
-//     lexicographically best strict improvement in (area, total
-//     fractional bits, latency).
+//  2. Greedy descent over +-1 per-operation moves; each step prices
+//     every noise-feasible neighbour and takes the lexicographically
+//     best strict improvement in (area, total fractional bits,
+//     latency). The neighbours are priced concurrently: the calling
+//     thread and idle workers of the engine's pool share them through
+//     one parallel_for (support/thread_pool.hpp), each re-widthing its
+//     candidate, deriving lambda and calling engine.run(), which is safe
+//     under an engine shared by concurrent searches; the engine's
+//     dedup+LRU cache makes revisited candidates free.
 //  3. Optional simulated-annealing refinement: a seeded xoshiro walk of
 //     +-1 moves with Metropolis acceptance on area, tracking the best
-//     design visited. Same seed, same result -- byte for byte.
+//     design visited. Each move depends on the last acceptance and its
+//     RNG draw, so the walk prices one candidate at a time, inline.
+//     Same seed, same result -- byte for byte.
+//
+// Why concurrent pricing cannot move a result:
+//  * Each evaluation is a pure function of (problem, model, options,
+//    candidate), and a step's best is chosen by a scan in candidate
+//    order, so the design does not depend on which thread priced what,
+//    or when.
+//  * A step's candidates are distinct. Two that re-width to the same
+//    graph (capped widths, or a coefficient wider than the data) both
+//    equal the step's centre, which an earlier step already priced and
+//    cached, so both are cache hits whichever runs first.
+//  * Steps stay sequential, so cross-step cache hits -- and hence
+//    `tune_stats::reused` -- are what a serial search sees.
+// For one search at a time on its engine (mwl_tune) every tune_stats
+// field is therefore exact at any pool size. (`reused` assumes the
+// cache keeps a step's centre for the length of the step, which only a
+// cache far smaller than one step's candidates breaks.) Searches that
+// share an engine concurrently (campaigns) get the same designs, but
+// their `reused` depends on what the other searches cached.
 //
 // The engine is borrowed, so a tool can share one LRU across a whole
 // budget sweep (consecutive budgets revisit the same region of the
@@ -47,11 +71,10 @@ struct optimizer_options {
     std::size_t max_steps = 64;  ///< greedy descent step cap
     std::size_t anneal_iterations = 0; ///< 0 = greedy only
     double anneal_temp = 0.05;   ///< initial temperature, fraction of area
-    /// true: evaluate each descent step's neighbours as one
-    /// submit()/drain() batch (parallel across the engine's pool). false:
-    /// evaluate with engine.run() only -- required when several optimizer
-    /// instances share one engine concurrently (the campaign runner),
-    /// since drain() is a global barrier.
+    /// Selects nothing: every search prices its candidates through the
+    /// one engine.run() fan-out above. Kept only because
+    /// perfbench/src/tune_sweep.cpp and perfbench/src/campaign_layer.cpp
+    /// assign it.
     bool batch_neighbors = true;
 };
 
@@ -81,8 +104,9 @@ struct tune_result {
 /// Run the search. Throws `infeasible_error` when the budget is
 /// unreachable even at max_frac_bits (from the water-filling seed),
 /// `precondition_error` on malformed inputs, `error` if the seed design
-/// cannot be allocated. Deterministic in (problem, model, options) at
-/// every pool size and cache capacity.
+/// cannot be allocated. The best design is deterministic in (problem,
+/// model, options) at every pool size and cache capacity; the stats are
+/// too, for one search at a time on its engine (see above).
 [[nodiscard]] tune_result optimize_wordlengths(const tune_problem& problem,
                                                const hardware_model& model,
                                                const optimizer_options& options,

@@ -438,22 +438,35 @@ TEST(CampaignAcceptance, TunedCampaignRunsAndResumesDeterministically)
                                 "tune budget=1e-5,1e-6 max-steps=8\n";
 
     const auto run_fresh = [&](const std::string& dir,
-                               const std::string& json) {
+                               const std::string& json,
+                               const std::string& jobs) {
         fs::remove_all(dir);
         const run_result r = run(campaign_tool() + " --run " + dir +
-                                 " --spec " + spec_path + " --jobs 2");
+                                 " --spec " + spec_path + " --jobs " + jobs);
         ASSERT_EQ(r.exit_code, 0) << r.output;
         const run_result report = run(campaign_tool() + " --report " + dir +
                                       " --json " + json);
         ASSERT_EQ(report.exit_code, 0) << report.output;
     };
-    run_fresh("campaign_test_tmp/tuned_a", "campaign_test_tmp/tuned_a.json");
-    run_fresh("campaign_test_tmp/tuned_b", "campaign_test_tmp/tuned_b.json");
+    run_fresh("campaign_test_tmp/tuned_a", "campaign_test_tmp/tuned_a.json",
+              "2");
+    run_fresh("campaign_test_tmp/tuned_b", "campaign_test_tmp/tuned_b.json",
+              "2");
     // Tuning is seeded search, not timing: two independent runs agree
     // byte for byte.
     const std::string reference = slurp("campaign_test_tmp/tuned_a.json");
     ASSERT_FALSE(reference.empty());
     EXPECT_EQ(reference, slurp("campaign_test_tmp/tuned_b.json"));
+    // Nor does the pool size move it: the points' searches share the pool
+    // with each other's candidate fan-outs.
+    run_fresh("campaign_test_tmp/tuned_j1", "campaign_test_tmp/tuned_j1.json",
+              "1");
+    run_fresh("campaign_test_tmp/tuned_j4", "campaign_test_tmp/tuned_j4.json",
+              "4");
+    const std::string serial = slurp("campaign_test_tmp/tuned_j1.json");
+    ASSERT_FALSE(serial.empty());
+    EXPECT_EQ(serial, slurp("campaign_test_tmp/tuned_j4.json"));
+    EXPECT_EQ(serial, reference);
 
     // Resuming a complete tuned campaign re-executes nothing.
     const run_result again =

@@ -755,6 +755,26 @@ TEST(CliTune, SpecErrorsReportTheirLineNumber)
                       "spec line 3: unknown search key 'wibble'");
 }
 
+TEST(CliTune, BadGraphFileExitsTwo)
+{
+    // A malformed or empty `graph FILE` is an input error (exit 2, file
+    // named), as in mwl_alloc -- not a failed run.
+    const std::string bad =
+        write_input("cli_test_tune_bad.mwl", "op a foo 3\n");
+    const std::string bad_spec = write_input(
+        "cli_test_tune_bad_graph.spec", "graph " + bad + "\nbudget 1e-6\n");
+    expect_fails_with(tool("mwl_tune") + " " + bad_spec, 2,
+                      "mwl_tune: cli_test_tune_bad.mwl: line 1: unknown "
+                      "operation kind 'foo'");
+    const std::string empty = write_input("cli_test_tune_empty.mwl", "");
+    const std::string empty_spec =
+        write_input("cli_test_tune_empty_graph.spec",
+                    "graph " + empty + "\nbudget 1e-6\n");
+    expect_fails_with(tool("mwl_tune") + " " + empty_spec, 2,
+                      "mwl_tune: cli_test_tune_empty.mwl: graph has no "
+                      "operations");
+}
+
 TEST(CliTune, MissingSpecFileExitsOne)
 {
     expect_fails_with(tool("mwl_tune") + " cli_test_no_such.spec", 1,

@@ -1,20 +1,61 @@
 // Tests for src/support/thread_pool.hpp: futures, task groups, nested
 // submits (help-while-waiting), exception propagation, deterministic
-// collection order, and a stress mix. Run under -fsanitize=thread in CI.
+// collection order, a stress mix, and the caller-runs parallel_for. Run
+// under -fsanitize=thread and -fsanitize=address,undefined in CI.
 
 #include "support/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace mwl {
 namespace {
+
+/// Occupies a pool's only worker until released, so anything posted
+/// meanwhile stays queued. The worker blocks on a future rather than
+/// spinning (the test machine may have one core), and the constructor
+/// returns only once the worker has picked the blocker up.
+class parked_worker {
+public:
+    explicit parked_worker(thread_pool& pool)
+    {
+        std::shared_future<void> released = release_.get_future().share();
+        blocker_ = pool.submit([this, released] {
+            started_.store(true);
+            released.wait();
+        });
+        while (!started_.load()) {
+            std::this_thread::yield();
+        }
+    }
+
+    ~parked_worker() { unpark(); }
+
+    parked_worker(const parked_worker&) = delete;
+    parked_worker& operator=(const parked_worker&) = delete;
+
+    void unpark()
+    {
+        if (blocker_.valid()) {
+            release_.set_value();
+            blocker_.get();
+        }
+    }
+
+private:
+    std::promise<void> release_;
+    std::atomic<bool> started_{false};
+    std::future<void> blocker_;
+};
 
 TEST(ThreadPool, SubmitReturnsValueThroughFuture)
 {
@@ -135,26 +176,13 @@ TEST(ThreadPool, TaskGroupRethrowsAfterAllTasksComplete)
 TEST(ThreadPool, RunOneFromExternalThreadExecutesWork)
 {
     thread_pool pool(1);
-    // Park the single worker on a blocking wait (not a spin: the test
-    // machine may have one core), and only proceed once the worker has
-    // definitely picked the blocker up, so the next submit stays queued.
-    std::promise<void> release;
-    std::shared_future<void> released = release.get_future().share();
-    std::atomic<bool> started{false};
-    auto blocker = pool.submit([&started, released] {
-        started.store(true);
-        released.wait();
-    });
-    while (!started.load()) {
-        std::this_thread::yield();
-    }
+    parked_worker parked(pool);
     std::atomic<int> ran{0};
     auto f = pool.submit([&ran] { ran.fetch_add(1); });
     // The worker is parked, so the task must still be queued.
     EXPECT_TRUE(pool.run_one());
     EXPECT_EQ(ran.load(), 1);
-    release.set_value();
-    blocker.get();
+    parked.unpark();
     f.get();
 }
 
@@ -194,6 +222,171 @@ TEST(ThreadPool, StressMixedNestedWorkAndExceptions)
     outer.wait();
     const long n = 64 * 8;
     EXPECT_EQ(total.load(), n * (n - 1) / 2);
+}
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
+{
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        thread_pool pool(threads);
+        for (const std::size_t n : {2u, 3u, 17u, 500u}) {
+            std::vector<std::atomic<int>> runs(n);
+            parallel_for(pool, n, [&runs](std::size_t i) {
+                runs[i].fetch_add(1);
+            });
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(runs[i].load(), 1)
+                    << "index " << i << " of " << n << ", " << threads
+                    << " threads";
+            }
+        }
+    }
+}
+
+TEST(ParallelFor, PutsIdleWorkersToWork)
+{
+    // Whichever thread claims index 0 waits until index 1 has started, so
+    // the call only completes if a second thread -- a pool helper -- ran
+    // concurrently with the first.
+    thread_pool pool(2);
+    std::atomic<bool> second_started{false};
+    std::atomic<bool> overlapped{false};
+    parallel_for(pool, 2, [&](std::size_t i) {
+        if (i == 1) {
+            second_started.store(true);
+            return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!second_started.load() &&
+               std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        overlapped.store(second_started.load());
+    });
+    EXPECT_TRUE(overlapped.load());
+}
+
+TEST(ParallelFor, RethrowsTheLowestFailingIndexAfterEveryIndexFinished)
+{
+    thread_pool pool(4);
+    constexpr std::size_t n = 32;
+    std::atomic<int> finished{0};
+    try {
+        parallel_for(pool, n, [&finished](std::size_t i) {
+            if (i == 5) {
+                // Fail last, so the higher failures are recorded first.
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                throw std::runtime_error(std::to_string(i));
+            }
+            if (i == 20 || i == 27) {
+                throw std::runtime_error(std::to_string(i));
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(500));
+            finished.fetch_add(1);
+        });
+        ADD_FAILURE() << "parallel_for swallowed the failures";
+    } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), "5");
+        // Every other index ran to completion before the rethrow.
+        EXPECT_EQ(finished.load(), static_cast<int>(n) - 3);
+    }
+}
+
+TEST(ParallelFor, ZeroOrOneIndexRunsInlineWithoutThePool)
+{
+    thread_pool pool(1);
+    parked_worker parked(pool);
+    int calls = 0;
+    parallel_for(pool, 0, [&calls](std::size_t) { ++calls; });
+    EXPECT_EQ(calls, 0);
+    std::thread::id ran_on;
+    parallel_for(pool, 1, [&](std::size_t i) {
+        EXPECT_EQ(i, 0u);
+        ran_on = std::this_thread::get_id();
+        ++calls;
+    });
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    EXPECT_FALSE(pool.run_one()) << "a lone index posted a helper";
+}
+
+TEST(ParallelFor, CallerDoesAllTheWorkWhenEveryWorkerIsBusy)
+{
+    // The only worker is parked, so the helper stays queued and the caller
+    // claims every index. The helper runs after the call has returned and
+    // its callable is gone, and must not call it.
+    thread_pool pool(1);
+    parked_worker parked(pool);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> calls{0};
+    {
+        std::vector<int> slots(8, 0);
+        parallel_for(pool, slots.size(), [&](std::size_t i) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            slots[i] = 1;
+            calls.fetch_add(1);
+        });
+        EXPECT_EQ(std::count(slots.begin(), slots.end(), 1), 8);
+    }
+    EXPECT_TRUE(pool.run_one()) << "expected one late helper in the queue";
+    EXPECT_EQ(calls.load(), 8);
+    EXPECT_FALSE(pool.run_one());
+}
+
+TEST(ParallelFor, CompletesOnOneWorkerFromOutsideAndInsideThePool)
+{
+    thread_pool pool(1);
+    std::vector<std::atomic<int>> outside(16);
+    parallel_for(pool, outside.size(), [&outside](std::size_t i) {
+        outside[i].fetch_add(1);
+    });
+    std::vector<std::atomic<int>> inside(16);
+    pool.submit([&pool, &inside] {
+            parallel_for(pool, inside.size(), [&inside](std::size_t i) {
+                inside[i].fetch_add(1);
+            });
+        })
+        .get();
+    for (std::size_t i = 0; i < 16; ++i) {
+        EXPECT_EQ(outside[i].load(), 1) << i;
+        EXPECT_EQ(inside[i].load(), 1) << i;
+    }
+}
+
+thread_local int task_depth = 0;
+
+TEST(ParallelFor, NestedCallsNeverRunAForeignTaskOnTheCaller)
+{
+    // More outer tasks than workers, each fanning out: every worker is a
+    // busy caller. A caller that ran another queued outer task while it
+    // waited would nest it on its stack and raise the depth probe to 2.
+    thread_pool pool(4);
+    constexpr std::size_t outer = 16;
+    constexpr std::size_t inner = 12;
+    std::atomic<int> max_depth{0};
+    std::vector<std::atomic<int>> runs(outer * inner);
+    std::vector<std::future<void>> done;
+    for (std::size_t t = 0; t < outer; ++t) {
+        done.push_back(pool.submit([&, t] {
+            ++task_depth;
+            int seen = max_depth.load();
+            while (seen < task_depth &&
+                   !max_depth.compare_exchange_weak(seen, task_depth)) {
+            }
+            parallel_for(pool, inner, [&, t](std::size_t i) {
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+                runs[t * inner + i].fetch_add(1);
+            });
+            --task_depth;
+        }));
+    }
+    for (std::future<void>& f : done) {
+        f.get(); // blocks without helping: only workers run tasks
+    }
+    EXPECT_EQ(max_depth.load(), 1);
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+        EXPECT_EQ(runs[k].load(), 1) << k;
+    }
 }
 
 } // namespace

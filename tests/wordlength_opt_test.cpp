@@ -41,14 +41,24 @@ optimizer_options small_options(double budget)
 }
 
 tune_result tune(const std::string& scenario, const optimizer_options& options,
-                 gain_model gains = gain_model::unit)
+                 gain_model gains = gain_model::unit, std::size_t threads = 2)
 {
     const tune_problem problem =
         make_tune_problem(make_scenario(scenario).graph, gains);
     const sonic_model model;
-    thread_pool pool(2);
+    thread_pool pool(threads);
     batch_engine engine(pool);
     return optimize_wordlengths(problem, model, options, engine);
+}
+
+void expect_same_design(const tuned_design& a, const tuned_design& b)
+{
+    EXPECT_EQ(a.frac_bits, b.frac_bits);
+    EXPECT_EQ(a.noise_power, b.noise_power);
+    EXPECT_EQ(a.total_frac, b.total_frac);
+    EXPECT_EQ(a.lambda, b.lambda);
+    EXPECT_EQ(a.latency, b.latency);
+    EXPECT_EQ(a.area, b.area);
 }
 
 // ------------------------------------------------------- tuned_graph ----
@@ -108,17 +118,76 @@ TEST(TunedGraph, RejectsMismatchedAssignment)
 
 TEST(WordlengthOptimizer, SameSeedSameResult)
 {
-    const optimizer_options options = small_options(1e-5);
-    const tune_result a = tune("fir4", options);
-    const tune_result b = tune("fir4", options);
-    EXPECT_EQ(a.best.frac_bits, b.best.frac_bits);
-    EXPECT_EQ(a.best.area, b.best.area);
-    EXPECT_EQ(a.best.latency, b.best.latency);
-    EXPECT_EQ(a.best.total_frac, b.best.total_frac);
-    EXPECT_EQ(a.stats.steps, b.stats.steps);
-    EXPECT_EQ(a.stats.evaluations, b.stats.evaluations);
-    EXPECT_EQ(a.stats.reused, b.stats.reused);
-    EXPECT_EQ(a.stats.anneal_accepted, b.stats.anneal_accepted);
+    // Candidates are priced concurrently on the engine's pool; the design
+    // and every stat must not depend on how many workers shared them.
+    const struct {
+        const char* scenario;
+        gain_model gains;
+        double budget;
+        std::size_t min_steps; ///< the descent must move at least this far
+    } cases[] = {
+        {"fir4", gain_model::unit, 1e-5, 0},
+        {"iir_biquad2", gain_model::attenuating, 1e-6, 1},
+    };
+    for (const auto& c : cases) {
+        const optimizer_options options = small_options(c.budget);
+        const tune_result a = tune(c.scenario, options, c.gains, 1);
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+            SCOPED_TRACE(std::string(c.scenario) + ", " +
+                         std::to_string(threads) + " threads");
+            const tune_result b = tune(c.scenario, options, c.gains, threads);
+            expect_same_design(a.best, b.best);
+            EXPECT_EQ(a.stats.steps, b.stats.steps);
+            EXPECT_EQ(a.stats.evaluations, b.stats.evaluations);
+            EXPECT_EQ(a.stats.reused, b.stats.reused);
+            EXPECT_EQ(a.stats.anneal_accepted, b.stats.anneal_accepted);
+            EXPECT_EQ(a.stats.interrupted, b.stats.interrupted);
+        }
+        EXPECT_GE(a.stats.steps, c.min_steps) << c.scenario;
+    }
+}
+
+TEST(WordlengthOptimizer, ConcurrentSearchesOnOneEngineMatchSerialCalls)
+{
+    // The campaign shape: two searches run as tasks on one engine's pool,
+    // sharing its cache while each fans its candidates out on the same
+    // pool. Nearby budgets of one design make their candidates overlap,
+    // so they hit and coalesce on each other's work. Each must return
+    // what it returns alone.
+    const tune_problem problem = make_tune_problem(
+        make_scenario("iir_biquad2").graph, gain_model::attenuating);
+    const optimizer_options options[] = {small_options(1e-6),
+                                         small_options(1.03e-6)};
+    const sonic_model model;
+
+    tune_result alone[2];
+    for (std::size_t i = 0; i < 2; ++i) {
+        batch_engine engine(batch_options{.jobs = 2});
+        alone[i] = optimize_wordlengths(problem, model, options[i], engine);
+    }
+
+    batch_engine shared(batch_options{.jobs = 4});
+    tune_result together[2];
+    task_group searches(shared.pool());
+    for (std::size_t i = 0; i < 2; ++i) {
+        searches.run([&, i] {
+            together[i] =
+                optimize_wordlengths(problem, model, options[i], shared);
+        });
+    }
+    searches.wait();
+
+    for (std::size_t i = 0; i < 2; ++i) {
+        SCOPED_TRACE("search " + std::to_string(i));
+        expect_same_design(alone[i].best, together[i].best);
+        // What a search visits is part of its result; only `reused` may
+        // depend on what the other search cached.
+        EXPECT_EQ(alone[i].stats.steps, together[i].stats.steps);
+        EXPECT_EQ(alone[i].stats.evaluations, together[i].stats.evaluations);
+        EXPECT_EQ(alone[i].stats.anneal_accepted,
+                  together[i].stats.anneal_accepted);
+    }
+    EXPECT_GE(alone[0].stats.steps, 1u) << "the descent never moved";
 }
 
 TEST(WordlengthOptimizer, MeetsTheBudget)

@@ -24,9 +24,9 @@
 //   SPEC of '-' reads the spec from stdin
 //
 // Exit codes match the other tools: 0 all points tuned, 1 some point
-// failed (infeasible budget / allocation failure), 2 usage or spec
-// error, 3 interrupted -- SIGINT/SIGTERM finish the in-flight point,
-// emit the partial frontier, and exit 3.
+// failed (infeasible budget / allocation failure), 2 usage, spec or
+// graph-file error, 3 interrupted -- SIGINT/SIGTERM finish the in-flight
+// point, emit the partial frontier, and exit 3.
 //
 // The JSON report is deterministic byte for byte for a fixed spec (no
 // wall-clock fields, and reuse counts the timing-independent
@@ -166,7 +166,21 @@ int main(int argc, char** argv)
                               << e.graph_file << '\n';
                     return 2;
                 }
-                graph = parse_graph_string(text);
+                // A bad graph file is an input error, like a bad spec.
+                std::string bad;
+                try {
+                    graph = parse_graph_string(text);
+                    if (graph.empty()) {
+                        bad = "graph has no operations";
+                    }
+                } catch (const parse_error& err) {
+                    bad = err.what();
+                }
+                if (!bad.empty()) {
+                    std::cerr << "mwl_tune: " << e.graph_file << ": " << bad
+                              << '\n';
+                    return 2;
+                }
             }
             designs.push_back({e.name(),
                                make_tune_problem(graph, spec.gains,
@@ -207,7 +221,6 @@ int main(int argc, char** argv)
                 options.max_steps = spec.max_steps;
                 options.anneal_iterations = spec.anneal_iterations;
                 options.anneal_temp = spec.anneal_temp;
-                options.batch_neighbors = true;
                 try {
                     const tune_result r = optimize_wordlengths(
                         d.problem, model, options, engine);
