@@ -75,15 +75,12 @@ int main(int argc, char** argv)
             std::vector<std::vector<pareto_point>> fronts(corpus.size());
             thread_pool pool(jobs);
             stopwatch arm_clock;
-            task_group group(pool);
-            for (std::size_t i = 0; i < corpus.size(); ++i) {
-                const sequencing_graph* graph = &corpus[i].graph;
-                std::vector<pareto_point>* slot = &fronts[i];
-                group.run([&pool, &model, &sweep, graph, slot] {
-                    *slot = parallel_pareto_sweep(*graph, model, sweep, pool);
-                });
-            }
-            group.wait();
+            // mwl_batch's shape: one index per graph, each sweep fanning
+            // its lambdas out on the same pool.
+            parallel_for(pool, corpus.size(), [&](std::size_t i) {
+                fronts[i] =
+                    parallel_pareto_sweep(corpus[i].graph, model, sweep, pool);
+            });
             const double ms = arm_clock.milliseconds();
             if (rep == 0 || ms < best_ms) {
                 best_ms = ms;
@@ -113,19 +110,17 @@ int main(int argc, char** argv)
     engine_options.jobs = 8;
     engine_options.cache_capacity = 2 * corpus.size() + 1;
     batch_engine engine(engine_options);
-    stopwatch pass1;
-    for (const corpus_entry& e : corpus) {
-        engine.submit(e.graph, model, e.lambda_min);
-    }
-    static_cast<void>(engine.drain());
-    const double pass1_ms = pass1.milliseconds();
-    stopwatch pass2;
-    for (const corpus_entry& e : corpus) {
-        engine.submit(e.graph, model, e.lambda_min);
-    }
-    static_cast<void>(engine.drain());
-    const double pass2_ms = pass2.milliseconds();
-    const batch_stats stats = engine.stats();
+    const auto engine_pass = [&] {
+        stopwatch pass;
+        parallel_for(engine.pool(), corpus.size(), [&](std::size_t i) {
+            static_cast<void>(
+                engine.run(corpus[i].graph, model, corpus[i].lambda_min));
+        });
+        return pass.milliseconds();
+    };
+    const double pass1_ms = engine_pass();
+    const double pass2_ms = engine_pass();
+    const engine_stats stats = engine.snapshot();
     const double hit_rate =
         static_cast<double>(stats.cache_hits) /
         static_cast<double>(corpus.size());

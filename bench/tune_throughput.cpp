@@ -94,7 +94,7 @@ int main(int argc, char** argv)
         ms > 0.0 ? static_cast<double>(evaluations) / (ms / 1e3) : 0.0;
     const double searches_per_s =
         ms > 0.0 ? static_cast<double>(searches) / (ms / 1e3) : 0.0;
-    const batch_stats engine_stats = engine.stats();
+    const engine_stats engine_counts = engine.snapshot();
 
     table t("Wordlength tuning sweep: " + std::to_string(problems.size()) +
             " designs x " + std::to_string(budgets_per_design) +
@@ -116,9 +116,9 @@ int main(int argc, char** argv)
          << ",\"reused\":" << reused << ",\"reuse_rate\":" << reuse_rate
          << ",\"evals_per_s\":" << evals_per_s
          << ",\"searches_per_s\":" << searches_per_s
-         << ",\"engine_executed\":" << engine_stats.executed
-         << ",\"engine_cache_hits\":" << engine_stats.cache_hits
-         << ",\"engine_coalesced\":" << engine_stats.coalesced << "}";
+         << ",\"engine_executed\":" << engine_counts.executed
+         << ",\"engine_cache_hits\":" << engine_counts.cache_hits
+         << ",\"engine_coalesced\":" << engine_counts.coalesced << "}";
     std::cout << '\n' << json.str() << '\n';
 
     // Self-gate (full runs only): the sweep must be mostly cache-served.

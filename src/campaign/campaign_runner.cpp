@@ -18,110 +18,15 @@ namespace mwl {
 
 namespace {
 
-/// The tuning path: one wordlength optimization per pending point, run
-/// as tasks on the engine's pool. Each search prices its candidates
-/// through engine.run(), fanned out over the same pool (parallel_for),
-/// so the points share the dedup+LRU, and a point waiting on its own
-/// step never runs another queued point's search on its stack. A point
-/// interrupted mid-search records nothing: its partial best is not the
-/// deterministic answer, so resume re-runs it from scratch.
-campaign_run_summary run_tuning_campaign(
-    const campaign_spec& spec,
-    const std::vector<const campaign_point*>& pending,
-    std::size_t total, std::size_t already_complete, result_store& store,
-    const campaign_run_options& options)
-{
-    campaign_run_summary summary;
-    summary.total = total;
-    summary.already_complete = already_complete;
-
-    // Problems and models are shared across the grid; build them
-    // serially up front so pool tasks only read.
-    std::map<std::string, tune_problem> problems;
-    std::map<std::pair<int, int>, std::unique_ptr<sonic_model>> models;
-    for (const campaign_point* p : pending) {
-        const std::string gkey =
-            p->scenario + "/v" + std::to_string(p->variant);
-        if (!problems.contains(gkey)) {
-            problems.emplace(
-                gkey, make_tune_problem(
-                          make_variant_graph(spec, p->scenario, p->variant)));
-        }
-        const std::pair<int, int> mkey{p->adder_latency,
-                                       p->mul_bits_per_cycle};
-        if (!models.contains(mkey)) {
-            models.emplace(mkey,
-                           std::make_unique<sonic_model>(
-                               p->adder_latency, p->mul_bits_per_cycle));
-        }
-    }
-
-    batch_engine engine(batch_options{.jobs = options.jobs,
-                                      .cache_capacity = 1024});
-    const std::size_t wave_size =
-        options.wave != 0
-            ? options.wave
-            : std::max<std::size_t>(32, 4 * engine.pool().size());
-
-    std::mutex record_mutex;
-    for (std::size_t start = 0; start < pending.size();
-         start += wave_size) {
-        if (interrupt_requested()) {
-            summary.interrupted = true;
-            break;
-        }
-        const std::size_t end =
-            std::min(pending.size(), start + wave_size);
-        task_group tasks(engine.pool());
-        for (std::size_t i = start; i < end; ++i) {
-            const campaign_point* p = pending[i];
-            const tune_problem* problem =
-                &problems.at(p->scenario + "/v" +
-                             std::to_string(p->variant));
-            const sonic_model* model =
-                models.at({p->adder_latency, p->mul_bits_per_cycle}).get();
-            tasks.run([&, p, problem, model] {
-                optimizer_options search;
-                search.noise.budget = p->budget;
-                search.noise.min_frac_bits = spec.tune_min_frac;
-                search.noise.max_frac_bits = spec.tune_max_frac;
-                search.slack = p->slack_percent / 100.0;
-                search.seed = spec.tune_seed;
-                search.max_steps = spec.tune_max_steps;
-                search.anneal_iterations = spec.tune_anneal;
-                point_result r;
-                r.index = p->index;
-                r.key = p->key();
-                bool cut_short = false;
-                try {
-                    const tune_result tuned = optimize_wordlengths(
-                        *problem, *model, search, engine);
-                    cut_short = tuned.stats.interrupted;
-                    r.lambda = tuned.best.lambda;
-                    r.latency = tuned.best.latency;
-                    r.area = tuned.best.area;
-                } catch (const error& e) {
-                    // An unreachable budget is this point's result, not
-                    // a campaign failure.
-                    r.error = e.what();
-                }
-                if (cut_short) {
-                    return;
-                }
-                const std::lock_guard<std::mutex> lock(record_mutex);
-                store.record(r);
-                ++summary.executed;
-                if (!r.ok()) {
-                    ++summary.failed;
-                }
-            });
-        }
-        tasks.wait();
-    }
-
-    store.flush_checkpoint();
-    return summary;
-}
+/// What one pending point reads while it runs: a graph and its lambda on
+/// a plain grid, a tune problem on a tuning grid.
+struct point_job {
+    const campaign_point* point = nullptr;
+    const sonic_model* model = nullptr;
+    const sequencing_graph* graph = nullptr;
+    int lambda = 0;
+    const tune_problem* problem = nullptr;
+};
 
 } // namespace
 
@@ -144,43 +49,62 @@ campaign_run_summary run_campaign(const campaign_spec& spec,
     if (pending.empty()) {
         return summary;
     }
-    if (!spec.tune_budgets.empty()) {
-        return run_tuning_campaign(spec, pending, summary.total,
-                                   summary.already_complete, store,
-                                   options);
-    }
 
-    // Graphs and models are shared across the grid: one graph per
-    // (scenario, variant), one model per parameter combination, one
-    // lambda_min per (graph, model) pair.
+    // Graphs, tune problems and models are shared across the grid: one
+    // graph (or problem) per (scenario, variant), one model per parameter
+    // combination, one lambda_min per (graph, model) pair. They are built
+    // serially up front, so the points on the pool only read them.
+    const bool tuning = !spec.tune_budgets.empty();
     std::map<std::string, sequencing_graph> graphs;
+    std::map<std::string, tune_problem> problems;
     std::map<std::pair<int, int>, std::unique_ptr<sonic_model>> models;
-    std::map<std::string, int> lambda_mins;
-    const auto graph_of = [&](const campaign_point& p) -> const
-        sequencing_graph& {
-        const std::string key =
-            p.scenario + "/v" + std::to_string(p.variant);
-        const auto it = graphs.find(key);
-        if (it != graphs.end()) {
-            return it->second;
+    std::map<std::pair<const sequencing_graph*, const sonic_model*>, int>
+        lambda_mins;
+    std::vector<point_job> jobs;
+    jobs.reserve(pending.size());
+    for (const campaign_point* p : pending) {
+        point_job job;
+        job.point = p;
+        std::unique_ptr<sonic_model>& model =
+            models[{p->adder_latency, p->mul_bits_per_cycle}];
+        if (!model) {
+            model = std::make_unique<sonic_model>(p->adder_latency,
+                                                  p->mul_bits_per_cycle);
         }
-        return graphs
-            .emplace(key, make_variant_graph(spec, p.scenario, p.variant))
-            .first->second;
-    };
-    const auto model_of = [&](const campaign_point& p) -> const
-        sonic_model& {
-        const std::pair<int, int> key{p.adder_latency,
-                                      p.mul_bits_per_cycle};
-        const auto it = models.find(key);
-        if (it != models.end()) {
-            return *it->second;
+        job.model = model.get();
+        const std::string variant =
+            p->scenario + "/v" + std::to_string(p->variant);
+        auto graph = graphs.find(variant);
+        if (graph == graphs.end()) {
+            graph = graphs
+                        .emplace(variant, make_variant_graph(spec, p->scenario,
+                                                             p->variant))
+                        .first;
         }
-        return *models
-                    .emplace(key, std::make_unique<sonic_model>(
-                                      p.adder_latency, p.mul_bits_per_cycle))
-                    .first->second;
-    };
+        if (tuning) {
+            auto problem = problems.find(variant);
+            if (problem == problems.end()) {
+                problem = problems
+                              .emplace(variant,
+                                       make_tune_problem(graph->second))
+                              .first;
+            }
+            job.problem = &problem->second;
+        } else {
+            job.graph = &graph->second;
+            auto lambda_min = lambda_mins.find({job.graph, job.model});
+            if (lambda_min == lambda_mins.end()) {
+                lambda_min =
+                    lambda_mins
+                        .emplace(std::pair{job.graph, job.model},
+                                 min_latency(*job.graph, *job.model))
+                        .first;
+            }
+            job.lambda = relaxed_lambda(lambda_min->second,
+                                        p->slack_percent / 100.0);
+        }
+        jobs.push_back(job);
+    }
 
     batch_engine engine(batch_options{.jobs = options.jobs,
                                       .cache_capacity = 1024});
@@ -189,24 +113,52 @@ campaign_run_summary run_campaign(const campaign_spec& spec,
             ? options.wave
             : std::max<std::size_t>(32, 4 * engine.pool().size());
 
-    struct wave_entry {
-        const campaign_point* point = nullptr;
-        int lambda = 0;
-    };
-    std::vector<wave_entry> wave;
+    // One point: an engine.run() on a plain grid, a wordlength search on
+    // a tuning grid. Each search prices its candidates through engine.run()
+    // too, fanned out over the same pool, so every point shares the
+    // dedup+LRU; parallel_for never runs a foreign task while it waits, so
+    // no point starts another point's work on its stack.
     std::mutex record_mutex;
-    engine.set_completion_hook([&](std::size_t index,
-                                   const batch_engine::outcome& out) {
-        const wave_entry& entry = wave[index];
+    const auto run_point = [&](const point_job& job) {
+        const campaign_point& p = *job.point;
         point_result r;
-        r.index = entry.point->index;
-        r.key = entry.point->key();
-        r.lambda = entry.lambda;
-        if (out.ok()) {
-            r.latency = out.result->path.latency;
-            r.area = out.result->path.total_area;
+        r.index = p.index;
+        r.key = p.key();
+        if (job.problem != nullptr) {
+            optimizer_options search;
+            search.noise.budget = p.budget;
+            search.noise.min_frac_bits = spec.tune_min_frac;
+            search.noise.max_frac_bits = spec.tune_max_frac;
+            search.slack = p.slack_percent / 100.0;
+            search.seed = spec.tune_seed;
+            search.max_steps = spec.tune_max_steps;
+            search.anneal_iterations = spec.tune_anneal;
+            try {
+                const tune_result tuned = optimize_wordlengths(
+                    *job.problem, *job.model, search, engine);
+                if (tuned.stats.interrupted) {
+                    // A partial best is not the deterministic answer:
+                    // record nothing, so resume re-runs the point.
+                    return;
+                }
+                r.lambda = tuned.best.lambda;
+                r.latency = tuned.best.latency;
+                r.area = tuned.best.area;
+            } catch (const error& e) {
+                // An unreachable budget is this point's result, not a
+                // campaign failure.
+                r.error = e.what();
+            }
         } else {
-            r.error = out.error;
+            r.lambda = job.lambda;
+            const batch_engine::outcome out =
+                engine.run(*job.graph, *job.model, job.lambda);
+            if (out.ok()) {
+                r.latency = out.result->path.latency;
+                r.area = out.result->path.total_area;
+            } else {
+                r.error = out.error;
+            }
         }
         const std::lock_guard<std::mutex> lock(record_mutex);
         store.record(r);
@@ -214,43 +166,16 @@ campaign_run_summary run_campaign(const campaign_spec& spec,
         if (!r.ok()) {
             ++summary.failed;
         }
-    });
+    };
 
-    for (std::size_t start = 0; start < pending.size();
-         start += wave_size) {
+    for (std::size_t start = 0; start < jobs.size(); start += wave_size) {
         if (interrupt_requested()) {
             summary.interrupted = true;
             break;
         }
-        const std::size_t end =
-            std::min(pending.size(), start + wave_size);
-        // Build the whole wave before the first submit: the completion
-        // hook reads `wave` from pool threads as soon as a job resolves.
-        wave.clear();
-        for (std::size_t i = start; i < end; ++i) {
-            const campaign_point& p = *pending[i];
-            const sequencing_graph& graph = graph_of(p);
-            const sonic_model& model = model_of(p);
-            const std::string lkey =
-                p.scenario + "/v" + std::to_string(p.variant) + "/a" +
-                std::to_string(p.adder_latency) + "m" +
-                std::to_string(p.mul_bits_per_cycle);
-            auto lit = lambda_mins.find(lkey);
-            if (lit == lambda_mins.end()) {
-                lit = lambda_mins
-                          .emplace(lkey, min_latency(graph, model))
-                          .first;
-            }
-            wave.push_back(
-                {&p, relaxed_lambda(lit->second,
-                                    p.slack_percent / 100.0)});
-        }
-        for (const wave_entry& entry : wave) {
-            static_cast<void>(engine.submit(graph_of(*entry.point),
-                                            model_of(*entry.point),
-                                            entry.lambda));
-        }
-        static_cast<void>(engine.drain());
+        const std::size_t count = std::min(wave_size, jobs.size() - start);
+        parallel_for(engine.pool(), count,
+                     [&](std::size_t i) { run_point(jobs[start + i]); });
     }
 
     store.flush_checkpoint();

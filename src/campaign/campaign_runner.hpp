@@ -3,13 +3,14 @@
 //
 // Points already present in the result store are skipped outright (that
 // is what resume means -- no allocation, no cache warm-up needed); the
-// rest are executed in waves on the engine's work-stealing pool. The
-// engine's completion hook journals each point the moment its outcome is
-// known, so a crash loses at most the in-flight wave, which simply
-// re-runs on resume. Between waves the runner polls the cooperative
-// interrupt flag (support/interrupt.hpp): on SIGINT/SIGTERM it stops
-// submitting, drains the wave in flight, flushes a final checkpoint and
-// reports `interrupted` so the tool can exit with the distinct code.
+// rest are executed in waves, each wave one `parallel_for` on the
+// engine's work-stealing pool. Each point journals itself the moment its
+// outcome is known, so a crash loses at most the in-flight wave, which
+// simply re-runs on resume. Between waves the runner polls the
+// cooperative interrupt flag (support/interrupt.hpp): on SIGINT/SIGTERM
+// it starts no further wave, lets the wave in flight finish, flushes a
+// final checkpoint and reports `interrupted` so the tool can exit with
+// the distinct code.
 //
 // Every allocation here is deterministic, so a killed-and-resumed
 // campaign converges to a result set byte-identical to an uninterrupted
@@ -30,7 +31,7 @@ namespace mwl {
 struct campaign_run_options {
     /// Worker threads (0 = hardware concurrency).
     std::size_t jobs = 0;
-    /// Points submitted per drain wave (0 = auto: 4x pool size, min 32).
+    /// Points started per wave (0 = auto: 4x pool size, min 32).
     /// The wave is the interrupt-latency / lost-work-on-crash unit.
     std::size_t wave = 0;
 };
@@ -40,7 +41,7 @@ struct campaign_run_summary {
     std::size_t already_complete = 0; ///< skipped via the checkpoint
     std::size_t executed = 0;         ///< recorded by this run
     std::size_t failed = 0;           ///< of those, recorded as errors
-    bool interrupted = false;         ///< drained out on SIGINT/SIGTERM
+    bool interrupted = false;         ///< stopped early on SIGINT/SIGTERM
 };
 
 /// Execute every point of `points` not yet in `store`. The store must

@@ -82,16 +82,13 @@ std::vector<pareto_point> parallel_pareto_sweep(
             std::max(1, std::min(count, static_cast<int>(pool.size())));
 
         std::vector<sweep_chunk> chunks(static_cast<std::size_t>(n_chunks));
-        task_group group(pool);
-        for (int c = 0; c < n_chunks; ++c) {
+        parallel_for(pool, chunks.size(), [&](std::size_t index) {
+            const int c = static_cast<int>(index);
             const int first = next_lambda + c * count / n_chunks;
             const int last = next_lambda + (c + 1) * count / n_chunks - 1;
-            sweep_chunk& out = chunks[static_cast<std::size_t>(c)];
-            group.run([&graph, &model, &options, first, last, &out] {
-                run_chunk(graph, model, options.allocator, first, last, out);
-            });
-        }
-        group.wait();
+            run_chunk(graph, model, options.allocator, first, last,
+                      chunks[index]);
+        });
 
         // Replay the serial sweep's decision sequence over the wave, per
         // chunk: first a patience walk over the raw areas (the same

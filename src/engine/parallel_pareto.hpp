@@ -4,10 +4,12 @@
 // two pieces of state -- the dominance frontier and the patience counter --
 // are sequential. But the expensive part, one dpalloc per lambda, is
 // independent across lambdas. This sweep partitions the lambda range into
-// contiguous chunks across a thread pool, then replays the serial sweep's
-// *decision sequence* over the precomputed results, producing a frontier
-// byte-identical to `pareto_sweep` on every input (asserted across pool
-// sizes by tests/engine_test.cpp and bench/batch_throughput.cpp).
+// contiguous chunks, computes them with one `parallel_for` on a thread
+// pool (so a sweep may itself be an index of another fan-out on the same
+// pool), then replays the serial sweep's *decision sequence* over the
+// precomputed results, producing a frontier byte-identical to
+// `pareto_sweep` on every input (asserted across pool sizes by
+// tests/engine_test.cpp and bench/batch_throughput.cpp).
 //
 // The range is split adaptively: the first wave covers just enough lambdas
 // for the patience rule to be able to fire, and each following wave doubles

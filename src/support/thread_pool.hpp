@@ -7,28 +7,21 @@
 // most likely to fan out further). External submissions are distributed
 // round-robin so a burst of jobs lands spread across workers.
 //
-// Two properties the allocation engine relies on:
+// Every fan-out in src/ and tools/ is one `parallel_for`: caller-runs. The
+// caller works through the indices itself, idle workers join in, and the
+// caller then waits only for indices a helper already started. It never
+// runs a foreign pool task while it waits, so a fan-out may run inside
+// another fan-out's index on the same pool (a sweep per manifest entry, a
+// candidate pricing per campaign point) on any pool size, including 1,
+// without nesting unrelated work on its stack. Results are deterministic
+// because each index writes only its own caller-preallocated slot, never
+// a shared accumulator; a failing index's exception reaches the caller.
 //
-//  * Deterministic result ordering. `submit` returns a future and
-//    `task_group` keeps its futures in `run` order, so results are always
-//    *collected* in submission order no matter which worker ran what when.
-//    Tasks that write results do so into caller-preallocated slots, never
-//    into shared accumulators.
-//
-//  * Help-while-waiting. `task_group::wait` executes pending pool tasks
-//    while it blocks, so a task may submit subtasks and wait for them on
-//    any pool size (including 1) without deadlock -- this is what lets a
-//    per-graph sweep task fan out per-lambda subtasks on the same pool.
-//
-// Exceptions thrown by a task travel through its future; `task_group::wait`
-// rethrows the first one after every task in the group has finished.
-//
-// `parallel_for` is the other way to wait: caller-runs. The caller works
-// through the indices itself, idle workers join in, and the caller then
-// waits only for indices a helper already started. It never runs a
-// foreign pool task, so a pool task can fan out without nesting other
-// queued tasks on its stack (which `task_group::wait` may do).
-
+// `submit` returns a future for one task (mwl_serve's request tasks).
+// `task_group` and `run_one` are the older helping wait: `task_group::wait`
+// runs any queued pool task while it blocks, so a waiter can start
+// unrelated work nested on its stack. Nothing in src/ or tools/ uses them
+// any more; they remain for perfbench's tune_sweep and the tests.
 #ifndef MWL_SUPPORT_THREAD_POOL_HPP
 #define MWL_SUPPORT_THREAD_POOL_HPP
 

@@ -31,6 +31,27 @@ std::int64_t random_operand(rng& random, int width)
                     random.uniform(0, static_cast<std::uint64_t>(hi - lo)));
 }
 
+std::string corpus_graph_name(const corpus_spec& spec, std::size_t index)
+{
+    return "tgff(ops=" + std::to_string(spec.n_ops) +
+           ",seed=" + std::to_string(spec.seed) + ")#" +
+           std::to_string(index);
+}
+
+/// `fn(i)` for every i in [0, n): one parallel_for on `pool`, or a plain
+/// loop without one. Each index writes only its own slot.
+template <typename F>
+void for_each_index(thread_pool* pool, std::size_t n, const F& fn)
+{
+    if (pool != nullptr) {
+        parallel_for(*pool, n, fn);
+        return;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        fn(i);
+    }
+}
+
 } // namespace
 
 std::string counterexample::to_string() const
@@ -336,26 +357,12 @@ analysis_report static_verify_corpus(const corpus_spec& spec,
     const std::vector<corpus_entry> corpus = make_corpus(spec, model);
 
     std::vector<analysis_report> slots(corpus.size());
-    const auto run_one = [&](std::size_t i) {
+    for_each_index(pool, corpus.size(), [&](std::size_t i) {
         const corpus_entry& e = corpus[i];
-        const int lambda = relaxed_lambda(e.lambda_min, options.slack);
-        const std::string name = "tgff(ops=" + std::to_string(spec.n_ops) +
-                                 ",seed=" + std::to_string(spec.seed) +
-                                 ")#" + std::to_string(i);
-        slots[i] = static_verify_graph(e.graph, name, model, lambda, options);
-    };
-
-    if (pool != nullptr && corpus.size() > 1) {
-        task_group tasks(*pool);
-        for (std::size_t i = 0; i < corpus.size(); ++i) {
-            tasks.run([&run_one, i] { run_one(i); });
-        }
-        tasks.wait();
-    } else {
-        for (std::size_t i = 0; i < corpus.size(); ++i) {
-            run_one(i);
-        }
-    }
+        slots[i] = static_verify_graph(
+            e.graph, corpus_graph_name(spec, i), model,
+            relaxed_lambda(e.lambda_min, options.slack), options);
+    });
 
     analysis_report report;
     for (analysis_report& slot : slots) {
@@ -371,27 +378,12 @@ verify_report verify_corpus(const corpus_spec& spec,
     const std::vector<corpus_entry> corpus = make_corpus(spec, model);
 
     std::vector<verify_report> slots(corpus.size());
-    const auto run_one = [&](std::size_t i) {
+    for_each_index(pool, corpus.size(), [&](std::size_t i) {
         const corpus_entry& e = corpus[i];
-        const int lambda = relaxed_lambda(e.lambda_min, options.slack);
-        const std::string name = "tgff(ops=" + std::to_string(spec.n_ops) +
-                                 ",seed=" + std::to_string(spec.seed) +
-                                 ")#" + std::to_string(i);
-        slots[i] = verify_graph(e.graph, name, model, lambda, options,
-                                verify_input_seed(options.seed, i));
-    };
-
-    if (pool != nullptr && corpus.size() > 1) {
-        task_group tasks(*pool);
-        for (std::size_t i = 0; i < corpus.size(); ++i) {
-            tasks.run([&run_one, i] { run_one(i); });
-        }
-        tasks.wait();
-    } else {
-        for (std::size_t i = 0; i < corpus.size(); ++i) {
-            run_one(i);
-        }
-    }
+        slots[i] = verify_graph(e.graph, corpus_graph_name(spec, i), model,
+                                relaxed_lambda(e.lambda_min, options.slack),
+                                options, verify_input_seed(options.seed, i));
+    });
 
     verify_report report;
     for (verify_report& slot : slots) {

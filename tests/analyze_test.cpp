@@ -21,7 +21,6 @@
 #include "analyze/analyze.hpp"
 #include "core/dpalloc.hpp"
 #include "dfg/analysis.hpp"
-#include "engine/batch_engine.hpp"
 #include "rtl/netlist.hpp"
 #include "rtl/verilog.hpp"
 #include "scenarios/scenarios.hpp"
@@ -301,27 +300,6 @@ TEST_F(AnalyzeBrokenIr, DanglingCaptureFuIsBadIndex)
     broken.captures.front().fu = broken.fus.size() + 7;
     const analysis_report report = analyze_design(s_.graph, broken);
     EXPECT_TRUE(has_rule(report, "lint.bad-index")) << rules_of(report);
-}
-
-// ------------------------------------------------------- engine hook --
-
-TEST(AnalyzeEngine, DebugStaticCheckPassesCleanAllocations)
-{
-    const sonic_model model;
-    const scenario s = make_scenario("fir8");
-    const int lambda = relaxed_lambda(min_latency(s.graph, model), 0.25);
-
-    batch_options options;
-    options.jobs = 2;
-    options.debug_static_check = true;
-    batch_engine engine(options);
-    engine.submit(s.graph, model, lambda);
-    const batch_engine::outcome direct = engine.run(s.graph, model, lambda);
-    EXPECT_TRUE(direct.ok()) << direct.error;
-    const std::vector<batch_engine::outcome> outcomes = engine.drain();
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_TRUE(outcomes[0].ok()) << outcomes[0].error;
-    EXPECT_EQ(engine.stats().errors, 0u);
 }
 
 } // namespace

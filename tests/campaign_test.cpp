@@ -408,6 +408,28 @@ TEST(CampaignAcceptance, TornFinalRecordIsRecoveredOnResume)
     EXPECT_EQ(slurp("campaign_test_tmp/torn.json"), reference);
 }
 
+TEST(CampaignAcceptance, PlainGridReportIsIndependentOfPoolSize)
+{
+    // Each wave is one parallel_for of engine.run() calls that journal
+    // themselves as they finish, so the journal order varies with the
+    // pool; the canonical report must not.
+    const std::string spec_path = write_acceptance_spec();
+    const std::string reference = reference_report_json(spec_path);
+    ASSERT_FALSE(reference.empty());
+    for (const std::string jobs : {"1", "4"}) {
+        const std::string dir = "campaign_test_tmp/plain_j" + jobs;
+        const std::string json = dir + ".json";
+        fs::remove_all(dir);
+        const run_result r = run(campaign_tool() + " --run " + dir +
+                                 " --spec " + spec_path + " --jobs " + jobs);
+        ASSERT_EQ(r.exit_code, 0) << r.output;
+        const run_result report =
+            run(campaign_tool() + " --report " + dir + " --json " + json);
+        ASSERT_EQ(report.exit_code, 0) << report.output;
+        EXPECT_EQ(slurp(json), reference) << "--jobs " << jobs;
+    }
+}
+
 TEST(CampaignAcceptance, StatusAndDoubleResumeAreIdempotent)
 {
     const std::string spec_path = write_acceptance_spec();

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <filesystem>
@@ -16,6 +17,7 @@
 #include <iterator>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -148,6 +150,7 @@ TEST(CliBatch, SigintDrainsAndEmitsPartialResultsWithExitThree)
     const std::string manifest = write_input(
         "cli_test_sigint.manifest", "corpus ops=12 count=4000 seed=3\n");
     const std::string out_file = "cli_test_sigint.out";
+    const std::string json_file = "cli_test_sigint.json";
     const std::string binary = tool("mwl_batch");
     for (const int delay_ms : {20, 40, 80, 160, 320}) {
         const pid_t pid = fork();
@@ -160,7 +163,8 @@ TEST(CliBatch, SigintDrainsAndEmitsPartialResultsWithExitThree)
                 ::dup2(fd, 2);
             }
             ::execl(binary.c_str(), "mwl_batch", manifest.c_str(),
-                    "--jobs", "2", static_cast<char*>(nullptr));
+                    "--jobs", "2", "--json", json_file.c_str(),
+                    static_cast<char*>(nullptr));
             ::_exit(127);
         }
         ::usleep(delay_ms * 1000);
@@ -176,6 +180,18 @@ TEST(CliBatch, SigintDrainsAndEmitsPartialResultsWithExitThree)
                 << output;
             EXPECT_NE(output.find("mwl_batch results"), std::string::npos)
                 << output;
+            // The rate counts the entries that ran, not the manifest.
+            std::ifstream json_in(json_file);
+            const std::string json((std::istreambuf_iterator<char>(json_in)),
+                                   std::istreambuf_iterator<char>());
+            const mwl::json_value stats = mwl::parse_json(json).at("stats");
+            EXPECT_TRUE(stats.boolean_at("interrupted")) << json;
+            const double completed = stats.number_at("completed_entries");
+            EXPECT_LT(completed, stats.number_at("entries")) << json;
+            EXPECT_NEAR(stats.number_at("entries_per_second") *
+                            stats.number_at("wall_seconds"),
+                        completed, 1e-6 * std::max(1.0, completed))
+                << json;
             return;
         }
         // Signal-killed: the handler was not installed yet (the signal
@@ -185,6 +201,52 @@ TEST(CliBatch, SigintDrainsAndEmitsPartialResultsWithExitThree)
             << "run completed before the signal; corpus too small";
     }
     FAIL() << "SIGINT never landed while the batch was running";
+}
+
+/// Each result row of an mwl_batch JSON report as one string. An alloc
+/// row's status (computed, coalesced or cached) is left out: which of two
+/// duplicate entries computes and which one waits or hits is timing.
+std::vector<std::string> batch_rows(const std::string& json)
+{
+    std::vector<std::string> rows;
+    const mwl::json_value report = mwl::parse_json(json);
+    for (const mwl::json_value& r : report.array_at("results")) {
+        std::string row = r.string_at("entry") + " " + r.string_at("kind") +
+                          " " + mwl::format_double(r.number_at("lambda")) +
+                          " " + mwl::format_double(r.number_at("latency")) +
+                          " " + mwl::format_double(r.number_at("area"));
+        if (r.string_at("kind") != "alloc") {
+            row += " " + r.string_at("status");
+        }
+        rows.push_back(std::move(row));
+    }
+    return rows;
+}
+
+TEST(CliBatch, MixedManifestResultsDoNotDependOnJobs)
+{
+    // Alloc, sweep= and verify= entries share one parallel_for pass over
+    // the pool; duplicates exercise the engine's coalescing and cache.
+    const std::string manifest = write_input(
+        "cli_test_mixed.manifest",
+        "corpus ops=8 count=6 seed=7 slack=10\n"
+        "corpus ops=6 count=3 seed=9 sweep=30\n"
+        "corpus ops=8 count=6 seed=7 slack=10\n"
+        "corpus ops=6 count=3 seed=11 verify=8\n"
+        "corpus ops=10 count=4 seed=5\n");
+    std::vector<std::vector<std::string>> runs;
+    for (const std::string jobs : {"1", "4"}) {
+        const std::string json = "cli_test_mixed_j" + jobs + ".json";
+        const run_result r = run(tool("mwl_batch") + " " + manifest +
+                                 " --jobs " + jobs + " --json " + json);
+        ASSERT_EQ(r.exit_code, 0) << r.output;
+        std::ifstream in(json);
+        runs.push_back(batch_rows(std::string(
+            (std::istreambuf_iterator<char>(in)),
+            std::istreambuf_iterator<char>())));
+    }
+    ASSERT_GE(runs[0].size(), 22u); // 22 entries; a sweep may add rows
+    EXPECT_EQ(runs[0], runs[1]);
 }
 
 // ----------------------------------------------------------- mwl_verify --

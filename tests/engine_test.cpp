@@ -1,7 +1,8 @@
 // Determinism suite for src/engine/: the batch engine and the parallel
 // Pareto sweep must be byte-identical to their serial counterparts on the
 // tgff corpus at every pool size, and the caching/dedup layers must be
-// output-invisible. Run under -fsanitize=thread in CI.
+// output-invisible. Fan-outs take mwl_batch's shape: engine.run() and
+// sweeps under parallel_for. Run under -fsanitize=thread in CI.
 
 #include "engine/batch_engine.hpp"
 #include "engine/parallel_pareto.hpp"
@@ -9,11 +10,12 @@
 #include "support/error.hpp"
 #include "tgff/corpus.hpp"
 
+#include "parked_worker.hpp"
+
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
-#include <mutex>
+#include <atomic>
+#include <future>
 #include <optional>
 #include <string>
 #include <thread>
@@ -55,40 +57,51 @@ void expect_identical_front(const std::vector<pareto_point>& a,
     }
 }
 
+struct job {
+    const sequencing_graph* graph = nullptr;
+    int lambda = 0;
+};
+
+/// Run `jobs[i]` through `engine.run()` for every i, as one parallel_for
+/// over the engine's pool -- the fan-out shape of mwl_batch and the
+/// campaign runner.
+std::vector<batch_engine::outcome> run_all(batch_engine& engine,
+                                           const hardware_model& model,
+                                           const std::vector<job>& jobs)
+{
+    std::vector<batch_engine::outcome> outcomes(jobs.size());
+    parallel_for(engine.pool(), jobs.size(), [&](std::size_t i) {
+        outcomes[i] = engine.run(*jobs[i].graph, model, jobs[i].lambda);
+    });
+    return outcomes;
+}
+
 TEST(BatchEngine, MatchesSerialDpallocOnTgffCorpus)
 {
     const sonic_model model;
-    for (const std::size_t jobs : {1u, 2u, 4u, 8u}) {
-        batch_options options;
-        options.jobs = jobs;
-        batch_engine engine(options);
-        std::vector<corpus_entry> corpus;
-        std::vector<int> lambdas;
-        for (const std::size_t n : {6u, 10u, 14u}) {
-            for (corpus_entry& e : make_corpus(n, 3, model, 97)) {
-                corpus.push_back(std::move(e));
-            }
+    std::vector<corpus_entry> corpus;
+    for (const std::size_t n : {6u, 10u, 14u}) {
+        for (corpus_entry& e : make_corpus(n, 3, model, 97)) {
+            corpus.push_back(std::move(e));
         }
-        for (const corpus_entry& e : corpus) {
-            for (const double slack : {0.0, 0.2}) {
-                const int lambda = relaxed_lambda(e.lambda_min, slack);
-                lambdas.push_back(lambda);
-                engine.submit(e.graph, model, lambda);
-            }
+    }
+    std::vector<job> jobs;
+    for (const corpus_entry& e : corpus) {
+        for (const double slack : {0.0, 0.2}) {
+            jobs.push_back({&e.graph, relaxed_lambda(e.lambda_min, slack)});
         }
-        const auto outcomes = engine.drain();
-        ASSERT_EQ(outcomes.size(), corpus.size() * 2);
-        std::size_t job = 0;
-        for (const corpus_entry& e : corpus) {
-            for (int s = 0; s < 2; ++s, ++job) {
-                ASSERT_TRUE(outcomes[job].ok()) << outcomes[job].error;
-                const dpalloc_result serial =
-                    dpalloc(e.graph, model, lambdas[job]);
-                expect_identical_path(
-                    outcomes[job].result->path, serial.path,
-                    "jobs=" + std::to_string(jobs) + " job " +
-                        std::to_string(job));
-            }
+    }
+    for (const std::size_t pool_size : {1u, 2u, 4u, 8u}) {
+        batch_engine engine(batch_options{.jobs = pool_size});
+        const auto outcomes = run_all(engine, model, jobs);
+        ASSERT_EQ(outcomes.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
+            const dpalloc_result serial =
+                dpalloc(*jobs[i].graph, model, jobs[i].lambda);
+            expect_identical_path(outcomes[i].result->path, serial.path,
+                                  "jobs=" + std::to_string(pool_size) +
+                                      " job " + std::to_string(i));
         }
     }
 }
@@ -97,48 +110,44 @@ TEST(BatchEngine, CoalescesIdenticalInflightJobs)
 {
     const sonic_model model;
     const auto corpus = make_corpus(12, 1, model, 11);
-    batch_options options;
-    options.jobs = 2;
-    batch_engine engine(options);
-    const int lambda = corpus[0].lambda_min;
-    for (int i = 0; i < 6; ++i) {
-        engine.submit(corpus[0].graph, model, lambda);
-    }
-    const auto outcomes = engine.drain();
-    const batch_stats stats = engine.stats();
+    batch_engine engine(batch_options{.jobs = 2});
+    const std::vector<job> jobs(6, job{&corpus[0].graph,
+                                       corpus[0].lambda_min});
+    const auto outcomes = run_all(engine, model, jobs);
+    const engine_stats stats = engine.snapshot();
     EXPECT_EQ(stats.submitted, 6u);
-    // At least one execution; every duplicate was coalesced or served from
-    // cache, never recomputed.
+    // At least one execution; every duplicate was coalesced, served from
+    // cache, or (losing the probe race to a just-finishing twin)
+    // recomputed -- and every one is accounted for exactly once.
     EXPECT_GE(stats.executed, 1u);
     EXPECT_EQ(stats.executed + stats.coalesced + stats.cache_hits, 6u);
+    EXPECT_EQ(stats.in_flight, 0u);
     for (const auto& out : outcomes) {
         ASSERT_TRUE(out.ok());
-        // All six share the one immutable result object.
-        EXPECT_EQ(out.result.get(), outcomes[0].result.get());
+        expect_identical_path(out.result->path, outcomes[0].result->path,
+                              "duplicate");
     }
 }
 
-TEST(BatchEngine, CacheServesRepeatsAcrossBatches)
+TEST(BatchEngine, CacheServesRepeatsAcrossPasses)
 {
     const sonic_model model;
     const auto corpus = make_corpus(10, 2, model, 23);
     batch_engine engine(batch_options{.jobs = 2, .cache_capacity = 16});
+    std::vector<job> jobs;
     for (const corpus_entry& e : corpus) {
-        engine.submit(e.graph, model, e.lambda_min);
+        jobs.push_back({&e.graph, e.lambda_min});
     }
-    const auto first = engine.drain();
-    for (const corpus_entry& e : corpus) {
-        engine.submit(e.graph, model, e.lambda_min);
-    }
-    const auto second = engine.drain();
-    const batch_stats stats = engine.stats();
+    const auto first = run_all(engine, model, jobs);
+    const auto second = run_all(engine, model, jobs);
+    const engine_stats stats = engine.snapshot();
     EXPECT_EQ(stats.cache_hits, corpus.size());
     EXPECT_EQ(stats.executed, corpus.size());
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         ASSERT_TRUE(second[i].ok());
         EXPECT_TRUE(second[i].from_cache);
-        expect_identical_path(second[i].result->path, first[i].result->path,
-                              "batch replay " + std::to_string(i));
+        // The cache hands back the same immutable result object.
+        EXPECT_EQ(second[i].result.get(), first[i].result.get());
     }
 }
 
@@ -151,16 +160,15 @@ TEST(BatchEngine, BoundedCacheEvictsLeastRecentlyUsed)
     // sharded_lru suite.)
     batch_engine engine(
         batch_options{.jobs = 1, .cache_capacity = 2, .cache_shards = 1});
-    const auto run_one = [&](const corpus_entry& e) {
-        engine.submit(e.graph, model, e.lambda_min);
-        return engine.drain();
+    const auto run_one_pass = [&](const corpus_entry& e) {
+        return run_all(engine, model, {job{&e.graph, e.lambda_min}});
     };
-    run_one(corpus[0]);
-    run_one(corpus[1]);
-    run_one(corpus[2]); // evicts corpus[0]
-    const auto again = run_one(corpus[0]);
+    run_one_pass(corpus[0]);
+    run_one_pass(corpus[1]);
+    run_one_pass(corpus[2]); // evicts corpus[0]
+    const auto again = run_one_pass(corpus[0]);
     EXPECT_FALSE(again[0].from_cache);
-    EXPECT_EQ(engine.stats().executed, 4u);
+    EXPECT_EQ(engine.snapshot().executed, 4u);
 }
 
 TEST(BatchEngine, RelabelledGraphSharesTheCacheSlot)
@@ -175,90 +183,25 @@ TEST(BatchEngine, RelabelledGraphSharesTheCacheSlot)
 
     const sonic_model model;
     batch_engine engine(batch_options{.jobs = 1});
-    engine.submit(a, model, 10);
-    static_cast<void>(engine.drain());
-    engine.submit(b, model, 10);
-    const auto outcomes = engine.drain();
+    static_cast<void>(run_all(engine, model, {job{&a, 10}}));
+    const auto outcomes = run_all(engine, model, {job{&b, 10}});
     EXPECT_TRUE(outcomes[0].from_cache);
-    EXPECT_EQ(engine.stats().executed, 1u);
+    EXPECT_EQ(engine.snapshot().executed, 1u);
 }
 
-TEST(BatchEngine, CompletionHookFiresExactlyOncePerIndex)
-{
-    // The campaign checkpointer journals from this hook, so the contract
-    // is strict: one call per submitted index, covering executed,
-    // coalesced and cache-hit jobs alike, all before drain() returns.
-    const sonic_model model;
-    const auto corpus = make_corpus(10, 3, model, 67);
-    batch_engine engine(batch_options{.jobs = 4, .cache_capacity = 16});
-    std::mutex seen_mutex;
-    std::map<std::size_t, int> calls;
-    std::map<std::size_t, bool> ok;
-    engine.set_completion_hook(
-        [&](std::size_t index, const batch_engine::outcome& out) {
-            const std::lock_guard<std::mutex> lock(seen_mutex);
-            ++calls[index];
-            ok[index] = out.ok();
-        });
-
-    // Duplicates exercise coalescing; a second batch exercises the cache
-    // path (hook fires straight from submit there).
-    std::size_t submitted = 0;
-    for (int batch = 0; batch < 2; ++batch) {
-        for (const corpus_entry& e : corpus) {
-            for (int rep = 0; rep < 3; ++rep) {
-                engine.submit(e.graph, model, e.lambda_min);
-                ++submitted;
-            }
-        }
-        const auto outcomes = engine.drain();
-        // Every hook call has landed by now, no waiting needed.
-        ASSERT_EQ(calls.size(), outcomes.size());
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-            EXPECT_EQ(calls[i], 1) << "index " << i;
-            EXPECT_EQ(ok[i], outcomes[i].ok()) << "index " << i;
-        }
-        calls.clear();
-        ok.clear();
-    }
-    const batch_stats stats = engine.stats();
-    EXPECT_EQ(stats.submitted, submitted);
-    EXPECT_GE(stats.coalesced + stats.cache_hits, submitted / 2);
-}
-
-TEST(BatchEngine, CompletionHookSeesErrorsToo)
+TEST(BatchEngine, InfeasibleJobReportsErrorWithoutPoisoningThePass)
 {
     const sonic_model model;
     const auto corpus = make_corpus(10, 1, model, 41);
     batch_engine engine(batch_options{.jobs = 2});
-    std::mutex seen_mutex;
-    std::vector<std::pair<std::size_t, bool>> seen;
-    engine.set_completion_hook(
-        [&](std::size_t index, const batch_engine::outcome& out) {
-            const std::lock_guard<std::mutex> lock(seen_mutex);
-            seen.emplace_back(index, out.ok());
-        });
-    engine.submit(corpus[0].graph, model, 1); // infeasible
-    engine.submit(corpus[0].graph, model, corpus[0].lambda_min);
-    static_cast<void>(engine.drain());
-    ASSERT_EQ(seen.size(), 2u);
-    std::sort(seen.begin(), seen.end());
-    EXPECT_FALSE(seen[0].second);
-    EXPECT_TRUE(seen[1].second);
-}
-
-TEST(BatchEngine, InfeasibleJobReportsErrorWithoutPoisoningTheBatch)
-{
-    const sonic_model model;
-    const auto corpus = make_corpus(10, 1, model, 41);
-    batch_engine engine(batch_options{.jobs = 2});
-    engine.submit(corpus[0].graph, model, 1); // below lambda_min
-    engine.submit(corpus[0].graph, model, corpus[0].lambda_min);
-    const auto outcomes = engine.drain();
+    const auto outcomes = run_all(
+        engine, model,
+        {job{&corpus[0].graph, 1}, // below lambda_min
+         job{&corpus[0].graph, corpus[0].lambda_min}});
     EXPECT_FALSE(outcomes[0].ok());
     EXPECT_FALSE(outcomes[0].error.empty());
     ASSERT_TRUE(outcomes[1].ok()) << outcomes[1].error;
-    EXPECT_EQ(engine.stats().errors, 1u);
+    EXPECT_EQ(engine.snapshot().errors, 1u);
 }
 
 // ----------------------------- the serve-facing blocking path: run() --
@@ -311,7 +254,6 @@ TEST(BatchEngine, LookupAnswersHitsAndCountsNothingOnAMiss)
     ASSERT_TRUE(hit.has_value());
     EXPECT_TRUE(hit->from_cache);
     EXPECT_FALSE(hit->coalesced);
-    EXPECT_EQ(hit->key, first.key);
     EXPECT_EQ(hit->result.get(), first.result.get());
 
     const engine_stats s = engine.snapshot();
@@ -377,21 +319,46 @@ TEST(BatchEngine, ConcurrentRunsAreDeterministicAndAccounted)
     EXPECT_EQ(s.errors, 0u);
 }
 
-TEST(BatchEngine, RunAndSubmitShareOneCache)
+TEST(BatchEngine, CoalescedWaiterNeverRunsAForeignPoolTask)
 {
+    // run() executes a job on the thread that registered it, so a caller
+    // coalescing onto it only has to block until that thread is done. It
+    // must not run queued pool work meanwhile: in a campaign that work can
+    // be another point's whole search, nested on the waiter's stack.
     const sonic_model model;
-    const auto corpus = make_corpus(9, 2, model, 59);
-    batch_engine engine(batch_options{.jobs = 2, .cache_capacity = 16});
-    for (const corpus_entry& e : corpus) {
-        engine.submit(e.graph, model, e.lambda_min);
+    const auto corpus = make_corpus(160, 1, model, 71);
+    const corpus_entry& e = corpus.front();
+    thread_pool pool(1);
+    batch_engine engine(pool);
+    testing::parked_worker parked(pool);
+    std::atomic<bool> marker_ran{false};
+    std::future<void> marker =
+        pool.submit([&marker_ran] { marker_ran.store(true); });
+
+    batch_engine::outcome first;
+    batch_engine::outcome second;
+    std::thread owner(
+        [&] { first = engine.run(e.graph, model, e.lambda_min); });
+    while (engine.snapshot().in_flight == 0 &&
+           engine.snapshot().executed == 0) {
+        std::this_thread::yield();
     }
-    static_cast<void>(engine.drain());
-    for (const corpus_entry& e : corpus) {
-        const batch_engine::outcome out =
-            engine.run(e.graph, model, e.lambda_min);
-        ASSERT_TRUE(out.ok());
-        EXPECT_TRUE(out.from_cache);
-    }
+    std::thread waiter(
+        [&] { second = engine.run(e.graph, model, e.lambda_min); });
+    waiter.join();
+    owner.join();
+    EXPECT_FALSE(marker_ran.load())
+        << "a coalesced run() ran a queued pool task while it waited";
+    ASSERT_TRUE(first.ok()) << first.error;
+    ASSERT_TRUE(second.ok()) << second.error;
+    EXPECT_TRUE(second.coalesced)
+        << "the job finished before the second caller arrived";
+    EXPECT_EQ(second.result.get(), first.result.get());
+    EXPECT_EQ(engine.snapshot().executed, 1u);
+
+    parked.unpark();
+    marker.get();
+    EXPECT_TRUE(marker_ran.load());
 }
 
 TEST(BatchEngine, SnapshotCountsEvictionsOfTheStripedCache)
@@ -472,27 +439,45 @@ TEST(ParallelPareto, EmptyGraphAndInvalidOptionsBehaveLikeSerial)
                  precondition_error);
 }
 
+/// Sweeps running on this thread right now (NestedSweeps... below).
+thread_local int sweep_depth = 0;
+
 TEST(ParallelPareto, NestedSweepsOnASharedPoolStayIdentical)
 {
-    // The mwl_batch/bench pattern: per-graph sweep tasks on one pool, each
-    // fanning out per-lambda subtasks on the same pool.
+    // mwl_batch's shape: one parallel_for index per graph, each sweep
+    // fanning its lambdas out on the same pool. A thread waiting on its
+    // own sweep's chunks must never start another graph's sweep on its
+    // stack, so a depth probe around each sweep stays at 1. Parking one of
+    // two workers keeps an outer helper queued while the sweeps wait --
+    // exactly the task a waiter that runs queued work would pick up.
     const sonic_model model;
-    const auto corpus = make_corpus(10, 6, model, 67);
-    thread_pool pool(4);
-    std::vector<std::vector<pareto_point>> fronts(corpus.size());
-    task_group group(pool);
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-        const sequencing_graph* graph = &corpus[i].graph;
-        std::vector<pareto_point>* slot = &fronts[i];
-        group.run([&pool, &model, graph, slot] {
-            *slot = parallel_pareto_sweep(*graph, model, {}, pool);
+    const auto corpus = make_corpus(10, 8, model, 67);
+    for (const bool park : {false, true}) {
+        thread_pool pool(park ? 2 : 4);
+        std::optional<testing::parked_worker> parked;
+        if (park) {
+            parked.emplace(pool);
+        }
+        std::vector<std::vector<pareto_point>> fronts(corpus.size());
+        std::atomic<int> deepest{0};
+        parallel_for(pool, corpus.size(), [&](std::size_t i) {
+            const int depth = ++sweep_depth;
+            int seen = deepest.load();
+            while (depth > seen &&
+                   !deepest.compare_exchange_weak(seen, depth)) {
+            }
+            fronts[i] =
+                parallel_pareto_sweep(corpus[i].graph, model, {}, pool);
+            --sweep_depth;
         });
-    }
-    group.wait();
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-        expect_identical_front(fronts[i],
-                               pareto_sweep(corpus[i].graph, model),
-                               "nested graph " + std::to_string(i));
+        parked.reset();
+        const std::string label = park ? "parked " : "free ";
+        EXPECT_EQ(deepest.load(), 1) << label << "sweeps nested";
+        for (std::size_t i = 0; i < corpus.size(); ++i) {
+            expect_identical_front(fronts[i],
+                                   pareto_sweep(corpus[i].graph, model),
+                                   label + "graph " + std::to_string(i));
+        }
     }
 }
 

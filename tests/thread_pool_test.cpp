@@ -5,6 +5,8 @@
 
 #include "support/thread_pool.hpp"
 
+#include "parked_worker.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,42 +22,7 @@
 namespace mwl {
 namespace {
 
-/// Occupies a pool's only worker until released, so anything posted
-/// meanwhile stays queued. The worker blocks on a future rather than
-/// spinning (the test machine may have one core), and the constructor
-/// returns only once the worker has picked the blocker up.
-class parked_worker {
-public:
-    explicit parked_worker(thread_pool& pool)
-    {
-        std::shared_future<void> released = release_.get_future().share();
-        blocker_ = pool.submit([this, released] {
-            started_.store(true);
-            released.wait();
-        });
-        while (!started_.load()) {
-            std::this_thread::yield();
-        }
-    }
-
-    ~parked_worker() { unpark(); }
-
-    parked_worker(const parked_worker&) = delete;
-    parked_worker& operator=(const parked_worker&) = delete;
-
-    void unpark()
-    {
-        if (blocker_.valid()) {
-            release_.set_value();
-            blocker_.get();
-        }
-    }
-
-private:
-    std::promise<void> release_;
-    std::atomic<bool> started_{false};
-    std::future<void> blocker_;
-};
+using testing::parked_worker;
 
 TEST(ThreadPool, SubmitReturnsValueThroughFuture)
 {

@@ -53,8 +53,8 @@ const char* const usage_text =
     "         [verify=N]\n"
     "  verify=N cross-checks reference == datapath sim == RTL\n"
     "  interpretation on N random signed input vectors per graph\n"
-    "SIGINT/SIGTERM drain in-flight jobs and emit the partial\n"
-    "results (exit 3) instead of dying with no output\n";
+    "SIGINT/SIGTERM start no further entry, finish the running\n"
+    "ones and emit the partial results (exit 3)\n";
 
 } // namespace
 
@@ -109,115 +109,71 @@ int main(int argc, char** argv)
 
         stopwatch clock;
 
-        // Single-lambda jobs go through the engine (dedup + cache) in
-        // bounded chunks, draining between them, so a SIGINT/SIGTERM
-        // costs at most one chunk of in-flight work before the partial
-        // results are emitted; sweep entries fan out per-lambda subtasks
-        // on the same pool afterwards.
-        std::vector<std::size_t> job_of_item(items.size(),
-                                             static_cast<std::size_t>(-1));
-        std::vector<int> lambda_of_item(items.size(), 0);
-        std::vector<batch_engine::outcome> outcomes;
-        constexpr std::size_t chunk_size = 64;
-        std::size_t reached = 0; ///< items whose chunk ran (or was skipped)
-        bool interrupted = false;
-        while (reached < items.size()) {
+        // One pass over the whole manifest: one parallel_for index per
+        // entry, each writing only its own slot. Allocations go through
+        // the engine (dedup + cache); sweeps fan their lambdas out on the
+        // same pool. Every index checks the interrupt flag before it
+        // starts, so a SIGINT/SIGTERM costs at most the entries already
+        // running -- one per pool thread plus this one -- before the
+        // partial results are emitted.
+        struct entry_slot {
+            bool ran = false;
+            int lambda = 0;
+            batch_engine::outcome alloc;
+            std::vector<pareto_point> front;
+            verify_report verification;
+        };
+        std::vector<entry_slot> slots(items.size());
+        parallel_for(pool, items.size(), [&](std::size_t i) {
             if (interrupt_requested()) {
-                interrupted = true;
-                break;
+                return;
             }
-            const std::size_t base = outcomes.size();
-            std::size_t submitted = 0;
-            for (; reached < items.size() && submitted < chunk_size;
-                 ++reached) {
-                const manifest_entry& item = items[reached];
-                if (item.what.sweep) {
-                    continue;
-                }
-                const int lambda =
-                    item.what.lambda ? *item.what.lambda
-                    : item.graph.empty()
-                        ? 0
-                        : relaxed_lambda(min_latency(item.graph, model),
-                                         item.what.slack.value_or(0.0));
-                lambda_of_item[reached] = lambda;
-                if (item.what.verify) {
-                    continue; // verified on the pool below, at this lambda
-                }
-                job_of_item[reached] =
-                    base + engine.submit(item.graph, model, lambda);
-                ++submitted;
+            const manifest_entry& item = items[i];
+            entry_slot& slot = slots[i];
+            slot.ran = true;
+            if (item.what.sweep) {
+                pareto_options sweep;
+                sweep.max_slack = *item.what.sweep;
+                slot.front =
+                    parallel_pareto_sweep(item.graph, model, sweep, pool);
+                return;
             }
-            auto drained = engine.drain();
-            outcomes.insert(outcomes.end(),
-                            std::make_move_iterator(drained.begin()),
-                            std::make_move_iterator(drained.end()));
-        }
-
-        // Sweep and verification entries run concurrently across items
-        // too: one task per graph on the same pool (sweeps additionally
-        // fan per-lambda subtasks). An interrupt stops further launches;
-        // already-launched tasks drain through tasks.wait().
-        std::vector<std::vector<pareto_point>> fronts(items.size());
-        std::vector<verify_report> verifications(items.size());
-        std::vector<bool> launched(items.size(), false);
-        {
-            task_group tasks(pool);
-            for (std::size_t i = 0; i < reached; ++i) {
-                const manifest_entry& item = items[i];
-                if (!item.what.sweep && !item.what.verify) {
-                    continue;
-                }
-                if (interrupt_requested()) {
-                    interrupted = true;
-                    break;
-                }
-                launched[i] = true;
-                if (item.what.sweep) {
-                    pareto_options sweep;
-                    sweep.max_slack = *item.what.sweep;
-                    const sequencing_graph* graph = &item.graph;
-                    std::vector<pareto_point>* slot = &fronts[i];
-                    tasks.run([&pool, &model, sweep, graph, slot] {
-                        *slot =
-                            parallel_pareto_sweep(*graph, model, sweep, pool);
-                    });
-                    continue;
-                }
-                verify_options options;
-                options.inputs_per_graph = *item.what.verify;
-                options.slack = item.what.slack.value_or(0.0);
-                const int lambda = lambda_of_item[i];
-                // Input seeds follow verify_corpus for corpus lines, so
-                // `seed=` changes the inputs too, not just the graphs.
-                const std::uint64_t seed =
-                    item.corpus_seed
-                        ? verify_input_seed(*item.corpus_seed,
-                                            item.corpus_index)
-                        : verify_input_seed(2001, i);
-                const manifest_entry* work = &item;
-                verify_report* slot = &verifications[i];
-                tasks.run([&model, options, lambda, seed, work, slot] {
-                    if (work->graph.empty()) {
-                        return; // nothing to verify; report stays ok
-                    }
-                    try {
-                        *slot = verify_graph(work->graph, work->name, model,
-                                             lambda, options, seed);
-                    } catch (const error& e) {
-                        // A broken entry (e.g. a graph too wide to
-                        // simulate) fails its own row, not the batch.
-                        counterexample cx;
-                        cx.graph_name = work->name;
-                        cx.allocator = "-";
-                        cx.stage = "error";
-                        cx.detail = e.what();
-                        slot->counterexamples.push_back(std::move(cx));
-                    }
-                });
+            slot.lambda =
+                item.what.lambda ? *item.what.lambda
+                : item.graph.empty()
+                    ? 0
+                    : relaxed_lambda(min_latency(item.graph, model),
+                                     item.what.slack.value_or(0.0));
+            if (!item.what.verify) {
+                slot.alloc = engine.run(item.graph, model, slot.lambda);
+                return;
             }
-            tasks.wait();
-        }
+            if (item.graph.empty()) {
+                return; // nothing to verify; report stays ok
+            }
+            verify_options options;
+            options.inputs_per_graph = *item.what.verify;
+            options.slack = item.what.slack.value_or(0.0);
+            // Input seeds follow verify_corpus for corpus lines, so
+            // `seed=` changes the inputs too, not just the graphs.
+            const std::uint64_t seed =
+                item.corpus_seed
+                    ? verify_input_seed(*item.corpus_seed, item.corpus_index)
+                    : verify_input_seed(2001, i);
+            try {
+                slot.verification = verify_graph(item.graph, item.name, model,
+                                                 slot.lambda, options, seed);
+            } catch (const error& e) {
+                // A broken entry (e.g. a graph too wide to simulate) fails
+                // its own row, not the batch.
+                counterexample cx;
+                cx.graph_name = item.name;
+                cx.allocator = "-";
+                cx.stage = "error";
+                cx.detail = e.what();
+                slot.verification.counterexamples.push_back(std::move(cx));
+            }
+        });
         const double wall = clock.seconds();
 
         // ---- report ------------------------------------------------------
@@ -226,18 +182,15 @@ int main(int argc, char** argv)
         std::size_t completed_items = 0;
         for (std::size_t i = 0; i < items.size(); ++i) {
             const manifest_entry& item = items[i];
+            const entry_slot& slot = slots[i];
             // On interrupt, entries that never ran get no row: a partial
             // report only contains results that actually exist.
-            if (item.what.sweep || item.what.verify) {
-                if (!launched[i]) {
-                    continue;
-                }
-            } else if (i >= reached) {
+            if (!slot.ran) {
                 continue;
             }
             ++completed_items;
             if (item.what.sweep) {
-                if (fronts[i].empty()) {
+                if (slot.front.empty()) {
                     // An empty graph sweeps to an empty frontier; still
                     // give the entry a row so no job vanishes from the
                     // report.
@@ -245,19 +198,19 @@ int main(int argc, char** argv)
                                     "empty graph"});
                     continue;
                 }
-                for (const pareto_point& p : fronts[i]) {
+                for (const pareto_point& p : slot.front) {
                     rows.push_back({item.name, "sweep", p.lambda, p.latency,
                                     p.area, "front"});
                 }
                 continue;
             }
             if (item.what.verify) {
-                const verify_report& vr = verifications[i];
+                const verify_report& vr = slot.verification;
                 if (!vr.ok()) {
                     ++failures;
                 }
                 rows.push_back(
-                    {item.name, "verify", lambda_of_item[i], 0, 0.0,
+                    {item.name, "verify", slot.lambda, 0, 0.0,
                      vr.ok() ? "ok (" + std::to_string(vr.value_checks) +
                                    " checks, " +
                                    std::to_string(vr.allocations) +
@@ -266,24 +219,25 @@ int main(int argc, char** argv)
                                    vr.counterexamples.front().to_string()});
                 continue;
             }
-            const batch_engine::outcome& out = outcomes[job_of_item[i]];
+            const batch_engine::outcome& out = slot.alloc;
             if (!out.ok()) {
-                rows.push_back({item.name, "alloc", lambda_of_item[i], 0, 0.0,
+                rows.push_back({item.name, "alloc", slot.lambda, 0, 0.0,
                                 "error: " + out.error});
                 ++failures;
                 continue;
             }
-            rows.push_back({item.name, "alloc", lambda_of_item[i],
+            rows.push_back({item.name, "alloc", slot.lambda,
                             out.result->path.latency,
                             out.result->path.total_area,
                             out.from_cache  ? "cached"
                             : out.coalesced ? "coalesced"
                                             : "computed"});
         }
+        const bool interrupted = completed_items < items.size();
 
-        const batch_stats stats = engine.stats();
+        const engine_stats stats = engine.snapshot();
         const double throughput =
-            wall > 0.0 ? static_cast<double>(items.size()) / wall : 0.0;
+            wall > 0.0 ? static_cast<double>(completed_items) / wall : 0.0;
         std::ostringstream json;
         json << "{\"results\":" << results_json(rows)
              << ",\"stats\":{\"entries\":" << items.size()

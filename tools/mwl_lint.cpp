@@ -198,10 +198,10 @@ int main(int argc, char** argv)
                      " --corpus or --manifest)");
         }
 
-        // ---- analyze, one pool task per item -----------------------------
+        // ---- analyze, one parallel_for index per item --------------------
         std::vector<analysis_report> slots(items.size());
         std::size_t designs = 0;
-        const auto run_one = [&](std::size_t i) {
+        const auto lint_one = [&](std::size_t i) {
             const lint_item& item = items[i];
             verify_options local = options;
             local.slack = item.slack;
@@ -211,15 +211,11 @@ int main(int argc, char** argv)
             slots[i] = static_verify_graph(*item.graph, item.name, model,
                                            lambda, local);
         };
-        if (pool.size() > 1 && items.size() > 1) {
-            task_group tasks(pool);
-            for (std::size_t i = 0; i < items.size(); ++i) {
-                tasks.run([&run_one, i] { run_one(i); });
-            }
-            tasks.wait();
+        if (pool.size() > 1) {
+            parallel_for(pool, items.size(), lint_one);
         } else {
             for (std::size_t i = 0; i < items.size(); ++i) {
-                run_one(i);
+                lint_one(i);
             }
         }
 

@@ -314,7 +314,7 @@ int main(int argc, char** argv)
         } else {
             t.print(text);
         }
-        const batch_stats stats = engine.stats();
+        const engine_stats stats = engine.snapshot();
         text << "\nsearch: " << total_evals << " evaluations, "
              << total_reused << " reused ("
              << table::num(reuse_rate * 100.0, 1) << "% of candidates)\n"
