@@ -69,10 +69,11 @@ struct bind_chain_key {
     }
 };
 
-/// Reusable buffers for bind_select, owned by a looping caller (the
-/// DPAlloc refinement loop) so repeated binds allocate almost nothing.
-/// Pure scratch: contents are reset on every call and carry no information
-/// between calls.
+/// Reusable buffers for bind_select, so repeated binds allocate almost
+/// nothing; dpalloc keeps one per thread in its workspace
+/// (core/dpalloc.cpp), shared by every call on that thread. Pure scratch:
+/// contents are reset on every call and carry no information between
+/// calls, whatever graph the previous call bound.
 struct bind_scratch {
     std::vector<timed_op> ranked;              ///< operations by finish rank
     std::vector<std::uint32_t> rank_of;        ///< op id -> finish rank

@@ -40,8 +40,9 @@ struct bound_critical_path {
 [[nodiscard]] bound_critical_path compute_bound_critical_path(
     const sequencing_graph& graph, const datapath& path);
 
-/// Reusable buffers for compute_bound_critical_path; pure scratch owned by
-/// a looping caller (the DPAlloc refinement loop).
+/// Reusable buffers for compute_bound_critical_path; pure scratch, reset
+/// per call. dpalloc keeps one per thread in its workspace
+/// (core/dpalloc.cpp), shared by every call on that thread.
 struct critical_path_scratch {
     std::vector<std::size_t> order;        ///< ops by ascending start
     std::vector<std::size_t> instance_off; ///< instance buckets

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 namespace mwl {
 namespace {
@@ -51,6 +52,22 @@ refine_metric metric_for(op_id o, const refinement_counts& counts,
     MWL_ASSERT(m.pool >= 1);    // o itself is in O(r) for every r in H(o)
     return m;
 }
+
+/// Every buffer the refinement loop fills, one per thread, so a thread's
+/// later calls reuse the capacity its earlier calls grew. Each member is
+/// pure scratch rewritten per call or, like the cover memo, keyed on the
+/// WCG's serial, so no call's result depends on the calls before it.
+/// dpalloc is never re-entered on one thread -- it runs no callbacks and
+/// fans nothing out -- so one call at a time owns its thread's workspace.
+struct dpalloc_workspace {
+    incomplete_sched_scratch sched;
+    bind_scratch bind;
+    critical_path_scratch critical;
+    std::vector<int> bound_lat;
+    std::vector<std::size_t> instance_of_op;
+};
+
+thread_local dpalloc_workspace workspace;
 
 } // namespace
 
@@ -167,37 +184,35 @@ dpalloc_result dpalloc(const sequencing_graph& graph,
                                  .reassign_cheapest =
                                      options.reassign_cheapest};
 
-    // Cross-iteration scratch: scheduling buffers plus the scheduling-set
-    // memo keyed on the WCG's serial and edge version. refine_op bumps the
-    // version, so refinement iterations recompute the cover (bounded by the
-    // previous optimum) while capacity escalations reuse it outright.
-    incomplete_sched_scratch scratch;
+    // The scheduling-set memo in ws.sched keys on the WCG's serial and
+    // edge version. refine_op bumps the version, so refinement iterations
+    // recompute the cover (bounded by the previous optimum) while capacity
+    // escalations reuse it outright; this call's fresh WCG never hits a
+    // cover an earlier call left behind.
+    dpalloc_workspace& ws = workspace;
+    std::vector<int>& bound_lat = ws.bound_lat;
+    std::vector<std::size_t>& instance_of_op = ws.instance_of_op;
 
-    // Per-iteration views of the tentative allocation, reused across
-    // iterations (capacity persists; contents rewritten each round).
-    std::vector<int> bound_lat;
-    std::vector<std::size_t> instance_of_op;
-    bind_scratch bind_sc;
-    critical_path_scratch critical_sc;
+    // L_o per op, kept current by the WCG as refinement deletes edges.
+    const std::vector<int>& upper = wcg.latency_upper_bounds();
 
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
         ++result.stats.iterations;
-        const std::vector<int> upper = wcg.latency_upper_bounds();
 
         // Schedule with incomplete wordlength information.
         std::vector<int> start;
         if (options.classic_constraint) {
             // Ablation arm: Eqn. 2 over the same scheduling set.
             const scheduling_set_result cover =
-                min_scheduling_set(wcg, scratch.cover_cache);
+                min_scheduling_set(wcg, ws.sched.cover_cache);
             result.stats.cover_always_minimum &= cover.proven_minimum;
             start = list_schedule(graph, upper,
                                   classic_limits(wcg, cover.members, capacity),
-                                  &scratch.ws)
+                                  &ws.sched.ws)
                         .start;
         } else {
             incomplete_schedule_result sched =
-                schedule_incomplete(wcg, capacity, &scratch);
+                schedule_incomplete(wcg, capacity, &ws.sched);
             result.stats.cover_always_minimum &= sched.cover_proven_minimum;
             start = std::move(sched.start);
         }
@@ -206,7 +221,7 @@ dpalloc_result dpalloc(const sequencing_graph& graph,
         // the instance grouping are needed unless the allocation is
         // feasible, so the full datapath is assembled just once, on exit.
         const binding bind =
-            bind_select(wcg, start, upper, bind_opts, &bind_sc);
+            bind_select(wcg, start, upper, bind_opts, &ws.bind);
         bound_lat.assign(graph.size(), 0);
         instance_of_op.assign(graph.size(), 0);
         int achieved = 0;
@@ -227,7 +242,7 @@ dpalloc_result dpalloc(const sequencing_graph& graph,
 
         // Refinement (§2.4) on the bound critical path.
         const bound_critical_path qb = compute_bound_critical_path(
-            graph, start, bound_lat, instance_of_op, &critical_sc);
+            graph, start, bound_lat, instance_of_op, &ws.critical);
         if (const std::optional<op_id> chosen = choose_refinement(
                 wcg, qb.ops, start, upper, bound_lat,
                 {wcg.sharing_pools(), wcg.slowest_edge_counts()}, lambda)) {

@@ -16,9 +16,10 @@
 // order. Regression-tested against the rescan schedulers of tests/oracle.
 //
 // All per-pass buffers live in an event_schedule_workspace so a caller
-// iterating schedule/refine rounds (core/dpalloc.cpp) pays no per-iteration
-// allocations: vectors are cleared, never shrunk, and the `usage` /
-// `running` occupancy rows are flat arenas indexed [row * horizon + step].
+// iterating schedule/refine rounds (core/dpalloc.cpp, which keeps one per
+// thread) pays no per-iteration allocations: vectors are cleared, never
+// shrunk, and the `usage` / `running` occupancy rows are flat arenas
+// indexed [row * horizon + step].
 
 #ifndef MWL_SCHED_EVENT_ENGINE_HPP
 #define MWL_SCHED_EVENT_ENGINE_HPP
@@ -41,7 +42,8 @@ enum class sched_engine {
 };
 
 /// Reusable buffers for event_schedule and its callers. Safe to reuse
-/// across passes of different sizes; all state is reinitialised per pass.
+/// across passes of different sizes; event_schedule reinitialises all of
+/// its own state per pass.
 struct event_schedule_workspace {
     std::vector<int> pending;            ///< unscheduled predecessor count
     std::vector<int> ready_step;         ///< max completion step of preds
@@ -49,6 +51,11 @@ struct event_schedule_workspace {
     std::vector<op_id> active;           ///< ready but not yet placed
     std::vector<op_id> merged;           ///< merge buffer for arrivals
     std::vector<std::int64_t> usage;     ///< flat occupancy arena (callers)
+    /// True iff `usage` is known to be all zeros, so a caller may skip its
+    /// clear. Every writer of `usage` clears it first; only one that
+    /// restores every cell it wrote (schedule_incomplete's fast path) sets
+    /// it again, after the restore.
+    bool usage_zeroed = false;
 };
 
 /// Run one event-driven list-scheduling pass.
@@ -75,8 +82,10 @@ void event_schedule(const sequencing_graph& graph,
     if (ws.bucket.size() < static_cast<std::size_t>(horizon)) {
         ws.bucket.resize(static_cast<std::size_t>(horizon));
     }
-    for (auto& b : ws.bucket) {
-        b.clear();
+    // Only this pass's horizon: no bucket beyond it is read, and a reused
+    // workspace keeps every bucket its largest pass needed.
+    for (int t = 0; t < horizon; ++t) {
+        ws.bucket[static_cast<std::size_t>(t)].clear();
     }
     ws.active.clear();
 

@@ -64,8 +64,10 @@ void signature_tournament_pass(
     if (ws.bucket.size() < static_cast<std::size_t>(horizon)) {
         ws.bucket.resize(static_cast<std::size_t>(horizon));
     }
-    for (auto& b : ws.bucket) {
-        b.clear();
+    // Only this pass's horizon: the pass reads no bucket beyond it, and a
+    // thread's workspace keeps every bucket its largest graph needed.
+    for (int t = 0; t < horizon; ++t) {
+        ws.bucket[static_cast<std::size_t>(t)].clear();
     }
 
     // Signature table: one entry per distinct S(o), encoded as a member
@@ -95,8 +97,8 @@ void signature_tournament_pass(
     if (sc.sig_heap.size() < n_sigs) {
         sc.sig_heap.resize(n_sigs);
     }
-    for (auto& h : sc.sig_heap) {
-        h.clear();
+    for (std::size_t si = 0; si < n_sigs; ++si) {
+        sc.sig_heap[si].clear();
     }
     sc.sig_stuck.assign(n_sigs, -1); // stamped with t when stuck at t
 
@@ -300,15 +302,30 @@ incomplete_schedule_result schedule_incomplete(
     // Exact fractional accounting: scale everything by the lcm of the
     // |S(o)| values, so each op contributes scale/|S(o)| integer units to
     // each of its members, against a budget of capacity*scale per member.
+    // Each lcm step is checked (std::lcm wraps silently, and a wrapped
+    // scale truncates the shares) and taken only when it grows the scale.
     std::int64_t scale = 1;
     for (const op_id o : graph.all_ops()) {
-        const std::size_t n_compatible = members_of_op.row(o.value()).size();
-        MWL_ASSERT(n_compatible >= 1); // S is a cover
-        scale = std::lcm(scale, static_cast<std::int64_t>(n_compatible));
+        const auto size =
+            static_cast<std::int64_t>(members_of_op.row(o.value()).size());
+        MWL_ASSERT(size >= 1); // S is a cover
+        if (scale % size != 0 &&
+            __builtin_mul_overflow(scale / std::gcd(scale, size), size,
+                                   &scale)) {
+            throw error("incomplete scheduler: the lcm of the |S(o)| "
+                        "share counts overflows 64 bits");
+        }
     }
-    const std::int64_t budget = static_cast<std::int64_t>(capacity) * scale;
+    // A probe adds one share (at most scale) to a usage within budget.
+    std::int64_t probe_limit = 0;
+    if (__builtin_mul_overflow(static_cast<std::int64_t>(capacity) + 1, scale,
+                               &probe_limit)) {
+        throw error("incomplete scheduler: capacity x share scale "
+                    "overflows 64 bits");
+    }
+    const std::int64_t budget = probe_limit - scale;
 
-    const std::vector<int> upper = wcg.latency_upper_bounds();
+    const std::vector<int>& upper = wcg.latency_upper_bounds();
     const std::vector<int> priority =
         critical_path_priorities(graph, upper, wcg.topological_order());
 
@@ -321,24 +338,27 @@ incomplete_schedule_result schedule_incomplete(
         MWL_ASSERT(graph.size() <= 0xffffffffU); // packed-key id width
         // All-zero invariant: the fast path re-zeroes exactly the windows
         // it committed before returning (signature_tournament_pass), so a
-        // looping caller never pays the full-arena memset -- the arena only
-        // grows, and stale cells beyond any stride are zero by induction.
+        // looping caller never pays the full-arena memset while
+        // ws.usage_zeroed holds; every other writer clears the flag.
         const std::size_t usage_size =
             n_members * static_cast<std::size_t>(horizon);
-        if (usage.size() < usage_size || !sc.usage_zeroed) {
+        if (usage.size() < usage_size || !sc.ws.usage_zeroed) {
             usage.assign(std::max(usage.size(), usage_size), 0);
-            sc.usage_zeroed = true;
         }
+        // Dirty from the first write until the restore loop ends, so a
+        // pass that throws part-way leaves the next call a full clear.
+        sc.ws.usage_zeroed = false;
         signature_tournament_pass(graph, upper, priority, members_of_op,
                                   usage, horizon, scale, budget, sc,
                                   result.start);
+        sc.ws.usage_zeroed = true;
         result.length = schedule_length(graph, upper, result.start);
         return result;
     }
 
     // Covers wider than a signature bitmask: the generic event sweep.
+    sc.ws.usage_zeroed = false;
     usage.assign(n_members * static_cast<std::size_t>(horizon), 0);
-    sc.usage_zeroed = false;
     const auto try_place = [&](op_id o, int t) {
         const auto members = members_of_op.row(o.value());
         const std::int64_t share =

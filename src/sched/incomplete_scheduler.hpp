@@ -36,10 +36,11 @@ struct incomplete_schedule_result {
     bool cover_proven_minimum = true;
 };
 
-/// Cross-iteration state for schedule_incomplete: the event-engine buffers
-/// and usage arena (so repeated passes allocate nothing) and the
-/// scheduling-set memo keyed on the WCG's serial and edge version. One
-/// instance lives for the duration of a DPAlloc run (core/dpalloc.cpp).
+/// Cross-call state for schedule_incomplete: the event-engine buffers and
+/// usage arena (so repeated passes allocate nothing) and the scheduling-set
+/// memo keyed on the WCG's serial and edge version. Everything else is
+/// rewritten per call, so one instance may serve any sequence of WCGs:
+/// dpalloc keeps one per thread in its workspace (core/dpalloc.cpp).
 struct incomplete_sched_scratch {
     event_schedule_workspace ws;
     scheduling_set_cache cover_cache;
@@ -61,10 +62,6 @@ struct incomplete_sched_scratch {
     /// attempt instead of a scan over every signature.
     std::vector<std::pair<std::uint64_t, std::uint32_t>> front_heap;
     std::vector<std::uint32_t> stuck_list; ///< signatures stuck at step t
-    /// True iff ws.usage is known to be all zeros (the fast path restores
-    /// exactly its committed windows before returning, so a looping caller
-    /// never pays a full-arena clear).
-    bool usage_zeroed = false;
 };
 
 /// Schedule all operations of `wcg.graph()` using the latency upper bounds
@@ -73,7 +70,9 @@ struct incomplete_sched_scratch {
 /// `scratch` (optional) carries reusable buffers and the scheduling-set
 /// memo across calls. Covers of up to 64 members take the signature
 /// tournament, wider ones the generic event sweep; both place exactly as
-/// the full-rescan reference in tests/oracle does. The one-value
+/// the full-rescan reference in tests/oracle does. Throws `error` when the
+/// exact accounting's scale, the lcm of the |S(o)| values, overflows 64
+/// bits, rather than schedule on truncated shares. The one-value
 /// `sched_engine` selects nothing (kept for perfbench/src/replay.cpp).
 [[nodiscard]] incomplete_schedule_result schedule_incomplete(
     const wordlength_compatibility_graph& wcg, int capacity = 1,

@@ -35,6 +35,7 @@ list_schedule_result list_schedule(const sequencing_graph& graph,
     // running[y * horizon + t]: type-y operations executing during step t,
     // in the workspace's flat arena.
     auto& running = ws.usage;
+    ws.usage_zeroed = false; // the counts stay in the arena
     running.assign(2 * static_cast<std::size_t>(horizon), 0);
 
     const auto try_place = [&](op_id o, int t) {

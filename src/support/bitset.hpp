@@ -41,12 +41,27 @@ inline void bits_reset(std::uint64_t* words, std::size_t i)
     return (words[i / 64] >> (i % 64)) & 1;
 }
 
+/// Set bits in one word, inline on every target. Without POPCNT in the
+/// target flags (the default x86-64 build passes no -mpopcnt / -march),
+/// __builtin_popcountll is a call into libgcc, so the SWAR count stands in.
+[[nodiscard]] inline std::size_t bits_popcount(std::uint64_t word)
+{
+#if defined(__POPCNT__)
+    return static_cast<std::size_t>(__builtin_popcountll(word));
+#else
+    word -= (word >> 1) & 0x5555555555555555U;
+    word = (word & 0x3333333333333333U) + ((word >> 2) & 0x3333333333333333U);
+    word = (word + (word >> 4)) & 0x0f0f0f0f0f0f0f0fU;
+    return static_cast<std::size_t>((word * 0x0101010101010101U) >> 56);
+#endif
+}
+
 [[nodiscard]] inline std::size_t bits_count(const std::uint64_t* words,
                                             std::size_t n_words)
 {
     std::size_t total = 0;
     for (std::size_t w = 0; w < n_words; ++w) {
-        total += static_cast<std::size_t>(__builtin_popcountll(words[w]));
+        total += bits_popcount(words[w]);
     }
     return total;
 }
@@ -74,7 +89,7 @@ inline void bits_and(std::uint64_t* dst, const std::uint64_t* src,
 {
     std::size_t total = 0;
     for (std::size_t w = 0; w < n_words; ++w) {
-        total += static_cast<std::size_t>(__builtin_popcountll(a[w] & ~b[w]));
+        total += bits_popcount(a[w] & ~b[w]);
     }
     return total;
 }

@@ -190,7 +190,8 @@ int wordlength_compatibility_graph::latency_lower_bound(op_id o) const
     return lat_lower_[o.value()];
 }
 
-std::vector<int> wordlength_compatibility_graph::latency_upper_bounds() const
+const std::vector<int>&
+wordlength_compatibility_graph::latency_upper_bounds() const
 {
     return lat_upper_;
 }

@@ -119,8 +119,9 @@ public:
     [[nodiscard]] int latency_upper_bound(op_id o) const;
     /// min latency over H(o).
     [[nodiscard]] int latency_lower_bound(op_id o) const;
-    /// Upper bounds for all operations, indexed by op id.
-    [[nodiscard]] std::vector<int> latency_upper_bounds() const;
+    /// Upper bounds for all operations, indexed by op id: a view of the
+    /// cached bounds, so it follows later refinements.
+    [[nodiscard]] const std::vector<int>& latency_upper_bounds() const;
 
     /// True iff o still has an H edge to a resource with latency strictly
     /// below L_o -- i.e. the §2.4 refinement step can shrink o's bound.

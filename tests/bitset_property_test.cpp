@@ -129,6 +129,37 @@ TEST(BitsetModel, PairwiseKernelsMatchSetAlgebra)
     }
 }
 
+TEST(BitsetModel, PopcountMatchesBitAtATimeCount)
+{
+    const std::uint64_t seed =
+        testing::env_seed("MWL_BITSET_SEED", 0xB1753);
+    MWL_TRACE_SEED("MWL_BITSET_SEED", seed);
+    rng random(seed);
+
+    const auto slow_count = [](std::uint64_t word) {
+        std::size_t count = 0;
+        for (int bit = 0; bit < 64; ++bit) {
+            count += (word >> bit) & 1U;
+        }
+        return count;
+    };
+    std::vector<std::uint64_t> words = {0, ~std::uint64_t{0}};
+    for (int bit = 0; bit < 64; ++bit) {
+        words.push_back(std::uint64_t{1} << bit);
+        words.push_back(~(std::uint64_t{1} << bit));
+    }
+    for (int i = 0; i < 10000; ++i) {
+        // Sparse and dense words as well as uniform ones.
+        const std::uint64_t word = random();
+        words.push_back(word);
+        words.push_back(word & random() & random());
+        words.push_back(word | random() | random());
+    }
+    for (const std::uint64_t word : words) {
+        ASSERT_EQ(bits_popcount(word), slow_count(word)) << word;
+    }
+}
+
 // ------------------------------------------------ WCG adjacency model --
 
 /// Reference H relation rebuilt from first principles (shape coverage),

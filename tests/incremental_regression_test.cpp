@@ -11,11 +11,13 @@
 #include "sched/incomplete_scheduler.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/scheduling_set.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "tgff/corpus.hpp"
 #include "tgff/generator.hpp"
 #include "wcg/wcg.hpp"
 
+#include "dpalloc_compare.hpp"
 #include "test_seed.hpp"
 
 #include <gtest/gtest.h>
@@ -24,38 +26,14 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace mwl {
 namespace {
 
-void expect_identical(const dpalloc_result& a, const dpalloc_result& b,
-                      const std::string& label)
-{
-    // datapath
-    EXPECT_EQ(a.path.start, b.path.start) << label;
-    EXPECT_EQ(a.path.instance_of_op, b.path.instance_of_op) << label;
-    EXPECT_EQ(a.path.total_area, b.path.total_area) << label;
-    EXPECT_EQ(a.path.latency, b.path.latency) << label;
-    ASSERT_EQ(a.path.instances.size(), b.path.instances.size()) << label;
-    for (std::size_t i = 0; i < a.path.instances.size(); ++i) {
-        const datapath_instance& x = a.path.instances[i];
-        const datapath_instance& y = b.path.instances[i];
-        EXPECT_EQ(x.shape, y.shape) << label << " instance " << i;
-        EXPECT_EQ(x.latency, y.latency) << label << " instance " << i;
-        EXPECT_EQ(x.area, y.area) << label << " instance " << i;
-        EXPECT_EQ(x.ops, y.ops) << label << " instance " << i;
-    }
-    // stats
-    EXPECT_EQ(a.stats.iterations, b.stats.iterations) << label;
-    EXPECT_EQ(a.stats.refinements, b.stats.refinements) << label;
-    EXPECT_EQ(a.stats.edges_deleted, b.stats.edges_deleted) << label;
-    EXPECT_EQ(a.stats.final_capacity, b.stats.final_capacity) << label;
-    EXPECT_EQ(a.stats.escalations, b.stats.escalations) << label;
-    EXPECT_EQ(a.stats.cover_always_minimum, b.stats.cover_always_minimum)
-        << label;
-}
+using testing::expect_identical;
 
 TEST(IncrementalRegression, DpallocIdenticalOnTgffCorpus)
 {
@@ -254,6 +232,75 @@ TEST(IncrementalRegression, EventScheduleMatchesReferenceScanOnWideCover)
         EXPECT_EQ(ev.scheduling_set, ref.scheduling_set)
             << "capacity " << capacity;
     }
+}
+
+/// The wide-cover graph above, plus one unrefined (136 - k) x 1
+/// multiplier per k in `shares`: each is compatible with exactly the k
+/// cover members (136 - i, i) with 136 - i >= 136 - k.
+sequencing_graph wide_cover_with_shares(std::span<const int> shares)
+{
+    sequencing_graph g;
+    for (int copy = 0; copy < 2; ++copy) {
+        for (int i = 1; i <= 68; ++i) {
+            g.add_operation(op_shape::multiplier(i, 136 - i));
+        }
+    }
+    for (const int k : shares) {
+        g.add_operation(op_shape::multiplier(136 - k, 1));
+    }
+    return g;
+}
+
+void refine_wide_cover(wordlength_compatibility_graph& wcg)
+{
+    for (std::size_t i = 0; i < 136; ++i) {
+        while (wcg.refinable(op_id(i))) {
+            wcg.refine_op(op_id(i));
+        }
+    }
+}
+
+TEST(IncrementalRegression, ShareScaleOverflowThrows)
+{
+    // The lcm of these |S(o)| values needs more than 63 bits. std::lcm
+    // wrapped it silently to 4,149,986,372,970,670,656, which 17 of them
+    // do not divide, so the "exact" shares were truncated. Both schedulers
+    // now refuse the graph instead.
+    const std::array<int, 19> shares = {64, 27, 25, 49, 11, 13, 17,
+                                        19, 23, 29, 31, 37, 41, 43,
+                                        47, 53, 59, 61, 67};
+    const sonic_model model;
+    const sequencing_graph g = wide_cover_with_shares(shares);
+    wordlength_compatibility_graph wcg(g, model);
+    refine_wide_cover(wcg);
+    incomplete_sched_scratch scratch;
+    EXPECT_THROW(static_cast<void>(schedule_incomplete(wcg, 1, &scratch)),
+                 error);
+    EXPECT_THROW(static_cast<void>(oracle::schedule_incomplete_scan(wcg, 1)),
+                 error);
+
+    // The first 13 give scale = 3,066,842,656,354,276,800, just under
+    // 2^62. A probe sums at most (capacity + 1) x scale, which fits up to
+    // capacity 2: both schedulers place identically there, on the scratch
+    // the refused call used, and both refuse capacity 3.
+    const sequencing_graph near =
+        wide_cover_with_shares(std::span(shares).first(13));
+    wordlength_compatibility_graph near_wcg(near, model);
+    refine_wide_cover(near_wcg);
+    for (const int capacity : {1, 2}) {
+        const incomplete_schedule_result ev =
+            schedule_incomplete(near_wcg, capacity, &scratch);
+        ASSERT_EQ(ev.scheduling_set.size(), 68U);
+        const incomplete_schedule_result ref =
+            oracle::schedule_incomplete_scan(near_wcg, capacity);
+        EXPECT_EQ(ev.start, ref.start) << "capacity " << capacity;
+        EXPECT_EQ(ev.length, ref.length) << "capacity " << capacity;
+    }
+    EXPECT_THROW(
+        static_cast<void>(schedule_incomplete(near_wcg, 3, &scratch)), error);
+    EXPECT_THROW(
+        static_cast<void>(oracle::schedule_incomplete_scan(near_wcg, 3)),
+        error);
 }
 
 TEST(IncrementalRegression, EventListScheduleMatchesReferenceScan)

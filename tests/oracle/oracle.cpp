@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <numeric>
 #include <optional>
+#include <set>
 #include <vector>
 
 namespace mwl::oracle {
@@ -108,6 +109,34 @@ rescanned_counts refinement_counts_from_rows(
 
 } // namespace
 
+std::vector<op_shape> resource_closure_fixpoint(std::span<const op_shape> shapes)
+{
+    // Closure under pairwise join. The join operation is associative,
+    // commutative and idempotent, so iterating pairwise joins to a fixed
+    // point yields the join of every subset.
+    std::set<op_shape> closure(shapes.begin(), shapes.end());
+    bool grew = true;
+    while (grew) {
+        grew = false;
+        std::vector<op_shape> fresh;
+        for (auto i = closure.begin(); i != closure.end(); ++i) {
+            for (auto j = std::next(i); j != closure.end(); ++j) {
+                if (i->kind() != j->kind()) {
+                    continue;
+                }
+                const op_shape joined = op_shape::join(*i, *j);
+                if (!closure.contains(joined)) {
+                    fresh.push_back(joined);
+                }
+            }
+        }
+        for (const op_shape& shape : fresh) {
+            grew |= closure.insert(shape).second;
+        }
+    }
+    return {closure.begin(), closure.end()};
+}
+
 incomplete_schedule_result schedule_incomplete_scan(
     const wordlength_compatibility_graph& wcg, int capacity)
 {
@@ -128,10 +157,23 @@ incomplete_schedule_result schedule_incomplete_scan(
                 members.push_back(mi);
             }
         }
-        MWL_ASSERT(!members.empty()); // S is a cover
-        scale = std::lcm(scale, static_cast<std::int64_t>(members.size()));
+        const auto size = static_cast<std::int64_t>(members.size());
+        MWL_ASSERT(size >= 1); // S is a cover
+        if (scale % size != 0 &&
+            __builtin_mul_overflow(scale / std::gcd(scale, size), size,
+                                   &scale)) {
+            throw error("incomplete scheduler: the lcm of the |S(o)| "
+                        "share counts overflows 64 bits");
+        }
     }
-    const std::int64_t budget = static_cast<std::int64_t>(capacity) * scale;
+    // A probe adds one share (at most scale) to a usage within budget.
+    std::int64_t probe_limit = 0;
+    if (__builtin_mul_overflow(static_cast<std::int64_t>(capacity) + 1, scale,
+                               &probe_limit)) {
+        throw error("incomplete scheduler: capacity x share scale "
+                    "overflows 64 bits");
+    }
+    const std::int64_t budget = probe_limit - scale;
 
     const std::vector<int> upper = upper_bounds_from_rows(wcg);
     const int horizon = serial_horizon(upper);

@@ -4,6 +4,7 @@
 //
 // It redoes, the way the original loop did, exactly what the incremental
 // DPAlloc pipeline (PERF.md) replaced:
+//   * the resource-type closure as a pairwise-join fixed point,
 //   * latency upper bounds rescanned from the H rows every iteration,
 //   * the §2.4 metric's pool and slowest-edge counts rescanned from the H
 //     rows every iteration,
@@ -28,8 +29,14 @@
 #include "sched/list_scheduler.hpp"
 
 #include <span>
+#include <vector>
 
 namespace mwl::oracle {
+
+/// extract_resource_types as a fixed point of pairwise joins over a
+/// std::set: the same closure, in the same order, by contract.
+[[nodiscard]] std::vector<op_shape> resource_closure_fixpoint(
+    std::span<const op_shape> shapes);
 
 /// schedule_incomplete by full rescan: the same schedule, makespan and
 /// scheduling set as the event engine, by contract.

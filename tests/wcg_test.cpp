@@ -7,10 +7,14 @@
 // types into any cover).
 
 #include "model/hardware_model.hpp"
+#include "oracle/oracle.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "wcg/chains.hpp"
 #include "wcg/resource_set.hpp"
 #include "wcg/wcg.hpp"
+
+#include "test_seed.hpp"
 
 #include <gtest/gtest.h>
 
@@ -112,6 +116,29 @@ TEST(ResourceSet, DeterministicOrder)
     const std::vector<op_shape> a{op_shape::adder(8), op_shape::adder(4)};
     const std::vector<op_shape> b{op_shape::adder(4), op_shape::adder(8)};
     EXPECT_EQ(extract_resource_types(a), extract_resource_types(b));
+}
+
+TEST(ResourceSet, ClosureMatchesJoinFixpoint)
+{
+    // The one-pass closure against the pairwise-join fixed point on random
+    // shape sets: narrow widths make many shapes share widths (many
+    // joins), wide ones make most joins new shapes.
+    const std::uint64_t seed = testing::env_seed("MWL_CLOSURE_SEED", 0xC105E);
+    MWL_TRACE_SEED("MWL_CLOSURE_SEED", seed);
+    rng random(seed);
+    for (int set = 0; set < 20000; ++set) {
+        const int widest = set % 2 == 0 ? 8 : op_shape::max_width;
+        std::vector<op_shape> shapes(random.uniform(0, 16));
+        for (op_shape& s : shapes) {
+            const int a = random.uniform_int(1, widest);
+            s = random.chance(0.3)
+                    ? op_shape::adder(a)
+                    : op_shape::multiplier(a, random.uniform_int(1, widest));
+        }
+        ASSERT_EQ(extract_resource_types(shapes),
+                  oracle::resource_closure_fixpoint(shapes))
+            << "set " << set;
+    }
 }
 
 // ------------------------------------------------------------- H edges --
