@@ -1,8 +1,9 @@
 // Batch-engine throughput: a Pareto sweep over a tgff corpus, run through
-// the parallel engine at --jobs 1 vs --jobs 8, plus a result-cache replay
-// pass. Every parallel frontier is cross-checked byte-identical to the
-// serial `pareto_sweep` -- the bench exits non-zero on any divergence, so
-// the speedup numbers can never come from changed answers.
+// the engine (engine/pareto_sweep.hpp) at --jobs 1 vs --jobs 8, plus a
+// result-cache replay pass. Every engine frontier is cross-checked
+// byte-identical to the serial reference sweep
+// (`oracle::pareto_sweep_serial`) -- the bench exits non-zero on any
+// divergence, so the speedup numbers can never come from changed answers.
 //
 // Emits the aligned table (or --csv) plus a JSON artifact: always written
 // to BENCH_batch_throughput.json (or --out FILE) and echoed to stdout.
@@ -10,9 +11,8 @@
 // hardware_concurrency so a single-core container's ~1x is legible.
 
 #include "bench_common.hpp"
-#include "core/pareto.hpp"
-#include "engine/batch_engine.hpp"
-#include "engine/parallel_pareto.hpp"
+#include "engine/pareto_sweep.hpp"
+#include "oracle/pareto_serial.hpp"
 #include "support/timer.hpp"
 #include "tgff/corpus.hpp"
 
@@ -63,7 +63,8 @@ int main(int argc, char** argv)
     std::vector<std::vector<pareto_point>> serial_fronts(corpus.size());
     stopwatch clock;
     for (std::size_t i = 0; i < corpus.size(); ++i) {
-        serial_fronts[i] = pareto_sweep(corpus[i].graph, model, sweep);
+        serial_fronts[i] =
+            oracle::pareto_sweep_serial(corpus[i].graph, model, sweep);
     }
     const double serial_ms = clock.milliseconds();
 
@@ -73,13 +74,14 @@ int main(int argc, char** argv)
         double best_ms = 0.0;
         for (int rep = 0; rep < reps; ++rep) {
             std::vector<std::vector<pareto_point>> fronts(corpus.size());
-            thread_pool pool(jobs);
+            // A fresh engine per rep: no rep reads another rep's cache.
+            batch_engine engine(batch_options{.jobs = jobs});
             stopwatch arm_clock;
             // mwl_batch's shape: one index per graph, each sweep fanning
             // its lambdas out on the same pool.
-            parallel_for(pool, corpus.size(), [&](std::size_t i) {
+            parallel_for(engine.pool(), corpus.size(), [&](std::size_t i) {
                 fronts[i] =
-                    parallel_pareto_sweep(corpus[i].graph, model, sweep, pool);
+                    pareto_sweep(corpus[i].graph, model, sweep, engine);
             });
             const double ms = arm_clock.milliseconds();
             if (rep == 0 || ms < best_ms) {
@@ -99,8 +101,8 @@ int main(int argc, char** argv)
     const double ms_jobs1 = run_arm(1, ok1);
     const double ms_jobs8 = run_arm(8, ok8);
     if (!ok1 || !ok8) {
-        std::cerr << "batch_throughput: PARALLEL FRONT DIVERGED FROM"
-                     " SERIAL pareto_sweep\n";
+        std::cerr << "batch_throughput: ENGINE FRONT DIVERGED FROM"
+                     " THE SERIAL SWEEP\n";
         return 1;
     }
 
@@ -134,7 +136,7 @@ int main(int argc, char** argv)
     const auto rate = [&](double ms) {
         return ms > 0.0 ? static_cast<double>(opt.graphs) / (ms / 1e3) : 0.0;
     };
-    t.row({"serial pareto_sweep", table::num(serial_ms, 1),
+    t.row({"serial sweep", table::num(serial_ms, 1),
            table::num(rate(serial_ms), 1), "1.00x"});
     t.row({"engine --jobs 1", table::num(ms_jobs1, 1),
            table::num(rate(ms_jobs1), 1),

@@ -2,15 +2,15 @@
 //
 // The workflow a designer would actually run on a multiple-wordlength
 // kernel: sweep the latency constraint to get the area/latency frontier
-// (core/pareto.hpp), polish each point with the validator-driven local
-// search (improve/local_search.hpp), and price the winners at the
+// (engine/pareto_sweep.hpp), polish each point with the validator-driven
+// local search (improve/local_search.hpp), and price the winners at the
 // register-transfer level including registers and muxes (rtl/netlist.hpp).
 //
 // Build & run:  ./build/examples/design_space
 
-#include "core/pareto.hpp"
 #include "core/validate.hpp"
 #include "dfg/analysis.hpp"
+#include "engine/pareto_sweep.hpp"
 #include "improve/local_search.hpp"
 #include "model/hardware_model.hpp"
 #include "report/table.hpp"
@@ -30,9 +30,12 @@ int main()
     const sequencing_graph graph = generate_tgff(gopt, random);
     const sonic_model model;
 
+    // The sweep prices its lambdas concurrently on the engine's pool; the
+    // frontier is the same at any pool size.
+    batch_engine engine;
     pareto_options popt;
     popt.max_slack = 0.6;
-    const auto frontier = pareto_sweep(graph, model, popt);
+    const auto frontier = pareto_sweep(graph, model, popt, engine);
 
     table t("Design space of a 14-op kernel (areas in model units)");
     t.header({"lambda", "latency", "FU area", "after local search",

@@ -1,45 +1,10 @@
 #include "core/pareto.hpp"
 
-#include "dfg/analysis.hpp"
 #include "support/error.hpp"
 
-#include <cmath>
+#include <utility>
 
 namespace mwl {
-
-std::vector<pareto_point> pareto_sweep(const sequencing_graph& graph,
-                                       const hardware_model& model,
-                                       const pareto_options& options)
-{
-    require(options.max_slack >= 0.0, "max_slack must be non-negative");
-    require(options.patience >= 1, "patience must be >= 1");
-    if (graph.empty()) {
-        return {};
-    }
-
-    const int lambda_min = min_latency(graph, model);
-    const int lambda_max = static_cast<int>(std::ceil(
-        static_cast<double>(lambda_min) * (1.0 + options.max_slack)));
-
-    std::vector<pareto_point> frontier;
-    int stale = 0;
-    for (int lambda = lambda_min; lambda <= lambda_max; ++lambda) {
-        dpalloc_result r = dpalloc(graph, model, lambda, options.allocator);
-        if (frontier_admits(frontier, r.path.total_area)) {
-            pareto_point point;
-            point.lambda = lambda;
-            point.latency = r.path.latency;
-            point.area = r.path.total_area;
-            point.path = std::move(r.path);
-            frontier_insert(frontier, std::move(point));
-            stale = 0;
-        } else if (++stale >= options.patience) {
-            break;
-        }
-    }
-    MWL_ASSERT(!frontier.empty());
-    return frontier;
-}
 
 bool frontier_admits(const std::vector<pareto_point>& frontier, double area)
 {
@@ -57,16 +22,6 @@ void frontier_insert(std::vector<pareto_point>& frontier, pareto_point point)
         frontier.pop_back();
     }
     frontier.push_back(std::move(point));
-}
-
-void merge_frontiers(std::vector<pareto_point>& dst,
-                     std::vector<pareto_point> src)
-{
-    for (pareto_point& point : src) {
-        if (frontier_admits(dst, point.area)) {
-            frontier_insert(dst, std::move(point));
-        }
-    }
 }
 
 } // namespace mwl

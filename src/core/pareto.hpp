@@ -1,11 +1,10 @@
-// Area/latency design-space exploration.
+// The Pareto frontier of an area/latency sweep and its dominance rules.
 //
-// The latency constraint is the designer's knob: sweeping lambda from
-// lambda_min upward and keeping the non-dominated (latency, area) points
-// yields the trade-off curve a designer actually chooses from (the
-// examples print fragments of it by hand). The sweep stops early once the
-// area reaches the unconstrained lower bound for the allocator -- the
-// point past which more slack cannot help.
+// A sweep (engine/pareto_sweep.hpp) relaxes the latency constraint lambda
+// from lambda_min upward and folds each design into a frontier of
+// non-dominated (latency, area) points with the two rules below. They are
+// the whole of the sweep's admission logic, kept here so every caller and
+// test applies the same ones.
 
 #ifndef MWL_CORE_PARETO_HPP
 #define MWL_CORE_PARETO_HPP
@@ -31,13 +30,6 @@ struct pareto_options {
     dpalloc_options allocator;
 };
 
-/// Non-dominated (latency, area) allocations for lambda in
-/// [lambda_min, ceil(lambda_min * (1 + max_slack))], ascending latency,
-/// strictly descending area. Never empty for a non-empty graph.
-[[nodiscard]] std::vector<pareto_point> pareto_sweep(
-    const sequencing_graph& graph, const hardware_model& model,
-    const pareto_options& options = {});
-
 /// Absolute tolerance under which two areas are considered equal by the
 /// dominance rules below (matches the sweep's improvement threshold).
 inline constexpr double pareto_area_epsilon = 1e-9;
@@ -53,15 +45,6 @@ inline constexpr double pareto_area_epsilon = 1e-9;
 /// same achieved latency but lower area replaces its predecessor).
 /// Precondition: `frontier_admits(frontier, point.area)`.
 void frontier_insert(std::vector<pareto_point>& frontier, pareto_point point);
-
-/// Dominance-merge `src` (a frontier for a lambda range *after* dst's, i.e.
-/// ascending lambda across the concatenation) into `dst`: src points that
-/// do not beat dst's best area are dropped, the rest are inserted with the
-/// same replacement rule as the serial sweep. Merging per-worker frontiers
-/// chunk by chunk reproduces the serial frontier exactly (see
-/// src/engine/parallel_pareto.cpp for the argument).
-void merge_frontiers(std::vector<pareto_point>& dst,
-                     std::vector<pareto_point> src);
 
 } // namespace mwl
 

@@ -62,15 +62,23 @@ batch_engine::outcome batch_engine::run(const sequencing_graph& graph,
 {
     const job_key key{graph_fingerprint(graph), model.fingerprint(), lambda,
                       options};
-    // A result published between this miss and the in-flight registration
-    // below is recomputed -- a benign race costing one duplicate execution,
-    // never a wrong answer (equal keys imply byte-identical results).
     if (std::optional<outcome> hit = probe(key)) {
         return std::move(*hit);
     }
     submitted_.fetch_add(1, std::memory_order_relaxed);
 
     std::unique_lock<std::mutex> lock(mutex_);
+    // The identical job may have finished since the probe above. resolve()
+    // caches a result and retires its key under this mutex, so under it a
+    // job is cached, in flight or neither, and probing again here keeps
+    // it from executing twice (identical sweeps side by side hit this).
+    if (std::optional<std::shared_ptr<const dpalloc_result>> cached =
+            cache_.get(key)) {
+        lock.unlock();
+        cache_hits_.fetch_add(1, std::memory_order_relaxed);
+        return outcome{
+            .result = std::move(*cached), .error = {}, .from_cache = true};
+    }
     const auto [it, fresh] = inflight_.try_emplace(key);
     if (!fresh) {
         // The identical job is executing on the thread that registered

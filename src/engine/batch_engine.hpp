@@ -19,10 +19,11 @@
 //
 // There is one way to consume it: run() one job to completion on the
 // calling thread. Fan-outs (mwl_batch, the campaign runner, mwl_tune's
-// candidate pricing) call run() from `parallel_for` indices over the
-// engine's pool(); mwl_serve calls it from its request tasks. lookup() is
-// run()'s first step on its own: a cache probe that never executes, which
-// mwl_serve's reader threads use to answer hits without a pool hop.
+// candidate pricing, the Pareto sweep in engine/pareto_sweep.hpp) call
+// run() from `parallel_for` indices over the engine's pool(); mwl_serve
+// calls it from its request tasks. lookup() is run()'s first step on its
+// own: a cache probe that never executes, which mwl_serve's reader
+// threads use to answer hits without a pool hop.
 // Because run() executes a job on the thread that registered it, every
 // in-flight job is being computed by a running thread, so a coalescing
 // caller simply blocks until it is done and never runs other pool work.
@@ -99,8 +100,8 @@ public:
     /// Engine with its own pool.
     explicit batch_engine(const batch_options& options = {});
 
-    /// Engine sharing an external pool (e.g. with a parallel Pareto sweep);
-    /// `pool` must outlive the engine.
+    /// Engine sharing an external pool (e.g. with the caller's own
+    /// fan-out, as mwl_batch does); `pool` must outlive the engine.
     batch_engine(thread_pool& pool, const batch_options& options = {});
 
     batch_engine(const batch_engine&) = delete;
@@ -118,11 +119,13 @@ public:
     /// Run one job to completion on the calling thread: answer from the
     /// cache (through lookup()'s probe), coalesce onto an identical
     /// in-flight job (blocking until the thread computing it is done), or
-    /// execute dpalloc inline. Concurrent callers share only the striped
-    /// cache and the brief in-flight registration. Thread-safe, and safe
-    /// to call from a pool task; `graph`/`model` only need to live for the
-    /// duration of the call, and the engine must not be destroyed while a
-    /// call is running.
+    /// execute dpalloc inline. A job executes once while its result stays
+    /// cached: a caller whose first probe raced an identical job's finish
+    /// finds its result on a second probe. Concurrent callers
+    /// share only the striped cache and the brief in-flight registration.
+    /// Thread-safe, and safe to call from a pool task; `graph`/`model`
+    /// only need to live for the duration of the call, and the engine
+    /// must not be destroyed while a call is running.
     [[nodiscard]] outcome run(const sequencing_graph& graph,
                               const hardware_model& model, int lambda,
                               const dpalloc_options& options = {});

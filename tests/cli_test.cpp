@@ -249,6 +249,74 @@ TEST(CliBatch, MixedManifestResultsDoNotDependOnJobs)
     EXPECT_EQ(runs[0], runs[1]);
 }
 
+/// mwl_batch's JSON report on `manifest` (`--json -`, stdout alone).
+run_result batch_json(const std::string& manifest, const std::string& jobs)
+{
+    return run("(" + tool("mwl_batch") + " " + manifest + " --jobs " + jobs +
+               " --json - 2>/dev/null)");
+}
+
+TEST(CliBatch, DuplicateSweepLinesExecuteOnce)
+{
+    // Every lambda of a sweep is an engine job, so a second identical
+    // sweep line is answered from the first one's jobs. Entry names carry
+    // the manifest position, so rows compare without them.
+    const std::string line = "corpus ops=8 count=6 seed=1 sweep=30\n";
+    const std::string one = write_input("cli_test_sweep1.manifest", line);
+    const std::string two =
+        write_input("cli_test_sweep2.manifest", line + line);
+    const auto without_entry = [](const std::string& json) {
+        std::vector<std::string> rows = batch_rows(json);
+        for (std::string& row : rows) {
+            row.erase(0, row.find(' '));
+        }
+        return rows;
+    };
+    for (const std::string jobs : {"1", "4"}) {
+        const run_result r1 = batch_json(one, jobs);
+        const run_result r2 = batch_json(two, jobs);
+        ASSERT_EQ(r1.exit_code, 0) << r1.output;
+        ASSERT_EQ(r2.exit_code, 0) << r2.output;
+        const double executed = mwl::parse_json(r1.output)
+                                    .at("stats")
+                                    .number_at("executed");
+        EXPECT_GT(executed, 0.0) << "jobs " << jobs;
+        EXPECT_EQ(
+            mwl::parse_json(r2.output).at("stats").number_at("executed"),
+            executed)
+            << "jobs " << jobs;
+        const std::vector<std::string> once = without_entry(r1.output);
+        std::vector<std::string> twice = once;
+        twice.insert(twice.end(), once.begin(), once.end());
+        EXPECT_EQ(without_entry(r2.output), twice) << "jobs " << jobs;
+    }
+}
+
+TEST(CliBatch, OverflowingLambdaFailsItsOwnRow)
+{
+    // Regression: a sweep= bound past INT_MAX was cast to int (undefined
+    // behaviour) and aborted the batch with exit 134, and a slack= one
+    // ended the batch before any row. Each now fails its own entry's row
+    // (exit 1) and the other entries still report.
+    const std::string manifest =
+        write_input("cli_test_huge_lambda.manifest",
+                    "corpus ops=4 count=1 sweep=1e12\n"
+                    "corpus ops=4 count=1 slack=1e12\n"
+                    "corpus ops=4 count=1 seed=3\n");
+    const run_result r = batch_json(manifest, "2");
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    const mwl::json_value report = mwl::parse_json(r.output);
+    const std::vector<mwl::json_value>& rows = report.array_at("results");
+    ASSERT_EQ(rows.size(), 3u) << r.output;
+    const std::string overflow =
+        "error: relaxed lambda exceeds INT_MAX at slack 1e+10";
+    EXPECT_EQ(rows[0].string_at("kind"), "sweep");
+    EXPECT_EQ(rows[0].string_at("status"), overflow);
+    EXPECT_EQ(rows[1].string_at("kind"), "alloc");
+    EXPECT_EQ(rows[1].string_at("status"), overflow);
+    EXPECT_EQ(rows[2].string_at("status"), "computed");
+}
+
 // ----------------------------------------------------------- mwl_verify --
 
 TEST(CliVerify, ZeroInputsIsRejected)
@@ -732,6 +800,44 @@ TEST(CliAlloc, BadNumericFlagValuesExitTwoNotAbort)
         "bad value for --jobs: numeric value out of range");
     expect_fails_with(tool("mwl_alloc") + " - --lambda 12x", 2,
                       "bad value for --lambda: bad numeric value '12x'");
+}
+
+/// A 7-op graph whose frontier has more than one point.
+std::string sweep_graph()
+{
+    return write_input("cli_test_sweep.mwl",
+                       "op m1 mul 12 12\nop m2 mul 8 4\nop m3 mul 16 8\n"
+                       "op m4 mul 10 10\nop a1 add 12\nop a2 add 16\n"
+                       "op a3 add 20\ndep m1 a1\ndep m2 a1\ndep m3 a2\n"
+                       "dep a1 a2\ndep m4 a3\ndep a2 a3\n");
+}
+
+TEST(CliAlloc, SweepOutputDoesNotDependOnJobs)
+{
+    const std::string graph = sweep_graph();
+    std::vector<std::string> outputs;
+    for (const std::string jobs : {"1", "4"}) {
+        // The subshell drops stderr, so `output` is stdout alone.
+        const run_result r = run("(" + tool("mwl_alloc") + " " + graph +
+                                 " --sweep --jobs " + jobs + " 2>/dev/null)");
+        ASSERT_EQ(r.exit_code, 0) << r.output;
+        outputs.push_back(r.output);
+    }
+    EXPECT_NE(outputs[0].find("Pareto frontier (slack 100%)"),
+              std::string::npos)
+        << outputs[0];
+    EXPECT_EQ(outputs[0], outputs[1]);
+}
+
+TEST(CliAlloc, OverflowingSweepRangeFailsBeforeAnyOutput)
+{
+    // Regression: the header line was half printed before the range
+    // computation threw, leaving "sweeping lambda 7..mwl_alloc: ...".
+    const run_result r = run("(" + tool("mwl_alloc") + " " + sweep_graph() +
+                             " --sweep --slack 1e12 2>&1)");
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_EQ(r.output,
+              "mwl_alloc: relaxed lambda exceeds INT_MAX at slack 1e+10\n");
 }
 
 TEST(CliAlloc, MalformedGraphExitsTwoWithItsLineNumber)

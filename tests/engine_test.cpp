@@ -1,12 +1,14 @@
-// Determinism suite for src/engine/: the batch engine and the parallel
-// Pareto sweep must be byte-identical to their serial counterparts on the
-// tgff corpus at every pool size, and the caching/dedup layers must be
-// output-invisible. Fan-outs take mwl_batch's shape: engine.run() and
-// sweeps under parallel_for. Run under -fsanitize=thread in CI.
+// Determinism suite for src/engine/: the batch engine and the Pareto
+// sweep must be byte-identical to serial dpalloc and the serial reference
+// sweep (tests/oracle) on the tgff corpus at every pool size, and the
+// caching/dedup layers must be output-invisible. Fan-outs take mwl_batch's
+// shape: engine.run() and sweeps under parallel_for. Run under
+// -fsanitize=thread in CI.
 
 #include "engine/batch_engine.hpp"
-#include "engine/parallel_pareto.hpp"
+#include "engine/pareto_sweep.hpp"
 #include "io/graph_io.hpp"
+#include "oracle/pareto_serial.hpp"
 #include "support/error.hpp"
 #include "tgff/corpus.hpp"
 
@@ -15,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <future>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -278,8 +282,9 @@ TEST(BatchEngine, ConcurrentRunsAreDeterministicAndAccounted)
     // The serve topology: many threads calling run() on a shared engine.
     // Every caller must see the identical allocation, and the snapshot
     // counters must balance -- each submit was a hit, a coalesce, or an
-    // execution. (A probe racing a just-finishing twin may legitimately
-    // execute twice; equal keys give byte-identical results.)
+    // execution -- and each job executes once: a caller whose probe
+    // missed a twin that finished before it registered finds the twin's
+    // result when it probes again under the in-flight lock.
     const sonic_model model;
     const auto corpus = make_corpus(12, 3, model, 53);
     batch_engine engine(batch_options{.jobs = 4, .cache_capacity = 64});
@@ -314,7 +319,7 @@ TEST(BatchEngine, ConcurrentRunsAreDeterministicAndAccounted)
     EXPECT_EQ(s.submitted,
               corpus.size() * static_cast<std::size_t>(threads_per_job));
     EXPECT_EQ(s.cache_hits + s.coalesced + s.executed, s.submitted);
-    EXPECT_GE(s.executed, corpus.size());
+    EXPECT_EQ(s.executed, corpus.size());
     EXPECT_EQ(s.in_flight, 0u);
     EXPECT_EQ(s.errors, 0u);
 }
@@ -378,75 +383,178 @@ TEST(BatchEngine, SnapshotCountsEvictionsOfTheStripedCache)
     EXPECT_EQ(s.cache_capacity, 2u);
 }
 
-TEST(ParallelPareto, ByteIdenticalToSerialSweepAcrossJobCounts)
+// ---- pareto_sweep against the serial reference sweep (tests/oracle) ----
+
+TEST(ParetoSweep, ByteIdenticalToSerialSweepAcrossPoolSizes)
 {
     const sonic_model model;
     for (const std::size_t n : {6u, 10u, 16u}) {
         const auto corpus = make_corpus(n, 4, model, 53);
         for (std::size_t gi = 0; gi < corpus.size(); ++gi) {
-            const auto serial = pareto_sweep(corpus[gi].graph, model);
+            const auto serial =
+                oracle::pareto_sweep_serial(corpus[gi].graph, model);
             for (const std::size_t jobs : {1u, 2u, 3u, 8u}) {
-                const auto parallel = parallel_pareto_sweep(
-                    corpus[gi].graph, model, {}, jobs);
+                batch_engine engine(batch_options{.jobs = jobs});
                 expect_identical_front(
-                    parallel, serial,
+                    pareto_sweep(corpus[gi].graph, model, {}, engine), serial,
                     "n=" + std::to_string(n) + " graph " +
-                        std::to_string(gi) + " jobs=" +
-                        std::to_string(jobs));
+                        std::to_string(gi) + " pool=" + std::to_string(jobs));
             }
         }
     }
 }
 
-TEST(ParallelPareto, MatchesSerialOnShortAndPatienceBoundedRanges)
+TEST(ParetoSweep, MatchesSerialOnShortAndPatienceBoundedRanges)
 {
     const sonic_model model;
     const auto corpus = make_corpus(12, 2, model, 59);
+    // One engine per pool size for the whole test: later sweeps read the
+    // lambdas earlier ones cached, which must not show in any frontier.
+    const std::vector<std::size_t> pools{1, 2, 3, 8};
+    std::vector<std::unique_ptr<batch_engine>> engines;
+    for (const std::size_t jobs : pools) {
+        engines.push_back(
+            std::make_unique<batch_engine>(batch_options{.jobs = jobs}));
+    }
     for (const corpus_entry& e : corpus) {
         for (const double max_slack : {0.0, 0.05, 2.0}) {
             for (const int patience : {1, 2, 100}) {
                 pareto_options options;
                 options.max_slack = max_slack;
                 options.patience = patience;
-                const auto serial = pareto_sweep(e.graph, model, options);
-                const auto parallel =
-                    parallel_pareto_sweep(e.graph, model, options, 4);
-                expect_identical_front(parallel, serial,
-                                       "slack=" + std::to_string(max_slack) +
-                                           " patience=" +
-                                           std::to_string(patience));
+                const auto serial =
+                    oracle::pareto_sweep_serial(e.graph, model, options);
+                for (std::size_t k = 0; k < pools.size(); ++k) {
+                    expect_identical_front(
+                        pareto_sweep(e.graph, model, options, *engines[k]),
+                        serial,
+                        "slack=" + std::to_string(max_slack) +
+                            " patience=" + std::to_string(patience) +
+                            " pool=" + std::to_string(pools[k]));
+                }
             }
         }
     }
 }
 
-TEST(ParallelPareto, EmptyGraphAndInvalidOptionsBehaveLikeSerial)
+TEST(ParetoSweep, EmptyGraphAndInvalidOptionsBehaveLikeSerial)
 {
     const sonic_model model;
+    batch_engine engine(batch_options{.jobs = 2});
     sequencing_graph empty;
-    EXPECT_TRUE(parallel_pareto_sweep(empty, model, {}, 2).empty());
+    EXPECT_TRUE(pareto_sweep(empty, model, {}, engine).empty());
 
     const auto corpus = make_corpus(6, 1, model, 61);
     pareto_options bad;
     bad.max_slack = -1.0;
-    EXPECT_THROW(static_cast<void>(parallel_pareto_sweep(
-                     corpus[0].graph, model, bad, 2)),
-                 precondition_error);
+    EXPECT_THROW(
+        static_cast<void>(pareto_sweep(corpus[0].graph, model, bad, engine)),
+        precondition_error);
     bad = {};
     bad.patience = 0;
-    EXPECT_THROW(static_cast<void>(parallel_pareto_sweep(
-                     corpus[0].graph, model, bad, 2)),
-                 precondition_error);
+    EXPECT_THROW(
+        static_cast<void>(pareto_sweep(corpus[0].graph, model, bad, engine)),
+        precondition_error);
+}
+
+TEST(ParetoSweep, RangePastIntMaxThrowsPreconditionError)
+{
+    // The range comes from relaxed_lambda, which refuses a bound past
+    // INT_MAX instead of casting it (undefined behaviour), and nothing
+    // runs before it does.
+    const sonic_model model;
+    const auto corpus = make_corpus(4, 1, model, 61);
+    batch_engine engine(batch_options{.jobs = 2});
+    pareto_options huge;
+    huge.max_slack = 1e10;
+    EXPECT_THROW(
+        static_cast<void>(pareto_sweep(corpus[0].graph, model, huge, engine)),
+        precondition_error);
+    EXPECT_EQ(engine.snapshot().submitted, 0u);
+}
+
+TEST(ParetoSweep, RepeatedSweepOnOneEngineExecutesNothing)
+{
+    // Every lambda is an engine job, and the lambdas a sweep prices do not
+    // depend on timing, so repeating the sweeps is all cache hits.
+    const sonic_model model;
+    const auto corpus = make_corpus(10, 4, model, 73);
+    batch_engine engine(batch_options{.jobs = 3});
+    std::vector<std::vector<pareto_point>> fronts;
+    for (const corpus_entry& e : corpus) {
+        fronts.push_back(pareto_sweep(e.graph, model, {}, engine));
+    }
+    const engine_stats before = engine.snapshot();
+    EXPECT_GT(before.executed, 0u);
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+        expect_identical_front(
+            pareto_sweep(corpus[i].graph, model, {}, engine), fronts[i],
+            "graph " + std::to_string(i));
+    }
+    const engine_stats after = engine.snapshot();
+    EXPECT_EQ(after.executed, before.executed);
+    EXPECT_EQ(after.cache_hits - before.cache_hits,
+              after.submitted - before.submitted);
+}
+
+TEST(ParetoSweep, AllocAtAVisitedLambdaIsACacheHit)
+{
+    const sonic_model model;
+    const auto corpus = make_corpus(10, 1, model, 79);
+    const corpus_entry& e = corpus.front();
+    batch_engine engine(batch_options{.jobs = 2});
+    const auto front = pareto_sweep(e.graph, model, {}, engine);
+    ASSERT_FALSE(front.empty());
+    const std::uint64_t executed = engine.snapshot().executed;
+    for (const pareto_point& p : front) {
+        const batch_engine::outcome out = engine.run(e.graph, model, p.lambda);
+        ASSERT_TRUE(out.ok()) << out.error;
+        EXPECT_TRUE(out.from_cache) << "lambda " << p.lambda;
+        expect_identical_path(out.result->path, p.path,
+                              "lambda " + std::to_string(p.lambda));
+    }
+    EXPECT_EQ(engine.snapshot().executed, executed);
+}
+
+/// sonic_model's latencies with no area for any shape: min_latency works,
+/// and every allocation fails inside dpalloc.
+class no_area_model final : public hardware_model {
+public:
+    [[nodiscard]] int latency(const op_shape& shape) const override
+    {
+        return sonic_.latency(shape);
+    }
+    [[nodiscard]] double area(const op_shape&) const override
+    {
+        throw error("no area in this model");
+    }
+
+private:
+    sonic_model sonic_;
+};
+
+TEST(ParetoSweep, AFailedLambdaThrowsTheEnginesMessage)
+{
+    const auto corpus = make_corpus(6, 1, sonic_model{}, 61);
+    const no_area_model model;
+    batch_engine engine(batch_options{.jobs = 2});
+    try {
+        static_cast<void>(pareto_sweep(corpus[0].graph, model, {}, engine));
+        ADD_FAILURE() << "the sweep did not throw";
+    } catch (const error& e) {
+        EXPECT_STREQ(e.what(), "no area in this model");
+    }
+    EXPECT_GT(engine.snapshot().errors, 0u);
 }
 
 /// Sweeps running on this thread right now (NestedSweeps... below).
 thread_local int sweep_depth = 0;
 
-TEST(ParallelPareto, NestedSweepsOnASharedPoolStayIdentical)
+TEST(ParetoSweep, NestedSweepsOnASharedPoolStayIdentical)
 {
     // mwl_batch's shape: one parallel_for index per graph, each sweep
     // fanning its lambdas out on the same pool. A thread waiting on its
-    // own sweep's chunks must never start another graph's sweep on its
+    // own sweep's lambdas must never start another graph's sweep on its
     // stack, so a depth probe around each sweep stays at 1. Parking one of
     // two workers keeps an outer helper queued while the sweeps wait --
     // exactly the task a waiter that runs queued work would pick up.
@@ -454,6 +562,7 @@ TEST(ParallelPareto, NestedSweepsOnASharedPoolStayIdentical)
     const auto corpus = make_corpus(10, 8, model, 67);
     for (const bool park : {false, true}) {
         thread_pool pool(park ? 2 : 4);
+        batch_engine engine(pool);
         std::optional<testing::parked_worker> parked;
         if (park) {
             parked.emplace(pool);
@@ -466,17 +575,16 @@ TEST(ParallelPareto, NestedSweepsOnASharedPoolStayIdentical)
             while (depth > seen &&
                    !deepest.compare_exchange_weak(seen, depth)) {
             }
-            fronts[i] =
-                parallel_pareto_sweep(corpus[i].graph, model, {}, pool);
+            fronts[i] = pareto_sweep(corpus[i].graph, model, {}, engine);
             --sweep_depth;
         });
         parked.reset();
         const std::string label = park ? "parked " : "free ";
         EXPECT_EQ(deepest.load(), 1) << label << "sweeps nested";
         for (std::size_t i = 0; i < corpus.size(); ++i) {
-            expect_identical_front(fronts[i],
-                                   pareto_sweep(corpus[i].graph, model),
-                                   label + "graph " + std::to_string(i));
+            expect_identical_front(
+                fronts[i], oracle::pareto_sweep_serial(corpus[i].graph, model),
+                label + "graph " + std::to_string(i));
         }
     }
 }

@@ -5,9 +5,9 @@
 
 #include "core/validate.hpp"
 #include "dfg/analysis.hpp"
-#include "ilp/exhaustive.hpp"
 #include "ilp/formulation.hpp"
 #include "model/hardware_model.hpp"
+#include "oracle/exhaustive.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "tgff/generator.hpp"
@@ -164,7 +164,7 @@ TEST(IlpSolve, MatchesExhaustiveOnRandomTinyGraphs)
         for (const int extra : {0, 1}) {
             const int lambda = lmin + extra;
             const auto reference =
-                exhaustive_optimal_area(g, model, lambda);
+                oracle::exhaustive_optimal_area(g, model, lambda);
             if (!reference.has_value()) {
                 continue; // enumeration too large; skip
             }
@@ -203,7 +203,8 @@ TEST(Exhaustive, EmptyGraphIsZero)
 {
     sequencing_graph g;
     const sonic_model model;
-    EXPECT_DOUBLE_EQ(exhaustive_optimal_area(g, model, 0).value(), 0.0);
+    EXPECT_DOUBLE_EQ(oracle::exhaustive_optimal_area(g, model, 0).value(),
+                     0.0);
 }
 
 TEST(Exhaustive, SingleOpIsOwnArea)
@@ -211,7 +212,8 @@ TEST(Exhaustive, SingleOpIsOwnArea)
     sequencing_graph g;
     g.add_operation(op_shape::multiplier(10, 10));
     const sonic_model model;
-    EXPECT_DOUBLE_EQ(exhaustive_optimal_area(g, model, 3).value(), 100.0);
+    EXPECT_DOUBLE_EQ(oracle::exhaustive_optimal_area(g, model, 3).value(),
+                     100.0);
 }
 
 TEST(Exhaustive, SharingBeatsParallelWhenSlackAllows)
@@ -220,8 +222,10 @@ TEST(Exhaustive, SharingBeatsParallelWhenSlackAllows)
     g.add_operation(op_shape::multiplier(8, 8));
     g.add_operation(op_shape::multiplier(8, 8));
     const sonic_model model;
-    EXPECT_DOUBLE_EQ(exhaustive_optimal_area(g, model, 2).value(), 128.0);
-    EXPECT_DOUBLE_EQ(exhaustive_optimal_area(g, model, 4).value(), 64.0);
+    EXPECT_DOUBLE_EQ(oracle::exhaustive_optimal_area(g, model, 2).value(),
+                     128.0);
+    EXPECT_DOUBLE_EQ(oracle::exhaustive_optimal_area(g, model, 4).value(),
+                     64.0);
 }
 
 TEST(Exhaustive, StateCapReturnsNullopt)
@@ -232,7 +236,7 @@ TEST(Exhaustive, StateCapReturnsNullopt)
     }
     const sonic_model model;
     EXPECT_FALSE(
-        exhaustive_optimal_area(g, model, 30, /*max_states=*/100)
+        oracle::exhaustive_optimal_area(g, model, 30, /*max_states=*/100)
             .has_value());
 }
 

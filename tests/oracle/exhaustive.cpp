@@ -1,4 +1,4 @@
-#include "ilp/exhaustive.hpp"
+#include "oracle/exhaustive.hpp"
 
 #include "dfg/analysis.hpp"
 #include "support/error.hpp"
@@ -7,7 +7,7 @@
 #include <algorithm>
 #include <vector>
 
-namespace mwl {
+namespace mwl::oracle {
 namespace {
 
 struct assignment {
@@ -133,4 +133,4 @@ std::optional<double> exhaustive_optimal_area(const sequencing_graph& graph,
     return s.best;
 }
 
-} // namespace mwl
+} // namespace mwl::oracle

@@ -1,9 +1,13 @@
-// Unit tests for src/core/pareto.hpp: frontier shape, dominance, validity
-// of every point, and early stopping.
+// Unit tests for the Pareto sweep (engine/pareto_sweep.hpp) and its
+// dominance rules (core/pareto.hpp): frontier shape, dominance, validity
+// of every point, and early stopping. Every sweep here runs parallel_for
+// over one engine shared by the whole suite, so CI also runs it under
+// -fsanitize=thread.
 
 #include "core/pareto.hpp"
 #include "core/validate.hpp"
 #include "dfg/analysis.hpp"
+#include "engine/pareto_sweep.hpp"
 #include "model/hardware_model.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -13,11 +17,20 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 
 namespace mwl {
 namespace {
+
+/// The suite's sweep: one engine (pool and cache) for every test, as
+/// mwl_batch shares one across a manifest.
+std::vector<pareto_point> sweep(const sequencing_graph& graph,
+                                const hardware_model& model,
+                                const pareto_options& options = {})
+{
+    static batch_engine engine(batch_options{.jobs = 3});
+    return pareto_sweep(graph, model, options, engine);
+}
 
 sequencing_graph fig1_graph()
 {
@@ -34,7 +47,7 @@ TEST(Pareto, Fig1FrontierHasBothKnownDesigns)
 {
     const sequencing_graph g = fig1_graph();
     const sonic_model model;
-    const auto frontier = pareto_sweep(g, model);
+    const auto frontier = sweep(g, model);
     ASSERT_GE(frontier.size(), 2u);
     // Fastest point: lambda_min design, area 188; a later point reaches
     // the shared-multiplier design at 156.
@@ -48,7 +61,7 @@ TEST(Pareto, FrontierIsStrictlyMonotone)
     const sonic_model model;
     const auto corpus = make_corpus(10, 5, model, 41);
     for (const corpus_entry& e : corpus) {
-        const auto frontier = pareto_sweep(e.graph, model);
+        const auto frontier = sweep(e.graph, model);
         ASSERT_FALSE(frontier.empty());
         for (std::size_t i = 1; i < frontier.size(); ++i) {
             EXPECT_GT(frontier[i].latency, frontier[i - 1].latency);
@@ -62,7 +75,7 @@ TEST(Pareto, EveryPointIsValidAtItsLambda)
     const sonic_model model;
     const auto corpus = make_corpus(8, 5, model, 43);
     for (const corpus_entry& e : corpus) {
-        const auto frontier = pareto_sweep(e.graph, model);
+        const auto frontier = sweep(e.graph, model);
         for (const pareto_point& p : frontier) {
             require_valid(e.graph, model, p.path, p.lambda);
             EXPECT_LE(p.latency, p.lambda);
@@ -76,7 +89,7 @@ TEST(Pareto, FirstPointIsAtLambdaMin)
     const sonic_model model;
     const auto corpus = make_corpus(6, 5, model, 47);
     for (const corpus_entry& e : corpus) {
-        const auto frontier = pareto_sweep(e.graph, model);
+        const auto frontier = sweep(e.graph, model);
         EXPECT_EQ(frontier.front().lambda, e.lambda_min);
     }
 }
@@ -85,7 +98,7 @@ TEST(Pareto, EmptyGraphYieldsEmptyFrontier)
 {
     sequencing_graph g;
     const sonic_model model;
-    EXPECT_TRUE(pareto_sweep(g, model).empty());
+    EXPECT_TRUE(sweep(g, model).empty());
 }
 
 TEST(Pareto, ZeroSlackYieldsSinglePoint)
@@ -94,7 +107,7 @@ TEST(Pareto, ZeroSlackYieldsSinglePoint)
     const sonic_model model;
     pareto_options opts;
     opts.max_slack = 0.0;
-    const auto frontier = pareto_sweep(g, model, opts);
+    const auto frontier = sweep(g, model, opts);
     ASSERT_EQ(frontier.size(), 1u);
     EXPECT_EQ(frontier[0].lambda, 5);
 }
@@ -105,11 +118,11 @@ TEST(Pareto, InvalidOptionsThrow)
     const sonic_model model;
     pareto_options opts;
     opts.max_slack = -0.5;
-    EXPECT_THROW(static_cast<void>(pareto_sweep(g, model, opts)),
+    EXPECT_THROW(static_cast<void>(sweep(g, model, opts)),
                  precondition_error);
     opts = {};
     opts.patience = 0;
-    EXPECT_THROW(static_cast<void>(pareto_sweep(g, model, opts)),
+    EXPECT_THROW(static_cast<void>(sweep(g, model, opts)),
                  precondition_error);
 }
 
@@ -122,50 +135,47 @@ pareto_point make_point(int lambda, int latency, double area)
     return p;
 }
 
-TEST(Pareto, MergeFrontiersDropsDominatedAndKeepsImprovements)
+TEST(Pareto, FrontierAdmitsNoWorseAreaAndInsertKeepsImprovements)
 {
-    std::vector<pareto_point> dst;
-    frontier_insert(dst, make_point(5, 5, 188.0));
-    std::vector<pareto_point> src;
-    src.push_back(make_point(6, 6, 200.0)); // worse area: dropped
-    src.push_back(make_point(8, 8, 156.0)); // improvement: kept
-    merge_frontiers(dst, std::move(src));
-    ASSERT_EQ(dst.size(), 2u);
-    EXPECT_EQ(dst[0].lambda, 5);
-    EXPECT_EQ(dst[1].lambda, 8);
-    EXPECT_DOUBLE_EQ(dst[1].area, 156.0);
+    std::vector<pareto_point> frontier;
+    frontier_insert(frontier, make_point(5, 5, 188.0));
+    EXPECT_FALSE(frontier_admits(frontier, 200.0)); // worse area: dropped
+    ASSERT_TRUE(frontier_admits(frontier, 156.0));  // improvement: kept
+    frontier_insert(frontier, make_point(8, 8, 156.0));
+    ASSERT_EQ(frontier.size(), 2u);
+    EXPECT_EQ(frontier[0].lambda, 5);
+    EXPECT_EQ(frontier[1].lambda, 8);
+    EXPECT_DOUBLE_EQ(frontier[1].area, 156.0);
 }
 
-TEST(Pareto, MergeFrontiersReplacesEqualLatencyPredecessor)
+TEST(Pareto, FrontierInsertReplacesEqualLatencyPredecessor)
 {
     // The equal-latency edge case: a constraint relaxation that yields the
     // *same achieved latency* at lower area must replace its predecessor,
     // not sit beside it -- the frontier stays strictly monotone.
-    std::vector<pareto_point> dst;
-    frontier_insert(dst, make_point(5, 4, 100.0));
-    std::vector<pareto_point> src;
-    src.push_back(make_point(6, 4, 80.0)); // same latency, lower area
-    merge_frontiers(dst, std::move(src));
-    ASSERT_EQ(dst.size(), 1u);
-    EXPECT_EQ(dst[0].lambda, 6);
-    EXPECT_EQ(dst[0].latency, 4);
-    EXPECT_DOUBLE_EQ(dst[0].area, 80.0);
+    std::vector<pareto_point> frontier;
+    frontier_insert(frontier, make_point(5, 4, 100.0));
+    ASSERT_TRUE(frontier_admits(frontier, 80.0));
+    frontier_insert(frontier, make_point(6, 4, 80.0)); // same latency
+    ASSERT_EQ(frontier.size(), 1u);
+    EXPECT_EQ(frontier[0].lambda, 6);
+    EXPECT_EQ(frontier[0].latency, 4);
+    EXPECT_DOUBLE_EQ(frontier[0].area, 80.0);
 }
 
-TEST(Pareto, MergeFrontiersPopsEveryDominatedTailPoint)
+TEST(Pareto, FrontierInsertPopsEveryDominatedTailPoint)
 {
     // One cheap slow point can dominate several faster predecessors.
-    std::vector<pareto_point> dst;
-    frontier_insert(dst, make_point(5, 5, 100.0));
-    frontier_insert(dst, make_point(6, 6, 90.0));
-    frontier_insert(dst, make_point(7, 7, 80.0));
-    std::vector<pareto_point> src;
-    src.push_back(make_point(9, 6, 40.0)); // dominates the last two
-    merge_frontiers(dst, std::move(src));
-    ASSERT_EQ(dst.size(), 2u);
-    EXPECT_EQ(dst[0].lambda, 5);
-    EXPECT_EQ(dst[1].lambda, 9);
-    EXPECT_EQ(dst[1].latency, 6);
+    std::vector<pareto_point> frontier;
+    frontier_insert(frontier, make_point(5, 5, 100.0));
+    frontier_insert(frontier, make_point(6, 6, 90.0));
+    frontier_insert(frontier, make_point(7, 7, 80.0));
+    ASSERT_TRUE(frontier_admits(frontier, 40.0));
+    frontier_insert(frontier, make_point(9, 6, 40.0)); // dominates two
+    ASSERT_EQ(frontier.size(), 2u);
+    EXPECT_EQ(frontier[0].lambda, 5);
+    EXPECT_EQ(frontier[1].lambda, 9);
+    EXPECT_EQ(frontier[1].latency, 6);
 }
 
 TEST(Pareto, FrontierAdmitsUsesStrictImprovementWithEpsilon)
@@ -246,42 +256,6 @@ TEST(ParetoProperty, SerialInsertionYieldsNoDominatedPoint)
     }
 }
 
-TEST(ParetoProperty, ChunkedMergeReproducesSerialInsertion)
-{
-    // The parallel sweep's correctness argument in miniature: partition a
-    // stream into contiguous chunks, build each chunk's frontier
-    // independently, and dominance-merge in order -- the result must be
-    // byte-for-byte the serial frontier, for every random partition.
-    const std::uint64_t seed =
-        mwl::testing::env_seed("MWL_PARETO_SEED", 0x9A13);
-    MWL_TRACE_SEED("MWL_PARETO_SEED", seed);
-    rng random(seed);
-    for (int trial = 0; trial < 200; ++trial) {
-        SCOPED_TRACE("trial " + std::to_string(trial));
-        const std::vector<pareto_point> stream = random_stream(random);
-        const std::vector<pareto_point> serial = build_serial(stream);
-
-        std::vector<pareto_point> merged;
-        std::size_t at = 0;
-        while (at < stream.size()) {
-            const std::size_t len =
-                random.uniform(1, stream.size() - at);
-            const std::vector<pareto_point> chunk(
-                stream.begin() + static_cast<std::ptrdiff_t>(at),
-                stream.begin() + static_cast<std::ptrdiff_t>(at + len));
-            merge_frontiers(merged, build_serial(chunk));
-            at += len;
-        }
-        ASSERT_EQ(merged.size(), serial.size());
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(merged[i].lambda, serial[i].lambda);
-            EXPECT_EQ(merged[i].latency, serial[i].latency);
-            EXPECT_DOUBLE_EQ(merged[i].area, serial[i].area);
-        }
-        expect_frontier_invariants(merged);
-    }
-}
-
 TEST(ParetoProperty, RealSweepsSatisfyInvariantsAndMatchReconstruction)
 {
     // End to end on real allocations: the sweep's frontier must (a) hold
@@ -296,13 +270,12 @@ TEST(ParetoProperty, RealSweepsSatisfyInvariantsAndMatchReconstruction)
     opts.patience = 1 << 20; // no early stop: cover the whole range
     const auto corpus = make_corpus(9, 6, model, seed);
     for (const corpus_entry& e : corpus) {
-        const auto frontier = pareto_sweep(e.graph, model, opts);
+        const auto frontier = sweep(e.graph, model, opts);
         expect_frontier_invariants(frontier);
         EXPECT_EQ(frontier.front().lambda, e.lambda_min);
 
         std::vector<pareto_point> rebuilt;
-        const int lambda_max = static_cast<int>(std::ceil(
-            static_cast<double>(e.lambda_min) * (1.0 + opts.max_slack)));
+        const int lambda_max = relaxed_lambda(e.lambda_min, opts.max_slack);
         for (int lambda = e.lambda_min; lambda <= lambda_max; ++lambda) {
             dpalloc_result r = dpalloc(e.graph, model, lambda);
             pareto_point p = make_point(lambda, r.path.latency,
@@ -333,7 +306,7 @@ TEST(Pareto, UniformModelFrontierIsSinglePointWhenNoTradeExists)
         prev = next;
     }
     const uniform_latency_model model(2);
-    const auto frontier = pareto_sweep(g, model);
+    const auto frontier = sweep(g, model);
     EXPECT_EQ(frontier.size(), 1u);
 }
 

@@ -13,8 +13,8 @@
 //   --slack PCT  : lambda = ceil(lambda_min * (1 + PCT/100)); default 0
 //   --sweep      : print the Pareto frontier up to --slack (default 100%)
 //                  instead of one allocation
-//   --jobs N     : worker threads for --sweep (default 1 = serial order,
-//                  identical results at every N)
+//   --jobs N     : worker threads for --sweep (default 1; the frontier is
+//                  identical at every N)
 //   --rtl        : also report register/mux inventory and extended area
 //   echo 'op a mul 8 8' | mwl_alloc -   reads from stdin
 
@@ -25,7 +25,7 @@
 #include "core/validate.hpp"
 #include "dfg/analysis.hpp"
 #include "dfg/dot.hpp"
-#include "engine/parallel_pareto.hpp"
+#include "engine/pareto_sweep.hpp"
 #include "ilp/formulation.hpp"
 #include "io/graph_io.hpp"
 #include "model/hardware_model.hpp"
@@ -111,18 +111,19 @@ int main(int argc, char** argv)
         if (want_sweep) {
             pareto_options sweep;
             sweep.max_slack = slack_arg.value_or(1.0);
+            // Before any output, so an overflowing range is only an error.
+            const int lambda_max = relaxed_lambda(lambda_min, sweep.max_slack);
             std::cout << "graph: " << graph.size() << " operations, "
                       << graph.edge_count() << " dependencies, sweeping"
-                      << " lambda " << lambda_min << ".."
-                      << relaxed_lambda(lambda_min, sweep.max_slack) << '\n';
+                      << " lambda " << lambda_min << ".." << lambda_max
+                      << '\n';
             if (want_dot) {
                 std::cout << '\n' << to_dot(graph) << '\n';
             }
-            const auto frontier =
-                parallel_pareto_sweep(graph, model, sweep, sweep_jobs);
+            batch_engine engine(batch_options{.jobs = sweep_jobs});
+            const auto frontier = pareto_sweep(graph, model, sweep, engine);
             table t("Pareto frontier (slack " +
-                    table::num(sweep.max_slack * 100.0, 0) + "%, " +
-                    std::to_string(sweep_jobs) + " jobs)");
+                    table::num(sweep.max_slack * 100.0, 0) + "%)");
             t.header({"lambda", "latency", "area", "instances"});
             for (const pareto_point& p : frontier) {
                 require_valid(graph, model, p.path, p.lambda);

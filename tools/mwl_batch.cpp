@@ -21,7 +21,7 @@
 #include "cli.hpp"
 #include "dfg/analysis.hpp"
 #include "engine/batch_engine.hpp"
-#include "engine/parallel_pareto.hpp"
+#include "engine/pareto_sweep.hpp"
 #include "io/manifest.hpp"
 #include "model/hardware_model.hpp"
 #include "report/table.hpp"
@@ -110,15 +110,16 @@ int main(int argc, char** argv)
         stopwatch clock;
 
         // One pass over the whole manifest: one parallel_for index per
-        // entry, each writing only its own slot. Allocations go through
-        // the engine (dedup + cache); sweeps fan their lambdas out on the
-        // same pool. Every index checks the interrupt flag before it
-        // starts, so a SIGINT/SIGTERM costs at most the entries already
-        // running -- one per pool thread plus this one -- before the
-        // partial results are emitted.
+        // entry, each writing only its own slot. Allocations and every
+        // lambda of a sweep go through the engine (dedup + cache); sweeps
+        // fan their lambdas out on the same pool. Every index checks the
+        // interrupt flag before it starts, so a SIGINT/SIGTERM costs at
+        // most the entries already running -- one per pool thread plus
+        // this one -- before the partial results are emitted.
         struct entry_slot {
             bool ran = false;
             int lambda = 0;
+            std::string error; ///< what() of a failed sweep or lambda
             batch_engine::outcome alloc;
             std::vector<pareto_point> front;
             verify_report verification;
@@ -131,19 +132,26 @@ int main(int argc, char** argv)
             const manifest_entry& item = items[i];
             entry_slot& slot = slots[i];
             slot.ran = true;
-            if (item.what.sweep) {
-                pareto_options sweep;
-                sweep.max_slack = *item.what.sweep;
-                slot.front =
-                    parallel_pareto_sweep(item.graph, model, sweep, pool);
+            // A broken entry -- a sweep whose lambda fails, a slack whose
+            // lambda passes INT_MAX -- fails its own row, not the batch.
+            try {
+                if (item.what.sweep) {
+                    pareto_options sweep;
+                    sweep.max_slack = *item.what.sweep;
+                    slot.front =
+                        pareto_sweep(item.graph, model, sweep, engine);
+                    return;
+                }
+                slot.lambda =
+                    item.what.lambda ? *item.what.lambda
+                    : item.graph.empty()
+                        ? 0
+                        : relaxed_lambda(min_latency(item.graph, model),
+                                         item.what.slack.value_or(0.0));
+            } catch (const error& e) {
+                slot.error = e.what();
                 return;
             }
-            slot.lambda =
-                item.what.lambda ? *item.what.lambda
-                : item.graph.empty()
-                    ? 0
-                    : relaxed_lambda(min_latency(item.graph, model),
-                                     item.what.slack.value_or(0.0));
             if (!item.what.verify) {
                 slot.alloc = engine.run(item.graph, model, slot.lambda);
                 return;
@@ -189,6 +197,15 @@ int main(int argc, char** argv)
                 continue;
             }
             ++completed_items;
+            if (!slot.error.empty()) {
+                rows.push_back({item.name,
+                                item.what.sweep    ? "sweep"
+                                : item.what.verify ? "verify"
+                                                   : "alloc",
+                                0, 0, 0.0, "error: " + slot.error});
+                ++failures;
+                continue;
+            }
             if (item.what.sweep) {
                 if (slot.front.empty()) {
                     // An empty graph sweeps to an empty frontier; still
