@@ -6,9 +6,9 @@
 // Responses are checked ok and the warm arm must be all cache hits --
 // the req/s can never come from dropped or failed requests.
 //
-// Emits the aligned table (or --csv) plus a JSON artifact: always
-// written to BENCH_serve_throughput.json (or --out FILE) and echoed to
-// stdout.
+// Emits the aligned table (or --csv) plus a JSON artifact, echoed to
+// stdout and written to BENCH_serve_throughput.json (or --out FILE); a
+// --max-size smoke run writes a file only when --out names one.
 
 #include "bench_common.hpp"
 #include "io/graph_io.hpp"
@@ -214,9 +214,21 @@ int main(int argc, char** argv)
          << ",\"hit_rate\":" << hit_rate
          << "},\"latency_ms\":{\"p50\":" << l.p50 << ",\"p99\":" << l.p99
          << "}}";
-    const std::string artifact =
-        opt.out.empty() ? "BENCH_serve_throughput.json" : opt.out;
-    std::ofstream(artifact) << json.str() << '\n';
     std::cout << json.str() << '\n';
+
+    // Smoke runs must not clobber a recorded full-size artifact unless an
+    // explicit --out asks for a file.
+    if (opt.max_size != 0 && opt.out.empty()) {
+        return 0;
+    }
+    const std::string path =
+        opt.out.empty() ? "BENCH_serve_throughput.json" : opt.out;
+    std::ofstream file(path);
+    if (file) {
+        file << json.str() << '\n';
+    } else {
+        std::cerr << "serve_throughput: cannot write " << path << '\n';
+        return 1;
+    }
     return 0;
 }

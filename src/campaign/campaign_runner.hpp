@@ -4,7 +4,7 @@
 // Points already present in the result store are skipped outright (that
 // is what resume means -- no allocation, no cache warm-up needed); the
 // rest are executed in waves, each wave one `parallel_for` on the
-// engine's work-stealing pool. Each point journals itself the moment its
+// engine's thread pool. Each point journals itself the moment its
 // outcome is known, so a crash loses at most the in-flight wave, which
 // simply re-runs on resume. Between waves the runner polls the
 // cooperative interrupt flag (support/interrupt.hpp): on SIGINT/SIGTERM

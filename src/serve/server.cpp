@@ -2,13 +2,13 @@
 
 #include "dfg/analysis.hpp"
 #include "io/graph_io.hpp"
+#include "support/json.hpp"
 #include "support/timer.hpp"
 #include "tgff/corpus.hpp"
 
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <thread>
 
 #include <arpa/inet.h>
@@ -524,35 +524,43 @@ std::string server::stats_json() const
             ? static_cast<double>(e.cache_hits) /
                   static_cast<double>(e.submitted)
             : 0.0;
-    std::ostringstream out;
-    out << "{\"uptime_seconds\":" << uptime << ",\"server\":{"
-        << "\"accepted\":" << c.accepted << ",\"active\":" << c.active
-        << ",\"alloc_requests\":" << c.alloc_requests
-        << ",\"stats_requests\":" << c.stats_requests
-        << ",\"ok_responses\":" << c.ok_responses
-        << ",\"error_responses\":" << c.error_responses
-        << ",\"rejected_busy\":" << c.rejected_busy
-        << ",\"protocol_errors\":" << c.protocol_errors
-        << ",\"queued\":" << c.queued
-        << ",\"queue_depth\":" << options_.queue_depth
-        << ",\"max_inflight\":" << max_inflight_
-        << ",\"pool_threads\":" << pool_threads_ << "},\"engine\":{"
-        << "\"submitted\":" << e.submitted
-        << ",\"executed\":" << e.executed
-        << ",\"cache_hits\":" << e.cache_hits
-        << ",\"cache_misses\":" << e.cache_misses
-        << ",\"hit_rate\":" << hit_rate
-        << ",\"coalesced\":" << e.coalesced
-        << ",\"errors\":" << e.errors
-        << ",\"evictions\":" << e.evictions
-        << ",\"in_flight\":" << e.in_flight
-        << ",\"cache_size\":" << e.cache_size
-        << ",\"cache_capacity\":" << e.cache_capacity
-        << "},\"latency_ms\":{"
-        << "\"count\":" << l.count << ",\"mean\":" << l.mean
-        << ",\"p50\":" << l.p50 << ",\"p99\":" << l.p99
-        << ",\"max\":" << l.max << "}}";
-    return out.str();
+    std::string out = "{\"uptime_seconds\":";
+    append_double(out, uptime);
+    out += ",\"server\":{\"accepted\":" + std::to_string(c.accepted) +
+           ",\"active\":" + std::to_string(c.active) +
+           ",\"alloc_requests\":" + std::to_string(c.alloc_requests) +
+           ",\"stats_requests\":" + std::to_string(c.stats_requests) +
+           ",\"ok_responses\":" + std::to_string(c.ok_responses) +
+           ",\"error_responses\":" + std::to_string(c.error_responses) +
+           ",\"rejected_busy\":" + std::to_string(c.rejected_busy) +
+           ",\"protocol_errors\":" + std::to_string(c.protocol_errors) +
+           ",\"queued\":" + std::to_string(c.queued) +
+           ",\"queue_depth\":" + std::to_string(options_.queue_depth) +
+           ",\"max_inflight\":" + std::to_string(max_inflight_) +
+           ",\"pool_threads\":" + std::to_string(pool_threads_) +
+           "},\"engine\":{\"submitted\":" + std::to_string(e.submitted) +
+           ",\"executed\":" + std::to_string(e.executed) +
+           ",\"cache_hits\":" + std::to_string(e.cache_hits) +
+           ",\"cache_misses\":" + std::to_string(e.cache_misses) +
+           ",\"hit_rate\":";
+    append_double(out, hit_rate);
+    out += ",\"coalesced\":" + std::to_string(e.coalesced) +
+           ",\"errors\":" + std::to_string(e.errors) +
+           ",\"evictions\":" + std::to_string(e.evictions) +
+           ",\"in_flight\":" + std::to_string(e.in_flight) +
+           ",\"cache_size\":" + std::to_string(e.cache_size) +
+           ",\"cache_capacity\":" + std::to_string(e.cache_capacity) +
+           "},\"latency_ms\":{\"count\":" + std::to_string(l.count) +
+           ",\"mean\":";
+    append_double(out, l.mean);
+    out += ",\"p50\":";
+    append_double(out, l.p50);
+    out += ",\"p99\":";
+    append_double(out, l.p99);
+    out += ",\"max\":";
+    append_double(out, l.max);
+    out += "}}";
+    return out;
 }
 
 } // namespace mwl::serve

@@ -13,7 +13,7 @@
 //     (`error`), and an empty graph (`ok`).
 //
 // Only a miss is admitted against two bounds and executed as a task on
-// the engine's work-stealing pool, carrying the already-parsed graph.
+// the engine's thread pool, carrying the already-parsed graph.
 // Responses are written back frame-at-a-time under a per-connection
 // lock, so frames never tear even when many jobs for one client finish
 // at once. A hit can therefore overtake an earlier miss on the same

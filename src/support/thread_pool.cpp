@@ -1,49 +1,30 @@
 #include "support/thread_pool.hpp"
 
-#include "support/error.hpp"
-
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <exception>
 
 namespace mwl {
 
-namespace {
-
-// Identity of the current thread inside its pool, so a task that spawns
-// subtasks pushes them onto its own deque (LIFO locality) instead of
-// round-robin.
-thread_local thread_pool* tl_pool = nullptr;
-thread_local std::size_t tl_worker = 0;
-
-} // namespace
-
 thread_pool::thread_pool(std::size_t threads)
 {
     if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0) {
-            threads = 1;
-        }
-    }
-    queues_.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i) {
-        queues_.push_back(std::make_unique<queue>());
+        threads = std::max(1u, std::thread::hardware_concurrency());
     }
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i) {
-        workers_.emplace_back([this, i] { worker_loop(i); });
+        workers_.emplace_back([this] { worker_loop(); });
     }
 }
 
 thread_pool::~thread_pool()
 {
     {
-        const std::lock_guard<std::mutex> lock(sleep_mutex_);
+        const std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
-        ++epoch_;
     }
-    sleep_cv_.notify_all();
+    wake_.notify_all();
     for (std::thread& worker : workers_) {
         worker.join();
     }
@@ -51,96 +32,45 @@ thread_pool::~thread_pool()
 
 void thread_pool::post(std::function<void()> task)
 {
-    std::size_t target;
-    if (tl_pool == this) {
-        target = tl_worker;
-    } else {
-        const std::lock_guard<std::mutex> lock(sleep_mutex_);
-        target = next_queue_;
-        next_queue_ = (next_queue_ + 1) % queues_.size();
-    }
     {
-        const std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-        queues_[target]->tasks.push_back(std::move(task));
+        const std::lock_guard<std::mutex> lock(mutex_);
+        tasks_.push_back(std::move(task));
     }
-    {
-        const std::lock_guard<std::mutex> lock(sleep_mutex_);
-        ++epoch_;
-    }
-    sleep_cv_.notify_one();
-}
-
-bool thread_pool::try_acquire(std::size_t home, std::function<void()>& out)
-{
-    const std::size_t n = queues_.size();
-    // Own deque first, newest task (back); then steal oldest (front) from
-    // the others, scanning the ring from the right neighbour.
-    if (home < n) {
-        queue& own = *queues_[home];
-        const std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.tasks.empty()) {
-            out = std::move(own.tasks.back());
-            own.tasks.pop_back();
-            return true;
-        }
-    }
-    for (std::size_t i = 1; i <= n; ++i) {
-        const std::size_t victim = (home + i) % n;
-        if (victim == home) {
-            continue;
-        }
-        queue& q = *queues_[victim];
-        const std::lock_guard<std::mutex> lock(q.mutex);
-        if (!q.tasks.empty()) {
-            out = std::move(q.tasks.front());
-            q.tasks.pop_front();
-            return true;
-        }
-    }
-    return false;
+    wake_.notify_one();
 }
 
 bool thread_pool::run_one()
 {
-    const std::size_t home =
-        tl_pool == this ? tl_worker : queues_.size(); // externals only steal
     std::function<void()> task;
-    if (!try_acquire(home, task)) {
-        return false;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (tasks_.empty()) {
+            return false;
+        }
+        task = std::move(tasks_.front());
+        tasks_.pop_front();
     }
     task();
     return true;
 }
 
-void thread_pool::worker_loop(std::size_t self)
+void thread_pool::worker_loop()
 {
-    tl_pool = this;
-    tl_worker = self;
     for (;;) {
-        // Read the epoch BEFORE scanning the queues: a post that lands
-        // during or after an empty scan bumps the epoch past `seen`, so
-        // the wait below returns immediately instead of missing the wake.
-        std::uint64_t seen;
-        {
-            const std::lock_guard<std::mutex> lock(sleep_mutex_);
-            seen = epoch_;
-        }
         std::function<void()> task;
-        if (try_acquire(self, task)) {
-            task();
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(sleep_mutex_);
-        if (stop_) {
-            // A racing post may have landed since the empty scan; drain
-            // before exiting so no future is broken.
-            lock.unlock();
-            while (try_acquire(self, task)) {
-                task();
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            wake_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+            // Exit only once stopped AND drained, so every future is
+            // fulfilled; a task that posts while the pool stops keeps its
+            // own worker alive to run what it posted.
+            if (tasks_.empty()) {
+                return;
             }
-            return;
+            task = std::move(tasks_.front());
+            tasks_.pop_front();
         }
-        sleep_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
+        task();
     }
 }
 
@@ -150,8 +80,8 @@ void task_group::wait()
     for (std::future<void>& future : futures_) {
         while (future.wait_for(0s) != std::future_status::ready) {
             if (!pool_.run_one()) {
-                // Nothing left to steal -- our task is running on another
-                // worker; poll briefly rather than spin.
+                // Queue empty -- our task is running on another worker;
+                // poll briefly rather than spin.
                 future.wait_for(100us);
             }
         }

@@ -1,11 +1,14 @@
-// Work-stealing thread pool.
+// Thread pool: a fixed set of workers serving one FIFO task queue.
 //
-// The execution substrate of the batch engine (src/engine/): a fixed set of
-// workers, each owning a deque of tasks. A worker pops its own deque LIFO
-// (locality: freshly spawned subtasks run first) and steals FIFO from the
-// other workers when its own deque runs dry (oldest tasks first, the ones
-// most likely to fan out further). External submissions are distributed
-// round-robin so a burst of jobs lands spread across workers.
+// The execution substrate of the batch engine (src/engine/), mwl_serve's
+// cache misses and every fan-out in src/ and tools/. `post` appends a
+// task and wakes one idle worker; workers and `run_one` take the oldest.
+// One queue under one mutex is enough because no caller depends on where
+// a task lands or in which order queued tasks start: a `parallel_for`
+// posts interchangeable helpers that each claim the next index from a
+// shared cursor, and `submit` posts independent one-shot tasks. A helper
+// claims its indices from an atomic cursor, so the queue's lock is taken
+// once per helper, not once per index.
 //
 // Every fan-out in src/ and tools/ is one `parallel_for`: caller-runs. The
 // caller works through the indices itself, idle workers join in, and the
@@ -25,7 +28,6 @@
 #ifndef MWL_SUPPORT_THREAD_POOL_HPP
 #define MWL_SUPPORT_THREAD_POOL_HPP
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -74,38 +76,23 @@ public:
         return future;
     }
 
-    /// Execute one pending task on the calling thread, stealing from any
-    /// worker queue. Returns false when every queue is empty (tasks may
-    /// still be *running* on workers). The building block of helping waits.
+    /// Execute the oldest pending task on the calling thread. Returns false
+    /// when the queue is empty (tasks may still be *running* on workers).
+    /// The building block of helping waits.
     bool run_one();
 
 private:
     friend void detail::parallel_for(thread_pool&, std::size_t,
                                      detail::index_body, void*);
 
-    struct queue {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
-    };
-
     void post(std::function<void()> task);
-    bool try_acquire(std::size_t home, std::function<void()>& out);
+    void worker_loop();
 
-    void worker_loop(std::size_t self);
-
-    std::vector<std::unique_ptr<queue>> queues_; ///< one per worker
+    std::mutex mutex_;
+    std::condition_variable wake_;             ///< an idle worker's wait
+    std::deque<std::function<void()>> tasks_;  ///< FIFO, under mutex_
+    bool stop_ = false;                        ///< under mutex_
     std::vector<std::thread> workers_;
-
-    // Sleep/wake protocol: `epoch_` is bumped under `sleep_mutex_` on every
-    // post, and idle workers wait for it to move. A worker re-reads the
-    // epoch after locking, so a post between its last empty scan and the
-    // wait cannot be missed.
-    std::mutex sleep_mutex_;
-    std::condition_variable sleep_cv_;
-    std::uint64_t epoch_ = 0;
-    bool stop_ = false;
-
-    std::size_t next_queue_ = 0; ///< round-robin cursor, under sleep_mutex_
 };
 
 /// A set of related tasks on one pool, awaited together.

@@ -38,20 +38,6 @@ std::string corpus_graph_name(const corpus_spec& spec, std::size_t index)
            std::to_string(index);
 }
 
-/// `fn(i)` for every i in [0, n): one parallel_for on `pool`, or a plain
-/// loop without one. Each index writes only its own slot.
-template <typename F>
-void for_each_index(thread_pool* pool, std::size_t n, const F& fn)
-{
-    if (pool != nullptr) {
-        parallel_for(*pool, n, fn);
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        fn(i);
-    }
-}
-
 } // namespace
 
 std::string counterexample::to_string() const
@@ -352,12 +338,12 @@ analysis_report static_verify_graph(const sequencing_graph& graph,
 analysis_report static_verify_corpus(const corpus_spec& spec,
                                      const hardware_model& model,
                                      const verify_options& options,
-                                     thread_pool* pool)
+                                     thread_pool& pool)
 {
     const std::vector<corpus_entry> corpus = make_corpus(spec, model);
 
     std::vector<analysis_report> slots(corpus.size());
-    for_each_index(pool, corpus.size(), [&](std::size_t i) {
+    parallel_for(pool, corpus.size(), [&](std::size_t i) {
         const corpus_entry& e = corpus[i];
         slots[i] = static_verify_graph(
             e.graph, corpus_graph_name(spec, i), model,
@@ -373,12 +359,12 @@ analysis_report static_verify_corpus(const corpus_spec& spec,
 
 verify_report verify_corpus(const corpus_spec& spec,
                             const hardware_model& model,
-                            const verify_options& options, thread_pool* pool)
+                            const verify_options& options, thread_pool& pool)
 {
     const std::vector<corpus_entry> corpus = make_corpus(spec, model);
 
     std::vector<verify_report> slots(corpus.size());
-    for_each_index(pool, corpus.size(), [&](std::size_t i) {
+    parallel_for(pool, corpus.size(), [&](std::size_t i) {
         const corpus_entry& e = corpus[i];
         slots[i] = verify_graph(e.graph, corpus_graph_name(spec, i), model,
                                 relaxed_lambda(e.lambda_min, options.slack),

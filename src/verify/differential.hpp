@@ -122,14 +122,14 @@ struct verify_report {
                                          const verify_options& options,
                                          std::uint64_t input_seed);
 
-/// Differentially verify a whole generated corpus; with `pool`, one
-/// parallel_for index per graph (deterministic: reports are merged in
-/// corpus order, and each graph's input stream depends only on
-/// options.seed and its index).
+/// Differentially verify a whole generated corpus, one parallel_for index
+/// per graph on `pool` (deterministic: reports are merged in corpus order,
+/// and each graph's input stream depends only on options.seed and its
+/// index).
 [[nodiscard]] verify_report verify_corpus(const corpus_spec& spec,
                                           const hardware_model& model,
                                           const verify_options& options,
-                                          thread_pool* pool = nullptr);
+                                          thread_pool& pool);
 
 /// Static counterpart of verify_graph: allocate with every enabled
 /// allocator and run the value-range analyzer (analyze_allocation) on each
@@ -141,11 +141,11 @@ struct verify_report {
     const hardware_model& model, int lambda, const verify_options& options);
 
 /// Statically verify a whole generated corpus (verify_corpus without the
-/// simulations); with `pool`, one parallel_for index per graph, merged in
+/// simulations), one parallel_for index per graph on `pool`, merged in
 /// corpus order.
 [[nodiscard]] analysis_report static_verify_corpus(
     const corpus_spec& spec, const hardware_model& model,
-    const verify_options& options, thread_pool* pool = nullptr);
+    const verify_options& options, thread_pool& pool);
 
 } // namespace mwl
 

@@ -25,6 +25,7 @@
 #include "rtl/verilog.hpp"
 #include "scenarios/scenarios.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 #include "tgff/corpus.hpp"
 #include "verify/differential.hpp"
 
@@ -94,8 +95,9 @@ TEST(AnalyzeClean, SeededRandomCorpusIsFindingFree)
     spec.count = 25;
     spec.seed = seed;
     const verify_options options;
+    thread_pool pool(2);
     const analysis_report report =
-        static_verify_corpus(spec, model, options);
+        static_verify_corpus(spec, model, options, pool);
     EXPECT_TRUE(report.ok()) << rules_of(report);
     EXPECT_TRUE(report.findings.empty());
     EXPECT_GT(report.checks, 0u);

@@ -785,6 +785,28 @@ TEST(CliVerifyStatic, CleanCorpusExitsZero)
         << r.output;
 }
 
+TEST(CliVerifyStatic, IlpMaxOpsAddsTheIlpAllocationsToTheAnalysis)
+{
+    // The summary line reads "mwl_verify --static: G graphs, C static
+    // checks in ..."; --ilp-max-ops is not ignored under --static.
+    const auto checks = [](const std::string& flags) {
+        const run_result r = run(tool("mwl_verify") +
+                                 " --static --ops 4 --count 10 --seed 5" +
+                                 flags);
+        EXPECT_EQ(r.exit_code, 0) << r.output;
+        const std::size_t end = r.output.find(" static checks");
+        const std::size_t begin = r.output.rfind(", ", end);
+        if (end == std::string::npos || begin == std::string::npos) {
+            ADD_FAILURE() << "no check count in:\n" << r.output;
+            return 0ULL;
+        }
+        return std::stoull(r.output.substr(begin + 2, end - begin - 2));
+    };
+    const unsigned long long without = checks("");
+    EXPECT_GT(without, 0ULL);
+    EXPECT_GT(checks(" --ilp-max-ops 4"), without);
+}
+
 // ------------------------------------------------------------ mwl_alloc --
 
 TEST(CliAlloc, BadNumericFlagValuesExitTwoNotAbort)

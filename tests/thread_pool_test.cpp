@@ -1,7 +1,8 @@
 // Tests for src/support/thread_pool.hpp: futures, task groups, nested
-// submits (help-while-waiting), exception propagation, deterministic
-// collection order, a stress mix, and the caller-runs parallel_for. Run
-// under -fsanitize=thread and -fsanitize=address,undefined in CI.
+// submits (help-while-waiting), submits from many threads at once,
+// exception propagation, deterministic collection order, a stress mix,
+// and the caller-runs parallel_for. Run under -fsanitize=thread and
+// -fsanitize=address,undefined in CI.
 
 #include "support/thread_pool.hpp"
 
@@ -153,6 +154,40 @@ TEST(ThreadPool, RunOneFromExternalThreadExecutesWork)
     f.get();
 }
 
+TEST(ThreadPool, SubmitFromManyThreadsRunsEveryTaskOnce)
+{
+    // mwl_serve's traffic: one reader thread per connection submits its
+    // cache misses to the shared pool, all at once.
+    thread_pool pool(3);
+    constexpr std::size_t producers = 8;
+    constexpr std::size_t per_producer = 500;
+    std::vector<std::atomic<int>> runs(producers * per_producer);
+    std::vector<std::vector<std::future<std::size_t>>> futures(producers);
+    std::vector<std::thread> threads;
+    for (std::size_t p = 0; p < producers; ++p) {
+        threads.emplace_back([&pool, &runs, &futures, p] {
+            for (std::size_t t = 0; t < per_producer; ++t) {
+                const std::size_t k = p * per_producer + t;
+                futures[p].push_back(pool.submit([&runs, k] {
+                    runs[k].fetch_add(1);
+                    return k;
+                }));
+            }
+        });
+    }
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    for (std::size_t p = 0; p < producers; ++p) {
+        for (std::size_t t = 0; t < per_producer; ++t) {
+            EXPECT_EQ(futures[p][t].get(), p * per_producer + t);
+        }
+    }
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+        EXPECT_EQ(runs[k].load(), 1) << k;
+    }
+}
+
 TEST(ThreadPool, DestructorDrainsQueuedTasks)
 {
     std::future<int> f;
@@ -163,7 +198,7 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks)
         }
         f = pool.submit([] { return 99; });
     }
-    // The pool drained its queues before joining: the future is fulfilled,
+    // The pool drained its queue before joining: the future is fulfilled,
     // not abandoned.
     EXPECT_EQ(f.get(), 99);
 }

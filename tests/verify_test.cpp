@@ -6,11 +6,14 @@
 
 #include "model/hardware_model.hpp"
 #include "support/thread_pool.hpp"
+#include "tgff/corpus.hpp"
 #include "verify/differential.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 namespace mwl {
 namespace {
@@ -66,8 +69,9 @@ TEST(Verify, CleanCorpusPassesForAllAllocators)
     const sonic_model model;
     verify_options options;
     options.inputs_per_graph = 4;
+    thread_pool pool(2);
     const verify_report report =
-        verify_corpus(small_spec(8, 10, 42), model, options);
+        verify_corpus(small_spec(8, 10, 42), model, options, pool);
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.graphs, 10u);
     EXPECT_EQ(report.allocations, 30u); // heuristic + two baselines
@@ -81,8 +85,9 @@ TEST(Verify, IlpReferenceJoinsOnTinyGraphs)
     verify_options options;
     options.inputs_per_graph = 2;
     options.ilp_max_ops = 4;
+    thread_pool pool(2);
     const verify_report report =
-        verify_corpus(small_spec(4, 5, 11), model, options);
+        verify_corpus(small_spec(4, 5, 11), model, options, pool);
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.graphs, 5u);
     EXPECT_EQ(report.allocations, 20u); // three heuristics + ilp, per graph
@@ -94,10 +99,18 @@ TEST(Verify, ParallelCorpusMatchesSerial)
     verify_options options;
     options.inputs_per_graph = 3;
     const corpus_spec spec = small_spec(9, 8, 2026);
-    const verify_report serial = verify_corpus(spec, model, options);
+    // The serial reference: one verify_graph per corpus entry, in order,
+    // each with the input stream verify_corpus gives that index.
+    const std::vector<corpus_entry> corpus = make_corpus(spec, model);
+    verify_report serial;
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+        serial.merge(verify_graph(
+            corpus[i].graph, "graph" + std::to_string(i), model,
+            relaxed_lambda(corpus[i].lambda_min, options.slack), options,
+            verify_input_seed(options.seed, i)));
+    }
     thread_pool pool(4);
-    const verify_report parallel =
-        verify_corpus(spec, model, options, &pool);
+    const verify_report parallel = verify_corpus(spec, model, options, pool);
     EXPECT_EQ(parallel.graphs, serial.graphs);
     EXPECT_EQ(parallel.allocations, serial.allocations);
     EXPECT_EQ(parallel.input_vectors, serial.input_vectors);
@@ -116,8 +129,9 @@ TEST(Verify, CatchesRevertedOperandExtensionFix)
     verify_options options;
     options.inputs_per_graph = 8;
     options.elaborate.legacy_operand_extension = true;
+    thread_pool pool(2);
     const verify_report report =
-        verify_corpus(small_spec(10, 20, 2001), model, options);
+        verify_corpus(small_spec(10, 20, 2001), model, options, pool);
     ASSERT_FALSE(report.ok());
     for (const counterexample& cx : report.counterexamples) {
         EXPECT_EQ(cx.stage, "rtl-interp");
@@ -133,8 +147,9 @@ TEST(Verify, CatchesRevertedCaptureExtensionFix)
     verify_options options;
     options.inputs_per_graph = 8;
     options.elaborate.legacy_capture_extension = true;
+    thread_pool pool(2);
     const verify_report report =
-        verify_corpus(small_spec(10, 20, 2001), model, options);
+        verify_corpus(small_spec(10, 20, 2001), model, options, pool);
     ASSERT_FALSE(report.ok());
     // The corrupted value is only visible downstream, so divergences may
     // surface per-op or at an output readback; both count.
@@ -170,8 +185,9 @@ TEST(Verify, MaxCounterexamplesBoundsTheReport)
     options.inputs_per_graph = 8;
     options.max_counterexamples = 2;
     options.elaborate.legacy_operand_extension = true;
+    thread_pool pool(2);
     const verify_report report =
-        verify_corpus(small_spec(10, 20, 2001), model, options);
+        verify_corpus(small_spec(10, 20, 2001), model, options, pool);
     ASSERT_FALSE(report.ok());
     EXPECT_LE(report.counterexamples.size(), 2u);
 }

@@ -3,7 +3,7 @@
 // Reads a manifest describing many allocation jobs -- .mwl graph files
 // and/or generated tgff corpora, each with a latency constraint or a
 // Pareto sweep range -- and runs them through the batch engine
-// (src/engine/) on a work-stealing pool. Emits per-job results as an
+// (src/engine/) on a thread pool. Emits per-job results as an
 // aligned table, JSON, or CSV, plus cache-hit and throughput statistics.
 //
 // The manifest grammar is io/manifest.hpp's; this tool runs every

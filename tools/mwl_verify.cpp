@@ -57,7 +57,8 @@ const char* const usage_text =
     "  --no-heuristic / --no-two-stage / --no-descending\n"
     "                    drop an allocator from the cross-check\n"
     "  --static          static value-range analysis instead of input\n"
-    "                    vectors (--inputs/--ilp-max-ops ignored)\n"
+    "                    vectors (--inputs ignored; --ilp-max-ops still\n"
+    "                    adds the ILP allocations to the analysis)\n"
     "  --jobs N          worker threads [hardware concurrency]\n";
 
 } // namespace
@@ -121,7 +122,7 @@ int main(int argc, char** argv)
             analysis_report report;
             std::size_t graphs = 0;
             if (graph_files.empty()) {
-                report = static_verify_corpus(spec, model, options, &pool);
+                report = static_verify_corpus(spec, model, options, pool);
                 graphs = spec.count;
             } else {
                 for (const std::string& path : graph_files) {
@@ -167,7 +168,7 @@ int main(int argc, char** argv)
 
         verify_report report;
         if (graph_files.empty()) {
-            report = verify_corpus(spec, model, options, &pool);
+            report = verify_corpus(spec, model, options, pool);
         } else {
             for (std::size_t g = 0; g < graph_files.size(); ++g) {
                 const std::string& path = graph_files[g];
