@@ -1,36 +1,66 @@
-// Event-driven list-scheduling engine shared by the classic (Eqn. 2) and
+// The one list-scheduling engine, shared by the classic (Eqn. 2) and
 // incomplete-wordlength (Eqn. 3') schedulers.
 //
-// The reference schedulers rescan the whole graph at every control step to
-// find ready operations -- O(T * N * deg) for a schedule of length T. This
-// engine discovers readiness by *events* instead: each operation carries a
-// pending-predecessor counter, and when its last predecessor completes it is
-// dropped into a time bucket at its earliest start step. A step then only
-// touches the operations that are actually ready, making one full pass
-// O(V + E + sum over steps of |ready|), and steps with nothing ready are
-// skipped outright by jumping to the next bucket event.
+// Both constraints are one accounting over "members". Operation o occupies
+// the members in its row, adding scale / |row(o)| units to each of them at
+// every step it executes, and member m may never hold more than budget[m]
+// units at any step. Eqn. 3' (sched/incomplete_scheduler.hpp) takes S(o),
+// the scheduling-set members compatible with o, as the row, the lcm of
+// the |S(o)| as the scale and capacity x scale as every budget. Eqn. 2
+// (sched/list_scheduler.hpp) is the same accounting with one member per
+// operation type: each op's type is its one-member row, the scale is 1 and
+// the budgets are N_add and N_mul.
 //
-// The engine reproduces the reference schedulers' output exactly: at every
-// step the ready pool is sorted by the same (priority desc, op id asc) total
-// order the reference scan uses, and placement attempts happen in that
-// order. Regression-tested against the rescan schedulers of tests/oracle.
+// Readiness comes from events, not rescans: each operation carries a
+// pending-predecessor counter, and when its last predecessor completes it
+// is dropped into a time bucket at its earliest start step. A pass is
+// O(V + E) plus the placement work below, where the reference schedulers
+// in tests/oracle rescan the whole graph at every control step.
 //
-// All per-pass buffers live in an event_schedule_workspace so a caller
-// iterating schedule/refine rounds (core/dpalloc.cpp, which keeps one per
-// thread) pays no per-iteration allocations: vectors are cleared, never
-// shrunk, and the `usage` / `running` occupancy rows are flat arenas
-// indexed [row * horizon + step].
+// Placement is a signature tournament that places exactly as the
+// reference's in-order sweep, which tries every ready operation at step t
+// in (priority desc, op id asc) order and places each one that fits. Two
+// facts make the shortcut exact:
+//
+// 1. Placements only ever commit at the current step t, so every committed
+//    occupancy window starts at or before t. For u2 > u1 >= t a window
+//    covering u2 therefore covers u1 as well: member occupancy at or
+//    beyond t is NON-INCREASING in the step. A window [t, t+lat) fits iff
+//    its FIRST step fits -- the probe is one comparison per member instead
+//    of a lat-step scan.
+// 2. Operations with the same row (the same "signature") are
+//    interchangeable to the resource test: identical members, identical
+//    share. Occupancy only grows during a step, so once the highest-ranked
+//    operation of a signature fails at t, every lower-ranked operation of
+//    that signature fails at t too.
+//
+// The ready pool is therefore one binary heap of packed (priority, id) keys
+// per signature, and a step is a tournament over the heap fronts: take the
+// globally smallest key among signatures not yet stuck at t, probe it at
+// step t only, and either place it or mark its whole signature stuck. A
+// lazy global min-heap over signature fronts makes each selection O(log)
+// amortized. Signatures are keyed by their row folded into 64 bits (member
+// mi sets bit mi % 64, exact up to 64 members), and each fold match is
+// confirmed by comparing the rows, so covers of any width share one path.
+// Regression-tested against the rescan schedulers of tests/oracle
+// (tests/incremental_regression_test.cpp,
+// tests/large_graph_identity_test.cpp).
+//
+// All per-pass buffers live in an event_schedule_workspace, so a caller
+// iterating schedule/refine rounds (core/dpalloc.cpp keeps one per thread)
+// pays no per-iteration allocations: vectors are cleared, never shrunk, and
+// the `usage` occupancy rows are one flat arena indexed
+// [member * horizon + step].
 
 #ifndef MWL_SCHED_EVENT_ENGINE_HPP
 #define MWL_SCHED_EVENT_ENGINE_HPP
 
 #include "dfg/sequencing_graph.hpp"
-#include "support/error.hpp"
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace mwl {
@@ -41,123 +71,58 @@ enum class sched_engine {
     event,
 };
 
-/// Reusable buffers for event_schedule and its callers. Safe to reuse
-/// across passes of different sizes; event_schedule reinitialises all of
-/// its own state per pass.
+/// Each operation's member row as a flat CSR table: row(o) lists the member
+/// indices operation o occupies, ascending.
+struct member_table {
+    std::span<const std::uint32_t> off; ///< row o is flat[off[o], off[o+1])
+    std::span<const std::size_t> flat;
+
+    [[nodiscard]] std::span<const std::size_t> row(std::size_t o) const
+    {
+        return flat.subspan(off[o], off[o + 1] - off[o]);
+    }
+};
+
+/// Reusable buffers for event_schedule. Safe to reuse across passes of
+/// different sizes; event_schedule reinitialises all of its own state per
+/// pass and is the only writer of every member.
 struct event_schedule_workspace {
     std::vector<int> pending;            ///< unscheduled predecessor count
     std::vector<int> ready_step;         ///< max completion step of preds
     std::vector<std::vector<op_id>> bucket; ///< ops becoming ready at step t
-    std::vector<op_id> active;           ///< ready but not yet placed
-    std::vector<op_id> merged;           ///< merge buffer for arrivals
-    std::vector<std::int64_t> usage;     ///< flat occupancy arena (callers)
-    /// True iff `usage` is known to be all zeros, so a caller may skip its
-    /// clear. Every writer of `usage` clears it first; only one that
-    /// restores every cell it wrote (schedule_incomplete's fast path) sets
-    /// it again, after the restore.
+    std::vector<std::int64_t> usage;     ///< flat occupancy arena
+    /// True iff `usage` is known to be all zeros, so a pass may skip its
+    /// clear. A pass clears it before its first write and sets it again
+    /// only after restoring every cell it wrote, so a pass that throws
+    /// part-way leaves the next one a full clear.
     bool usage_zeroed = false;
+    /// Signature table: the folded row, an operation holding the row (for
+    /// the confirming comparison) and the share, per distinct row.
+    std::vector<std::uint64_t> sig_fold;
+    std::vector<std::uint32_t> sig_rep;
+    std::vector<std::int64_t> sig_share;
+    std::vector<std::uint32_t> sig_of_op;
+    /// Per-signature ready heaps of packed (priority, id) keys.
+    std::vector<std::vector<std::uint64_t>> sig_heap;
+    std::vector<int> sig_stuck; ///< the step a signature last got stuck at
+    /// Lazy global min-heap of (front key, signature) entries, stale ones
+    /// discarded on pop.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> front_heap;
+    std::vector<std::uint32_t> stuck_list; ///< signatures stuck at step t
 };
 
-/// Run one event-driven list-scheduling pass.
-///
-/// `try_place(o, t)` must return true iff operation o fits at step t under
-/// the caller's resource constraint, committing its occupancy on success.
-/// `start` is resized and filled with the chosen start step per operation.
-/// `priority` is the list-scheduling priority (larger = first).
-template <typename TryPlace>
+/// Run one list-scheduling pass over `graph`. `latencies[o]` is the
+/// latency assumed for o and `priority[o]` its list-scheduling priority
+/// (larger = first, op id breaks ties). Operation o adds
+/// scale / |members.row(o)| to each member of its row at every step it
+/// executes, and no member m may exceed `budget[m]`; every row is
+/// non-empty, its size divides `scale`, and budget[m] + scale must fit in
+/// 64 bits. `start` is resized and filled with each operation's start step.
 void event_schedule(const sequencing_graph& graph,
                     std::span<const int> latencies,
-                    std::span<const int> priority, int horizon,
-                    std::vector<int>& start, event_schedule_workspace& ws,
-                    TryPlace&& try_place)
-{
-    const std::size_t n = graph.size();
-    start.assign(n, -1);
-    if (n == 0) {
-        return;
-    }
-
-    ws.pending.assign(n, 0);
-    ws.ready_step.assign(n, 0);
-    if (ws.bucket.size() < static_cast<std::size_t>(horizon)) {
-        ws.bucket.resize(static_cast<std::size_t>(horizon));
-    }
-    // Only this pass's horizon: no bucket beyond it is read, and a reused
-    // workspace keeps every bucket its largest pass needed.
-    for (int t = 0; t < horizon; ++t) {
-        ws.bucket[static_cast<std::size_t>(t)].clear();
-    }
-    ws.active.clear();
-
-    for (const op_id o : graph.all_ops()) {
-        const std::size_t n_preds = graph.predecessors(o).size();
-        ws.pending[o.value()] = static_cast<int>(n_preds);
-        if (n_preds == 0) {
-            ws.bucket[0].push_back(o);
-        }
-    }
-
-    const auto by_priority = [&](op_id a, op_id b) {
-        if (priority[a.value()] != priority[b.value()]) {
-            return priority[a.value()] > priority[b.value()];
-        }
-        return a < b;
-    };
-
-    std::size_t scheduled = 0;
-    for (int t = 0; scheduled < n;) {
-        MWL_ASSERT(t < horizon);
-        auto& arrivals = ws.bucket[static_cast<std::size_t>(t)];
-        if (!arrivals.empty()) {
-            // Merge the (few) arrivals into the already-sorted survivors:
-            // the (priority, id) order is a strict total order, so the
-            // merged pool equals a full re-sort of the union. Merging goes
-            // through a reused buffer -- no per-step allocation.
-            std::sort(arrivals.begin(), arrivals.end(), by_priority);
-            if (ws.active.empty()) {
-                ws.active.swap(arrivals);
-            } else {
-                ws.merged.clear();
-                std::merge(ws.active.begin(), ws.active.end(),
-                           arrivals.begin(), arrivals.end(),
-                           std::back_inserter(ws.merged), by_priority);
-                ws.active.swap(ws.merged);
-            }
-            arrivals.clear();
-        }
-        if (ws.active.empty()) {
-            // Nothing can be placed before the next readiness event.
-            ++t;
-            while (t < horizon &&
-                   ws.bucket[static_cast<std::size_t>(t)].empty()) {
-                ++t;
-            }
-            continue;
-        }
-
-        std::size_t kept = 0;
-        for (const op_id o : ws.active) {
-            if (!try_place(o, t)) {
-                ws.active[kept++] = o;
-                continue;
-            }
-            start[o.value()] = t;
-            ++scheduled;
-            const int done = t + latencies[o.value()];
-            for (const op_id s : graph.successors(o)) {
-                ws.ready_step[s.value()] =
-                    std::max(ws.ready_step[s.value()], done);
-                if (--ws.pending[s.value()] == 0) {
-                    ws.bucket[static_cast<std::size_t>(
-                                  ws.ready_step[s.value()])]
-                        .push_back(s);
-                }
-            }
-        }
-        ws.active.resize(kept);
-        ++t;
-    }
-}
+                    std::span<const int> priority, const member_table& members,
+                    std::int64_t scale, std::span<const std::int64_t> budget,
+                    std::vector<int>& start, event_schedule_workspace& ws);
 
 /// Schedule horizon shared by both schedulers: serialising everything is
 /// always feasible, and the extra max-latency slack keeps occupancy probes

@@ -24,7 +24,7 @@
 #include "support/arena.hpp"
 #include "wcg/wcg.hpp"
 
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 namespace mwl {
@@ -36,44 +36,32 @@ struct incomplete_schedule_result {
     bool cover_proven_minimum = true;
 };
 
-/// Cross-call state for schedule_incomplete: the event-engine buffers and
-/// usage arena (so repeated passes allocate nothing) and the scheduling-set
-/// memo keyed on the WCG's serial and edge version. Everything else is
-/// rewritten per call, so one instance may serve any sequence of WCGs:
-/// dpalloc keeps one per thread in its workspace (core/dpalloc.cpp).
+/// Cross-call state for schedule_incomplete: the event engine's workspace
+/// (so repeated passes allocate nothing) and the scheduling-set memo keyed
+/// on the WCG's serial and edge version. Everything else is rewritten per
+/// call, so one instance may serve any sequence of WCGs: dpalloc keeps one
+/// per thread in its workspace (core/dpalloc.cpp).
 struct incomplete_sched_scratch {
     event_schedule_workspace ws;
     scheduling_set_cache cover_cache;
-    /// S(o) as a flat CSR table: offsets here, row storage handed out by
-    /// `arena` (rewound wholesale each call -- no per-op vectors).
+    /// S(o) as a flat CSR table: offsets here, row storage and the member
+    /// budgets handed out by `arena` (rewound wholesale each call -- no
+    /// per-op vectors).
     std::vector<std::uint32_t> members_off;
     std::vector<std::uint32_t> members_cursor;
     bump_arena arena;
-    /// Signature-tournament fast path (see incomplete_scheduler.cpp):
-    /// per-signature ready heaps of packed (priority, id) keys plus the
-    /// signature table itself.
-    std::vector<std::vector<std::uint64_t>> sig_heap;
-    std::vector<std::uint64_t> sig_mask;
-    std::vector<std::int64_t> sig_share;
-    std::vector<std::uint32_t> sig_of_op;
-    std::vector<int> sig_stuck;
-    /// Lazy global min-heap over signature fronts: (front key, signature)
-    /// entries, stale ones discarded on pop. Selection is O(log) per
-    /// attempt instead of a scan over every signature.
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> front_heap;
-    std::vector<std::uint32_t> stuck_list; ///< signatures stuck at step t
 };
 
 /// Schedule all operations of `wcg.graph()` using the latency upper bounds
 /// L_o derived from the current H edges. `capacity` is the number of
 /// resource instances each scheduling-set member may represent (>= 1).
 /// `scratch` (optional) carries reusable buffers and the scheduling-set
-/// memo across calls. Covers of up to 64 members take the signature
-/// tournament, wider ones the generic event sweep; both place exactly as
-/// the full-rescan reference in tests/oracle does. Throws `error` when the
-/// exact accounting's scale, the lcm of the |S(o)| values, overflows 64
-/// bits, rather than schedule on truncated shares. The one-value
-/// `sched_engine` selects nothing (kept for perfbench/src/replay.cpp).
+/// memo across calls. Runs on the event engine (sched/event_engine.hpp) at
+/// any cover width and places exactly as the full-rescan reference in
+/// tests/oracle does. Throws `error` when the exact accounting's scale,
+/// the lcm of the |S(o)| values, overflows 64 bits, rather than schedule
+/// on truncated shares. The one-value `sched_engine` selects nothing (kept
+/// for perfbench/src/replay.cpp).
 [[nodiscard]] incomplete_schedule_result schedule_incomplete(
     const wordlength_compatibility_graph& wcg, int capacity = 1,
     incomplete_sched_scratch* scratch = nullptr,

@@ -4,6 +4,9 @@
 #include "sched/priorities.hpp"
 #include "support/error.hpp"
 
+#include <array>
+#include <numeric>
+
 namespace mwl {
 
 list_schedule_result list_schedule(const sequencing_graph& graph,
@@ -20,7 +23,6 @@ list_schedule_result list_schedule(const sequencing_graph& graph,
     }
 
     list_schedule_result result;
-    result.start.assign(graph.size(), -1);
     if (graph.empty()) {
         return result;
     }
@@ -28,35 +30,20 @@ list_schedule_result list_schedule(const sequencing_graph& graph,
     event_schedule_workspace local;
     event_schedule_workspace& ws = scratch ? *scratch : local;
 
-    const std::vector<int> priority =
-        critical_path_priorities(graph, latencies);
+    // Eqn. 2 as the engine's member accounting: member 0 is the adder
+    // type and member 1 the multiplier type, each op's row is its own
+    // type, and a unit share (scale 1) runs against N_add and N_mul.
+    std::vector<std::uint32_t> off(graph.size() + 1);
+    std::iota(off.begin(), off.end(), 0U);
+    std::vector<std::size_t> type_of(graph.size());
+    for (const op_id o : graph.all_ops()) {
+        type_of[o.value()] = graph.shape(o).kind() == op_kind::add ? 0 : 1;
+    }
+    const std::array<std::int64_t, 2> budget{limits.add, limits.mul};
 
-    const int horizon = serial_horizon(latencies);
-    // running[y * horizon + t]: type-y operations executing during step t,
-    // in the workspace's flat arena.
-    auto& running = ws.usage;
-    ws.usage_zeroed = false; // the counts stay in the arena
-    running.assign(2 * static_cast<std::size_t>(horizon), 0);
-
-    const auto try_place = [&](op_id o, int t) {
-        const op_kind kind = graph.shape(o).kind();
-        const std::size_t base = (kind == op_kind::add ? 0U : 1U) *
-                                 static_cast<std::size_t>(horizon);
-        const int limit = limits.of(kind);
-        const int lat = latencies[o.value()];
-        for (int u = t; u < t + lat; ++u) {
-            if (running[base + static_cast<std::size_t>(u)] + 1 > limit) {
-                return false;
-            }
-        }
-        for (int u = t; u < t + lat; ++u) {
-            ++running[base + static_cast<std::size_t>(u)];
-        }
-        return true;
-    };
-    event_schedule(graph, latencies, priority, horizon, result.start, ws,
-                   try_place);
-
+    event_schedule(graph, latencies,
+                   critical_path_priorities(graph, latencies),
+                   member_table{off, type_of}, 1, budget, result.start, ws);
     result.length = schedule_length(graph, latencies, result.start);
     return result;
 }

@@ -11,7 +11,6 @@
 #define MWL_SCHED_LIST_SCHEDULER_HPP
 
 #include "dfg/sequencing_graph.hpp"
-#include "model/op_shape.hpp"
 #include "sched/event_engine.hpp"
 
 #include <limits>
@@ -24,11 +23,6 @@ namespace mwl {
 struct type_limits {
     int add = std::numeric_limits<int>::max();
     int mul = std::numeric_limits<int>::max();
-
-    [[nodiscard]] int of(op_kind kind) const
-    {
-        return kind == op_kind::add ? add : mul;
-    }
 };
 
 struct list_schedule_result {

@@ -22,6 +22,11 @@ namespace mwl::serve {
 
 namespace {
 
+/// Lock stripes of the engine's result cache, and how many recent requests
+/// the `stats` latency percentiles cover.
+constexpr std::size_t cache_shards = 16;
+constexpr std::size_t latency_window_size = 4096;
+
 [[noreturn]] void fail_errno(const std::string& what)
 {
     throw error(what + ": " + std::strerror(errno));
@@ -118,9 +123,10 @@ int bind_tcp_listener(const std::string& host, int port, int& bound_port)
 
 server::server(const server_options& options)
     : options_(options),
-      engine_(batch_options{options.jobs, options.cache_capacity,
-                            options.cache_shards}),
-      latency_(options.latency_window_size),
+      engine_(batch_options{.jobs = options.jobs,
+                            .cache_capacity = options.cache_capacity,
+                            .cache_shards = cache_shards}),
+      latency_(latency_window_size),
       started_(std::chrono::steady_clock::now())
 {
     require(!options.unix_path.empty() || options.tcp_port >= 0,

@@ -79,12 +79,10 @@ struct server_options {
     std::string tcp_host = "127.0.0.1";
     std::size_t jobs = 0;            ///< pool threads; 0 = hw concurrency
     std::size_t cache_capacity = 4096;
-    std::size_t cache_shards = 16;
     std::size_t queue_depth = 64;    ///< per-connection admitted-job bound
     std::size_t max_inflight = 0;    ///< global bound; 0 = 4 * pool size
     std::size_t max_frame = default_max_frame;
     int retry_after_ms = 25;         ///< suggested client backoff on busy
-    std::size_t latency_window_size = 4096;
     std::size_t max_connections = 256;
 };
 

@@ -94,8 +94,8 @@ sequencing_graph preset_graph(std::size_t n)
 
 /// 68 multipliers of distinct shapes (i, 136 - i): at lambda_min,
 /// refinement grows the scheduling set past 64 members, so later
-/// iterations take the generic event sweep (LargeGraphIdentity's
-/// WideCoverParity68 graph).
+/// iterations schedule on a cover wider than the engine's 64-bit signature
+/// fold (LargeGraphIdentity's WideCoverParity68 graph).
 sequencing_graph wide_cover_graph()
 {
     sequencing_graph g;

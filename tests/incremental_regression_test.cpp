@@ -161,7 +161,9 @@ TEST(IncrementalRegression, BindSelectMatchesReference)
 
 TEST(IncrementalRegression, EventScheduleMatchesReferenceScan)
 {
-    rng random(0xE7E7);
+    const std::uint64_t seed = testing::env_seed("MWL_SCHED_SEED", 0xE7E7);
+    MWL_TRACE_SEED("MWL_SCHED_SEED", seed);
+    rng random(seed);
     const sonic_model model;
     for (int trial = 0; trial < 25; ++trial) {
         tgff_options opts;
@@ -193,50 +195,10 @@ TEST(IncrementalRegression, EventScheduleMatchesReferenceScan)
     }
 }
 
-TEST(IncrementalRegression, EventScheduleMatchesReferenceScanOnWideCover)
-{
-    // Multipliers of 68 distinct shapes (i, 136 - i), refined to
-    // exhaustion: each keeps only its own shape, so the cover has 68
-    // members, more than the signature tournament's 64-bit masks hold, and
-    // schedule_incomplete takes the generic event sweep. Two operations per
-    // shape make the capacity bind; four unrefined 1x1 multipliers, each
-    // after one of the big ones, stay compatible with every member and
-    // take fractional 1/68 shares.
-    const sonic_model model;
-    sequencing_graph g;
-    for (int copy = 0; copy < 2; ++copy) {
-        for (int i = 1; i <= 68; ++i) {
-            g.add_operation(op_shape::multiplier(i, 136 - i));
-        }
-    }
-    const std::vector<op_id> big = g.all_ops();
-    for (std::size_t k = 0; k < 4; ++k) {
-        g.add_dependency(big[k * 30],
-                         g.add_operation(op_shape::multiplier(1, 1)));
-    }
-    wordlength_compatibility_graph wcg(g, model);
-    for (const op_id o : big) {
-        while (wcg.refinable(o)) {
-            wcg.refine_op(o);
-        }
-    }
-    for (const int capacity : {1, 2}) {
-        incomplete_sched_scratch scratch;
-        const incomplete_schedule_result ev =
-            schedule_incomplete(wcg, capacity, &scratch);
-        ASSERT_GT(ev.scheduling_set.size(), 64U);
-        const incomplete_schedule_result ref =
-            oracle::schedule_incomplete_scan(wcg, capacity);
-        EXPECT_EQ(ev.start, ref.start) << "capacity " << capacity;
-        EXPECT_EQ(ev.length, ref.length) << "capacity " << capacity;
-        EXPECT_EQ(ev.scheduling_set, ref.scheduling_set)
-            << "capacity " << capacity;
-    }
-}
-
-/// The wide-cover graph above, plus one unrefined (136 - k) x 1
-/// multiplier per k in `shares`: each is compatible with exactly the k
-/// cover members (136 - i, i) with 136 - i >= 136 - k.
+/// Multipliers of 68 distinct shapes (i, 136 - i), two per shape, plus
+/// one unrefined (136 - k) x 1 multiplier per k in `shares`: each is
+/// compatible with exactly the k cover members (136 - i, i) with
+/// 136 - i >= 136 - k once refine_wide_cover has run.
 sequencing_graph wide_cover_with_shares(std::span<const int> shares)
 {
     sequencing_graph g;
@@ -251,12 +213,68 @@ sequencing_graph wide_cover_with_shares(std::span<const int> shares)
     return g;
 }
 
+/// Refines the 136 shaped multipliers to exhaustion: each keeps only its
+/// own shape, so the cover has 68 members.
 void refine_wide_cover(wordlength_compatibility_graph& wcg)
 {
     for (std::size_t i = 0; i < 136; ++i) {
         while (wcg.refinable(op_id(i))) {
             wcg.refine_op(op_id(i));
         }
+    }
+}
+
+/// schedule_incomplete against the rescan reference at capacities 1 and 2
+/// on a cover of more than 64 members.
+void expect_wide_cover_parity(const wordlength_compatibility_graph& wcg,
+                              const std::string& label)
+{
+    for (const int capacity : {1, 2}) {
+        incomplete_sched_scratch scratch;
+        const incomplete_schedule_result ev =
+            schedule_incomplete(wcg, capacity, &scratch);
+        ASSERT_GT(ev.scheduling_set.size(), 64U) << label;
+        const incomplete_schedule_result ref =
+            oracle::schedule_incomplete_scan(wcg, capacity);
+        const std::string at = label + " capacity " + std::to_string(capacity);
+        EXPECT_EQ(ev.start, ref.start) << at;
+        EXPECT_EQ(ev.length, ref.length) << at;
+        EXPECT_EQ(ev.scheduling_set, ref.scheduling_set) << at;
+    }
+}
+
+TEST(IncrementalRegression, EventScheduleMatchesReferenceScanOnWideCover)
+{
+    // The shaped multipliers refined to exhaustion give a 68-member cover,
+    // wider than the engine's 64-bit signature fold tells apart. Four
+    // unrefined 1x1 multipliers, each after one of the big ones, stay
+    // compatible with every member and take fractional 1/68 shares.
+    const sonic_model model;
+    sequencing_graph g = wide_cover_with_shares({});
+    for (std::size_t k = 0; k < 4; ++k) {
+        g.add_dependency(op_id(k * 30),
+                         g.add_operation(op_shape::multiplier(1, 1)));
+    }
+    wordlength_compatibility_graph wcg(g, model);
+    refine_wide_cover(wcg);
+    expect_wide_cover_parity(wcg, "1x1 shares");
+
+    // Fold collisions. Every shape has the same latency, so ties break by
+    // id and the graph above schedules the same even if folded signatures
+    // merge. Each set below adds rows of different sizes whose folds
+    // coincide with another row's (a row spanning 64 or more members folds
+    // to all ones, member mi + 64 folds onto member mi), so an engine that
+    // keys signatures by the fold alone, without confirming the rows,
+    // shares and probes them wrongly and places differently.
+    const std::array<std::array<int, 2>, 3> share_sets = {
+        {{64, 65}, {1, 65}, {2, 66}}};
+    for (const auto& shares : share_sets) {
+        const sequencing_graph sg = wide_cover_with_shares(shares);
+        wordlength_compatibility_graph swcg(sg, model);
+        refine_wide_cover(swcg);
+        expect_wide_cover_parity(swcg,
+                                 "shares {" + std::to_string(shares[0]) +
+                                     ", " + std::to_string(shares[1]) + "}");
     }
 }
 
@@ -305,8 +323,18 @@ TEST(IncrementalRegression, ShareScaleOverflowThrows)
 
 TEST(IncrementalRegression, EventListScheduleMatchesReferenceScan)
 {
-    rng random(0xE7E8);
+    // Equal limits and unequal ones, so a per-type budget read for the
+    // wrong type cannot pass.
+    const std::uint64_t seed = testing::env_seed("MWL_SCHED_SEED", 0xE7E8);
+    MWL_TRACE_SEED("MWL_SCHED_SEED", seed);
+    rng random(seed);
     const sonic_model model;
+    const std::array<type_limits, 6> limit_sets = {{{.add = 1, .mul = 1},
+                                                    {.add = 2, .mul = 2},
+                                                    {.add = 1000, .mul = 1000},
+                                                    {.add = 1, .mul = 3},
+                                                    {.add = 3, .mul = 1},
+                                                    {.add = 2, .mul = 1}}};
     for (int trial = 0; trial < 25; ++trial) {
         tgff_options opts;
         opts.n_ops = 4 + static_cast<std::size_t>(trial) % 14;
@@ -316,18 +344,16 @@ TEST(IncrementalRegression, EventListScheduleMatchesReferenceScan)
         for (const op_id o : g.all_ops()) {
             lat.push_back(model.latency(g.shape(o)));
         }
-        for (const int limit : {1, 2, 1000}) {
-            type_limits limits;
-            limits.add = limit;
-            limits.mul = limit;
+        for (const type_limits& limits : limit_sets) {
             event_schedule_workspace ws;
             const list_schedule_result ev = list_schedule(g, lat, limits, &ws);
             const list_schedule_result ref =
                 oracle::list_schedule_scan(g, lat, limits);
-            EXPECT_EQ(ev.start, ref.start)
-                << "trial " << trial << " limit " << limit;
-            EXPECT_EQ(ev.length, ref.length)
-                << "trial " << trial << " limit " << limit;
+            const std::string at = "trial " + std::to_string(trial) +
+                                   " limits " + std::to_string(limits.add) +
+                                   "/" + std::to_string(limits.mul);
+            EXPECT_EQ(ev.start, ref.start) << at;
+            EXPECT_EQ(ev.length, ref.length) << at;
         }
     }
 }

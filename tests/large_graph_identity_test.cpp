@@ -106,8 +106,8 @@ TEST(LargeGraphIdentity, WideCoverParity68)
 {
     // 68 independent multipliers with distinct shapes (i, 136 - i) at
     // lambda_min: refinement grows the scheduling set past 64 members, so
-    // the allocator's later iterations schedule on the generic event sweep
-    // instead of the signature tournament.
+    // the allocator's later iterations schedule with signature folds that
+    // collide and only the row comparison tells apart.
     sequencing_graph g;
     for (int i = 1; i <= 68; ++i) {
         g.add_operation(op_shape::multiplier(i, 136 - i));

@@ -214,11 +214,12 @@ list_schedule_result list_schedule_scan(const sequencing_graph& graph,
     list_schedule_result result;
     result.start =
         rescan_schedule(graph, latencies, horizon, [&](op_id o, int t) {
-            const op_kind kind = graph.shape(o).kind();
-            std::vector<int>& row = running[kind == op_kind::add ? 0 : 1];
+            const bool add = graph.shape(o).kind() == op_kind::add;
+            std::vector<int>& row = running[add ? 0 : 1];
+            const int limit = add ? limits.add : limits.mul;
             const int lat = latencies[o.value()];
             for (int u = t; u < t + lat; ++u) {
-                if (row[static_cast<std::size_t>(u)] + 1 > limits.of(kind)) {
+                if (row[static_cast<std::size_t>(u)] + 1 > limit) {
                     return false;
                 }
             }
