@@ -110,9 +110,11 @@ int main(int argc, char** argv)
     const std::string out_path =
         opt.out.empty() ? "BENCH_scenario_throughput.json" : opt.out;
     std::ofstream file(out_path);
-    if (file) {
-        file << json.str() << '\n';
-        std::cout << "json written to " << out_path << '\n';
+    if (!file) {
+        std::cerr << "scenario_throughput: cannot write " << out_path << '\n';
+        return 1;
     }
+    file << json.str() << '\n';
+    std::cout << "json written to " << out_path << '\n';
     return 0;
 }

@@ -55,112 +55,13 @@ bool can_absorb(const wordlength_compatibility_graph& wcg, res_id resource,
     return true;
 }
 
-// -- reference (pre-incremental) implementations ------------------------
-//
-// The cache_chains = false arm reproduces the original BindSelect
-// faithfully -- quadratic longest-chain DP with fresh allocations, the
-// base-copying absorption probe, and the scan-everything cheapest-resource
-// query -- for the reference pipeline in tests/oracle, so
-// bench/iteration_scaling.cpp measures the real before/after of the §2.3
-// rework. Output-equivalence with the production path is enforced by
-// tests/chains_property_test.cpp and
-// tests/incremental_regression_test.cpp.
-
-std::vector<timed_op> longest_chain_dp(std::span<const timed_op> items)
-{
-    if (items.empty()) {
-        return {};
-    }
-    std::vector<timed_op> sorted(items.begin(), items.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const timed_op& a, const timed_op& b) {
-                  if (a.start != b.start) {
-                      return a.start < b.start;
-                  }
-                  if (a.finish() != b.finish()) {
-                      return a.finish() < b.finish();
-                  }
-                  return a.op < b.op;
-              });
-    const std::size_t n = sorted.size();
-    constexpr std::size_t npos = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> dp(n, 1);
-    std::vector<std::size_t> back(n, npos);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-            if (precedes(sorted[j], sorted[i]) && dp[j] + 1 > dp[i]) {
-                dp[i] = dp[j] + 1;
-                back[i] = j;
-            }
-        }
-    }
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-        if (dp[i] > dp[best]) {
-            best = i;
-        }
-    }
-    std::vector<timed_op> chain;
-    for (std::size_t at = best; at != npos; at = back[at]) {
-        chain.push_back(sorted[at]);
-    }
-    std::reverse(chain.begin(), chain.end());
-    return chain;
-}
-
-bool can_absorb_copying(const wordlength_compatibility_graph& wcg,
-                        res_id resource, const std::vector<timed_op>& base,
-                        const std::vector<op_id>& extra,
-                        std::span<const int> start, std::span<const int> lat)
-{
-    std::vector<timed_op> merged = base;
-    for (const op_id o : extra) {
-        if (!wcg.compatible(o, resource)) {
-            return false;
-        }
-        merged.push_back(make_timed(o, start, lat));
-    }
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-        for (std::size_t j = i + 1; j < merged.size(); ++j) {
-            if (!precedes(merged[i], merged[j]) &&
-                !precedes(merged[j], merged[i])) {
-                return false;
-            }
-        }
-    }
-    return true;
-}
-
-res_id cheapest_common_resource_scan(
-    const wordlength_compatibility_graph& wcg, std::span<const op_id> ops)
-{
-    res_id best = res_id::invalid();
-    for (const res_id r : wcg.all_resources()) {
-        bool covers_all = true;
-        for (const op_id o : ops) {
-            if (!wcg.compatible(o, r)) {
-                covers_all = false;
-                break;
-            }
-        }
-        if (!covers_all) {
-            continue;
-        }
-        if (!best.is_valid() || wcg.area(r) < wcg.area(best)) {
-            best = r;
-        }
-    }
-    return best;
-}
-
 /// Greed compensation: grow the newly selected `chain` (keeping its
 /// resource type, so total cost can only drop) to swallow previously
 /// selected cliques; absorbed cliques are deleted. `chain` stays sorted
 /// by start throughout, which can_absorb's merge walk relies on.
-/// `copying_probe` selects the reference arm's absorption probe.
 void absorb_earlier_cliques(const wordlength_compatibility_graph& wcg,
                             res_id resource, std::span<const int> start,
-                            std::span<const int> lat, bool copying_probe,
+                            std::span<const int> lat,
                             std::vector<timed_op>& chain,
                             std::vector<binding_clique>& cliques,
                             std::vector<timed_op>& merged)
@@ -170,12 +71,7 @@ void absorb_earlier_cliques(const wordlength_compatibility_graph& wcg,
         absorbed = false;
         for (std::size_t j = 0; j < cliques.size(); ++j) {
             const binding_clique& prev = cliques[j];
-            const bool fits =
-                copying_probe
-                    ? can_absorb_copying(wcg, resource, chain, prev.ops,
-                                         start, lat)
-                    : can_absorb(wcg, resource, chain, prev.ops, start, lat);
-            if (!fits) {
+            if (!can_absorb(wcg, resource, chain, prev.ops, start, lat)) {
                 continue;
             }
             // Keep the sorted-by-start invariant (a chain has distinct
@@ -200,62 +96,6 @@ void absorb_earlier_cliques(const wordlength_compatibility_graph& wcg,
     }
 }
 
-/// The reference arm's column selection: every round recomputes every
-/// resource's chain over its uncovered operations with the quadratic DP
-/// and scans for the best (ratio, length, res_id).
-class reference_selection {
-public:
-    reference_selection(const wordlength_compatibility_graph& wcg,
-                        std::span<const int> start, std::span<const int> lat)
-        : wcg_(wcg), start_(start), lat_(lat), covered_(start.size(), false)
-    {
-    }
-
-    /// The round's winning resource type; its longest chain of uncovered
-    /// operations goes to `chain`.
-    res_id select(std::vector<timed_op>& chain)
-    {
-        res_id best_r = res_id::invalid();
-        double best_ratio = -1.0;
-        chain.clear();
-        for (const res_id r : wcg_.all_resources()) {
-            std::vector<timed_op> candidates;
-            for (const op_id o : wcg_.ops_for(r)) {
-                if (!covered_[o.value()]) {
-                    candidates.push_back(make_timed(o, start_, lat_));
-                }
-            }
-            std::vector<timed_op> found = longest_chain_dp(candidates);
-            if (found.empty()) {
-                continue;
-            }
-            const double ratio =
-                static_cast<double>(found.size()) / wcg_.area(r);
-            if (ratio > best_ratio ||
-                (ratio == best_ratio &&
-                 (found.size() > chain.size() ||
-                  (found.size() == chain.size() && r < best_r)))) {
-                best_ratio = ratio;
-                best_r = r;
-                chain.swap(found);
-            }
-        }
-        return best_r;
-    }
-
-    void cover(op_id o)
-    {
-        MWL_ASSERT(!covered_[o.value()]);
-        covered_[o.value()] = true;
-    }
-
-private:
-    const wordlength_compatibility_graph& wcg_;
-    std::span<const int> start_;
-    std::span<const int> lat_;
-    std::vector<bool> covered_;
-};
-
 /// Replace the top of a max-heap with `key`, which must not be larger, and
 /// sift it down: one pass instead of a pop_heap/push_heap pair.
 void lower_top(std::vector<bind_chain_key>& heap, const bind_chain_key& key)
@@ -275,7 +115,7 @@ void lower_top(std::vector<bind_chain_key>& heap, const bind_chain_key& key)
     heap[at] = key;
 }
 
-/// The production column selection, on word-parallel rows.
+/// The column selection, on word-parallel rows.
 ///
 /// One counting sort by finish gives every operation a finish rank; O(r)
 /// becomes a bit row over ranks and the covered set a bit row too, so a
@@ -291,8 +131,8 @@ void lower_top(std::vector<bind_chain_key>& heap, const bind_chain_key& key)
 /// candidate count popcount(row & ~covered); only a key that this does
 /// not lower pays for a greedy recompute. Only the winner's chain is
 /// built, with longest_chain_into over its uncovered members -- the
-/// canonical chain the reference arm's DP returns, so both arms bind
-/// identically.
+/// canonical chain the quadratic DP of tests/oracle returns, so this
+/// binds exactly as oracle::bind_select_reference does.
 class row_selection {
 public:
     row_selection(const wordlength_compatibility_graph& wcg,
@@ -460,53 +300,31 @@ binding bind_select(const wordlength_compatibility_graph& wcg,
 
     // Chvátal ratio selection over the implicit column set: for each
     // resource type the best feasible column is a longest chain of
-    // uncovered compatible operations.
-    const auto cover_all = [&](auto& selection) {
-        std::size_t n_covered = 0;
-        while (n_covered < n) {
-            const res_id best_r = selection.select(best_chain);
-            MWL_ASSERT(best_r.is_valid() && !best_chain.empty());
-            for (const timed_op& item : best_chain) {
-                selection.cover(item.op);
-            }
-            n_covered += best_chain.size();
-
-            if (options.enable_growth) {
-                absorb_earlier_cliques(wcg, best_r, start_times, latencies,
-                                       !options.cache_chains, best_chain,
-                                       result.cliques, sc.merge_tmp);
-            }
-
-            binding_clique clique;
-            clique.resource = best_r;
-            clique.ops.reserve(best_chain.size());
-            for (const timed_op& item : best_chain) {
-                clique.ops.push_back(item.op);
-            }
-            result.cliques.push_back(std::move(clique));
+    // uncovered compatible operations. The winner of a round is already
+    // its chain's cheapest common resource (DESIGN.md §2.3), so the
+    // paper's closing cheapest-resource pass would move nothing.
+    row_selection selection(wcg, start_times, latencies, sc);
+    std::size_t n_covered = 0;
+    while (n_covered < n) {
+        const res_id best_r = selection.select(best_chain);
+        MWL_ASSERT(best_r.is_valid() && !best_chain.empty());
+        for (const timed_op& item : best_chain) {
+            selection.cover(item.op);
         }
-    };
-    if (options.cache_chains) {
-        row_selection selection(wcg, start_times, latencies, sc);
-        cover_all(selection);
-    } else {
-        reference_selection selection(wcg, start_times, latencies);
-        cover_all(selection);
-    }
+        n_covered += best_chain.size();
 
-    if (options.reassign_cheapest) {
-        // Wordlength selection proper: each clique takes the cheapest
-        // resource type still satisfying Eqn. 4 (pure improvement).
-        for (binding_clique& k : result.cliques) {
-            const res_id cheapest =
-                options.cache_chains
-                    ? cheapest_common_resource(wcg, k.ops, sc.common)
-                    : cheapest_common_resource_scan(wcg, k.ops);
-            MWL_ASSERT(cheapest.is_valid()); // current resource qualifies
-            if (wcg.area(cheapest) < wcg.area(k.resource)) {
-                k.resource = cheapest;
-            }
+        if (options.enable_growth) {
+            absorb_earlier_cliques(wcg, best_r, start_times, latencies,
+                                   best_chain, result.cliques, sc.merge_tmp);
         }
+
+        binding_clique clique;
+        clique.resource = best_r;
+        clique.ops.reserve(best_chain.size());
+        for (const timed_op& item : best_chain) {
+            clique.ops.push_back(item.op);
+        }
+        result.cliques.push_back(std::move(clique));
     }
 
     finalize_binding(result, n, wcg);

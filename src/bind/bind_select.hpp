@@ -13,13 +13,19 @@
 //    grow it to swallow previously selected cliques, deleting them.
 //
 // Each round needs every resource's longest-chain *length* but only the
-// winner's chain. The production path keeps each O(r) as a bit row over
-// finish ranks, ranks resources in a lazy max-heap keyed by exact lengths
-// from an earliest-finish greedy (wcg/chains.hpp, greedy_longest_chain),
-// whose picks stay on as a witness that proves a key still exact, and
-// builds the canonical chain (longest_chain_into) for the winner alone.
-// That is the chain the reference arm's DP picks, so both arms return the
-// same binding.
+// winner's chain. This keeps each O(r) as a bit row over finish ranks,
+// ranks resources in a lazy max-heap keyed by exact lengths from an
+// earliest-finish greedy (wcg/chains.hpp, greedy_longest_chain), whose
+// picks stay on as a witness that proves a key still exact, and builds the
+// canonical chain (longest_chain_into) for the winner alone.
+//
+// The paper closes BindSelect with a pass that moves each clique to the
+// cheapest resource type still satisfying Eqn. 4. It is not run here: the
+// ratio rule already selects each clique's cheapest common resource
+// (DESIGN.md §2.3), so the pass would move nothing. The paper's algorithm
+// whole -- the quadratic-DP column search, the copying absorption probe
+// and that pass by full scan -- is oracle::bind_select_reference in
+// tests/oracle, and the parity suites pin this binding to it.
 
 #ifndef MWL_BIND_BIND_SELECT_HPP
 #define MWL_BIND_BIND_SELECT_HPP
@@ -38,20 +44,20 @@ namespace mwl {
 struct bind_options {
     /// Enable the growth/absorption pass (paper default). Off for ablation.
     bool enable_growth = true;
-    /// After covering, re-assign each clique the cheapest resource type
-    /// satisfying Eqn. 4 (pure improvement; wordlength selection proper).
+    /// Selects nothing: the ratio rule already gives every clique its
+    /// cheapest common resource (DESIGN.md §2.3). Kept only because
+    /// perfbench/src/replay.cpp assigns it.
     bool reassign_cheapest = true;
-    /// Production selection on bit rows (identical output; off = the
-    /// reference arm, which recomputes every resource's chain with the
-    /// quadratic DP every round, for tests/oracle). Kept in the library
-    /// while perfbench/src/replay.cpp names it.
+    /// Selects nothing: the bit-row selection is the one column search
+    /// (the quadratic-DP reference is in tests/oracle). Kept only because
+    /// perfbench/src/replay.cpp assigns it.
     bool cache_chains = true;
 };
 
 /// Selection key of the lazy Chvátal heap (see bind_select.cpp); public
 /// only so bind_scratch can own the heap storage. Orders by ratio, then
-/// chain length, then the smaller res_id -- the reference scan's tie
-/// order. res_ids are distinct, so keys are totally ordered.
+/// chain length, then the smaller res_id -- the tie order of the oracle's
+/// reference scan. res_ids are distinct, so keys are totally ordered.
 struct bind_chain_key {
     double ratio = -1.0;
     std::size_t length = 0;
@@ -86,7 +92,6 @@ struct bind_scratch {
     std::vector<timed_op> candidates;          ///< the winner's members
     std::vector<timed_op> best_chain;
     std::vector<timed_op> merge_tmp;
-    std::vector<std::uint64_t> common;         ///< reassign's intersection
     chain_scratch chains;
 };
 

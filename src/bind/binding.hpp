@@ -8,7 +8,6 @@
 #include "support/ids.hpp"
 #include "wcg/wcg.hpp"
 
-#include <span>
 #include <vector>
 
 namespace mwl {
@@ -41,18 +40,6 @@ struct binding {
 /// cliques are disjoint and cover all `n_ops` operations.
 void finalize_binding(binding& b, std::size_t n_ops,
                       const wordlength_compatibility_graph& wcg);
-
-/// Cheapest resource type compatible (current H edges) with every operation
-/// in `ops`; returns res_id::invalid() if none exists (Eqn. 4 violated).
-/// Ties broken towards smaller res_id.
-[[nodiscard]] res_id cheapest_common_resource(
-    const wordlength_compatibility_graph& wcg, std::span<const op_id> ops);
-
-/// As above, reusing `common_scratch` (resized internally) so a looping
-/// caller performs no per-query allocation.
-[[nodiscard]] res_id cheapest_common_resource(
-    const wordlength_compatibility_graph& wcg, std::span<const op_id> ops,
-    std::vector<std::uint64_t>& common_scratch);
 
 } // namespace mwl
 

@@ -180,9 +180,7 @@ dpalloc_result dpalloc(const sequencing_graph& graph,
     wordlength_compatibility_graph wcg(graph, model);
     int capacity = options.initial_capacity;
 
-    const bind_options bind_opts{.enable_growth = options.enable_growth,
-                                 .reassign_cheapest =
-                                     options.reassign_cheapest};
+    const bind_options bind_opts{.enable_growth = options.enable_growth};
 
     // The scheduling-set memo in ws.sched keys on the WCG's serial and
     // edge version. refine_op bumps the version, so refinement iterations

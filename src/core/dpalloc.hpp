@@ -40,7 +40,9 @@ namespace mwl {
 struct dpalloc_options {
     /// BindSelect growth pass (paper default on; off for ablation).
     bool enable_growth = true;
-    /// Cheapest-resource reassignment after covering (wordlength selection).
+    /// Selects nothing: BindSelect's ratio rule already gives every clique
+    /// its cheapest common resource (DESIGN.md §2.3). Kept only because
+    /// perfbench/src/replay.cpp reads it; `==` still compares it.
     bool reassign_cheapest = true;
     /// Ablation: use the classic per-type constraint (Eqn. 2) instead of
     /// the paper's incomplete-wordlength constraint (Eqn. 3').

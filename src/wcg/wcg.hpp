@@ -75,27 +75,19 @@ public:
     [[nodiscard]] std::span<const op_id> ops_for(res_id r) const;
     [[nodiscard]] std::size_t edge_count() const { return edge_count_; }
 
-    // -- word-parallel views of H ----------------------------------------
+    // -- word-parallel view of H -----------------------------------------
     //
-    // Rows of the two incidence bit matrices, maintained in lockstep with
-    // the CSR adjacency. Set-cover coverage rows, clique compatibility
-    // probes, and common-resource intersections consume these directly.
+    // Rows of the resource-major incidence bit matrix, maintained in
+    // lockstep with the CSR adjacency; the set cover's coverage rows
+    // consume them directly. The op-major matrix backs compatible().
 
     /// Words per ops_row (== bits_words(graph().size())).
     [[nodiscard]] std::size_t op_words() const { return op_words_; }
-    /// Words per resources_row (== bits_words(resource_count())).
-    [[nodiscard]] std::size_t res_words() const { return res_words_; }
     /// Bit o set iff {o, r} is in H.
     [[nodiscard]] std::span<const std::uint64_t> ops_row(res_id r) const
     {
         check_res(r);
         return {op_bits_.data() + r.value() * op_words_, op_words_};
-    }
-    /// Bit r set iff {o, r} is in H.
-    [[nodiscard]] std::span<const std::uint64_t> resources_row(op_id o) const
-    {
-        check_op(o);
-        return {res_bits_.data() + o.value() * res_words_, res_words_};
     }
 
     /// Monotone counter bumped by every successful `delete_edge` (and hence
@@ -174,7 +166,8 @@ private:
     std::vector<std::uint32_t> res_row_begin_;
     std::vector<std::uint32_t> res_row_end_;
 
-    // Incidence bit matrices mirroring the CSR rows (see ops_row).
+    // Incidence bit matrices mirroring the CSR rows: resource-major for
+    // ops_row, op-major for compatible().
     std::size_t op_words_ = 0;
     std::size_t res_words_ = 0;
     std::vector<std::uint64_t> op_bits_;

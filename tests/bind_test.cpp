@@ -1,5 +1,5 @@
 // Unit tests for src/bind: BindSelect covering behaviour, Eqn. 4
-// feasibility of emitted cliques, the growth pass, cheapest-resource
+// feasibility of emitted cliques, the growth pass, the ratio rule's
 // wordlength selection and binding/schedule consistency.
 
 #include "bind/bind_select.hpp"
@@ -110,7 +110,7 @@ TEST(BindSelect, CheapestReassignmentPicksOwnShapes)
               op_shape::multiplier(20, 18));
 }
 
-TEST(BindSelect, ReassignCheapestDisabledKeepsSelectionResource)
+TEST(BindSelect, RatioRuleAlreadyPicksTheCheapestResource)
 {
     sequencing_graph g;
     g.add_operation(op_shape::multiplier(12, 8));
@@ -118,12 +118,10 @@ TEST(BindSelect, ReassignCheapestDisabledKeepsSelectionResource)
     const wordlength_compatibility_graph wcg(g, model);
     const std::vector<int> start{0};
     const std::vector<int> lat{5};
-    bind_options opts;
-    opts.reassign_cheapest = false;
-    const binding b = bind_select(wcg, start, lat, opts);
+    const binding b = bind_select(wcg, start, lat);
     ASSERT_EQ(b.cliques.size(), 1u);
     // Ratio rule: |p|/cost favours the small resource already (1/96 >
-    // 1/360), so even unreassigned it picks mul12x8.
+    // 1/360), so with no cheapest-resource pass it picks mul12x8.
     EXPECT_EQ(wcg.resource(b.cliques[0].resource),
               op_shape::multiplier(12, 8));
 }
@@ -260,30 +258,6 @@ TEST(BindSelect, RandomSchedulesAlwaysProduceValidBindings)
         const binding b = bind_select(wcg, sched.start, upper);
         expect_binding_valid(wcg, b, sched.start, upper);
     }
-}
-
-TEST(CheapestCommonResource, FindsJoinWhenPresent)
-{
-    sequencing_graph g;
-    const op_id a = g.add_operation(op_shape::multiplier(20, 4));
-    const op_id b = g.add_operation(op_shape::multiplier(6, 18));
-    const sonic_model model;
-    const wordlength_compatibility_graph wcg(g, model);
-    const std::vector<op_id> ops{a, b};
-    const res_id r = cheapest_common_resource(wcg, ops);
-    ASSERT_TRUE(r.is_valid());
-    EXPECT_EQ(wcg.resource(r), op_shape::multiplier(20, 6));
-}
-
-TEST(CheapestCommonResource, InvalidWhenKindsDiffer)
-{
-    sequencing_graph g;
-    const op_id a = g.add_operation(op_shape::adder(8));
-    const op_id b = g.add_operation(op_shape::multiplier(6, 6));
-    const sonic_model model;
-    const wordlength_compatibility_graph wcg(g, model);
-    const std::vector<op_id> ops{a, b};
-    EXPECT_FALSE(cheapest_common_resource(wcg, ops).is_valid());
 }
 
 TEST(FinalizeBinding, RejectsDoubleBinding)

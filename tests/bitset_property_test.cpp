@@ -201,13 +201,12 @@ void expect_wcg_matches_model(const sequencing_graph& g,
         for (const res_id r : csr) {
             ASSERT_EQ(r.value(), *it++); // ascending, exactly the members
         }
-        // The bit row, the CSR row, and compatible() must agree.
+        // The CSR row and compatible(), the op-major bit row, must agree.
         int upper = 0;
         int lower = 0;
         for (std::size_t r = 0; r < wcg.resource_count(); ++r) {
             const bool in_model = row.count(r) == 1;
             ASSERT_EQ(wcg.compatible(o, res_id{r}), in_model);
-            ASSERT_EQ(bits_test(wcg.resources_row(o).data(), r), in_model);
             if (in_model) {
                 const int lat = wcg.latency(res_id{r});
                 upper = std::max(upper, lat);

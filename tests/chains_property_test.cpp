@@ -1,5 +1,6 @@
 // Property / fuzz tests for the chain utilities against the original
-// quadratic implementations, kept here as oracles.
+// quadratic implementations: the longest-chain DP of tests/oracle
+// (oracle::longest_chain_dp) and the all-pairs chain check kept here.
 //
 // longest_chain's sweep is required to reproduce the original DP *exactly*
 // (same chain, not merely the same length): BindSelect's output -- and
@@ -7,6 +8,7 @@
 // picked, and the incremental-vs-reference regression suite
 // (incremental_regression_test.cpp) relies on bit-identical results.
 
+#include "oracle/oracle.hpp"
 #include "support/bitset.hpp"
 #include "support/rng.hpp"
 #include "wcg/chains.hpp"
@@ -20,55 +22,6 @@
 
 namespace mwl {
 namespace {
-
-/// The original O(k^2) longest-chain DP, verbatim: canonical sort, strict
-/// improvement scan (keeps the first maximal predecessor), first-index
-/// argmax over chain ends.
-std::vector<timed_op> longest_chain_dp(std::span<const timed_op> items)
-{
-    if (items.empty()) {
-        return {};
-    }
-
-    std::vector<timed_op> sorted(items.begin(), items.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const timed_op& a, const timed_op& b) {
-                  if (a.start != b.start) {
-                      return a.start < b.start;
-                  }
-                  if (a.finish() != b.finish()) {
-                      return a.finish() < b.finish();
-                  }
-                  return a.op < b.op;
-              });
-
-    const std::size_t n = sorted.size();
-    constexpr std::size_t npos = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> dp(n, 1);
-    std::vector<std::size_t> back(n, npos);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-            if (precedes(sorted[j], sorted[i]) && dp[j] + 1 > dp[i]) {
-                dp[i] = dp[j] + 1;
-                back[i] = j;
-            }
-        }
-    }
-
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-        if (dp[i] > dp[best]) {
-            best = i;
-        }
-    }
-
-    std::vector<timed_op> chain;
-    for (std::size_t at = best; at != npos; at = back[at]) {
-        chain.push_back(sorted[at]);
-    }
-    std::reverse(chain.begin(), chain.end());
-    return chain;
-}
 
 /// The original all-pairs is_chain.
 bool is_chain_pairwise(std::span<const timed_op> items)
@@ -119,7 +72,7 @@ void expect_greedy_exact(const std::vector<timed_op>& items, int trial)
     std::vector<timed_op> picks;
     bits_for_each(witness.data(), words,
                   [&](std::size_t i) { picks.push_back(by_finish[i]); });
-    EXPECT_EQ(greedy.length, longest_chain_dp(items).size())
+    EXPECT_EQ(greedy.length, oracle::longest_chain_dp(items).size())
         << "trial " << trial;
     EXPECT_EQ(picks.size(), greedy.length) << "trial " << trial;
     EXPECT_TRUE(is_chain(picks)) << "trial " << trial;
@@ -127,13 +80,13 @@ void expect_greedy_exact(const std::vector<timed_op>& items, int trial)
 
 void expect_same_chain(const std::vector<timed_op>& items, int trial)
 {
-    const std::vector<timed_op> oracle = longest_chain_dp(items);
+    const std::vector<timed_op> dp = oracle::longest_chain_dp(items);
     const std::vector<timed_op> sweep = longest_chain(items);
-    ASSERT_EQ(sweep.size(), oracle.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < oracle.size(); ++i) {
-        EXPECT_EQ(sweep[i].op, oracle[i].op) << "trial " << trial;
-        EXPECT_EQ(sweep[i].start, oracle[i].start) << "trial " << trial;
-        EXPECT_EQ(sweep[i].latency, oracle[i].latency) << "trial " << trial;
+    ASSERT_EQ(sweep.size(), dp.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < dp.size(); ++i) {
+        EXPECT_EQ(sweep[i].op, dp[i].op) << "trial " << trial;
+        EXPECT_EQ(sweep[i].start, dp[i].start) << "trial " << trial;
+        EXPECT_EQ(sweep[i].latency, dp[i].latency) << "trial " << trial;
     }
 }
 

@@ -1058,6 +1058,22 @@ TEST(CliBench, BadNumericFlagValuesExitTwo)
                       "missing value for --max-size");
 }
 
+TEST(CliBench, UnwritableOutExitsOne)
+{
+    // Every artifact bench names the file it could not write and exits 1.
+    // Regression: scenario_throughput exited 0 with nothing on stderr.
+    const std::string out = "cli_test_missing_dir/x.json";
+    std::filesystem::remove_all("cli_test_missing_dir");
+    for (const char* bench :
+         {"batch_throughput", "campaign_throughput", "iteration_scaling",
+          "large_graph_scaling", "lint_throughput", "scenario_throughput",
+          "serve_throughput", "tune_throughput"}) {
+        expect_fails_with(tool(bench) + " --graphs 2 --max-size 4 --out " +
+                              out,
+                          1, std::string(bench) + ": cannot write " + out);
+    }
+}
+
 TEST(CliBench, GraphsFlagEqualToTheSharedDefaultIsHonoured)
 {
     // Regression: benches with their own --graphs default took 25 (the

@@ -107,6 +107,93 @@ rescanned_counts refinement_counts_from_rows(
     return counts;
 }
 
+timed_op make_timed(op_id o, std::span<const int> start,
+                    std::span<const int> lat)
+{
+    return timed_op{o, start[o.value()], lat[o.value()]};
+}
+
+/// The column search: every round, every resource's longest chain over
+/// its uncovered operations by the quadratic DP, the best (ratio, length,
+/// res_id) winning. Returns the winner; its chain goes to `chain`.
+res_id select_by_full_scan(const wordlength_compatibility_graph& wcg,
+                           std::span<const int> start,
+                           std::span<const int> lat,
+                           const std::vector<bool>& covered,
+                           std::vector<timed_op>& chain)
+{
+    res_id best_r = res_id::invalid();
+    double best_ratio = -1.0;
+    chain.clear();
+    for (const res_id r : wcg.all_resources()) {
+        std::vector<timed_op> candidates;
+        for (const op_id o : wcg.ops_for(r)) {
+            if (!covered[o.value()]) {
+                candidates.push_back(make_timed(o, start, lat));
+            }
+        }
+        std::vector<timed_op> found = longest_chain_dp(candidates);
+        if (found.empty()) {
+            continue;
+        }
+        const double ratio = static_cast<double>(found.size()) / wcg.area(r);
+        if (ratio > best_ratio ||
+            (ratio == best_ratio &&
+             (found.size() > chain.size() ||
+              (found.size() == chain.size() && r < best_r)))) {
+            best_ratio = ratio;
+            best_r = r;
+            chain.swap(found);
+        }
+    }
+    return best_r;
+}
+
+/// The growth pass's probe: `extra` joins `base` iff `resource` covers
+/// every member and the union, copied out, is pairwise comparable.
+bool can_absorb_copying(const wordlength_compatibility_graph& wcg,
+                        res_id resource, const std::vector<timed_op>& base,
+                        const std::vector<op_id>& extra,
+                        std::span<const int> start, std::span<const int> lat)
+{
+    std::vector<timed_op> merged = base;
+    for (const op_id o : extra) {
+        if (!wcg.compatible(o, resource)) {
+            return false;
+        }
+        merged.push_back(make_timed(o, start, lat));
+    }
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+        for (std::size_t j = i + 1; j < merged.size(); ++j) {
+            if (!precedes(merged[i], merged[j]) &&
+                !precedes(merged[j], merged[i])) {
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
+/// The cheapest resource type compatible with every operation of `ops`,
+/// by probing every (resource, operation) pair; ties go to the smaller
+/// res_id.
+res_id cheapest_common_resource_scan(
+    const wordlength_compatibility_graph& wcg, std::span<const op_id> ops)
+{
+    res_id best = res_id::invalid();
+    for (const res_id r : wcg.all_resources()) {
+        const bool covers_all =
+            std::ranges::all_of(ops, [&](op_id o) {
+                return wcg.compatible(o, r);
+            });
+        if (covers_all &&
+            (!best.is_valid() || wcg.area(r) < wcg.area(best))) {
+            best = r;
+        }
+    }
+    return best;
+}
+
 } // namespace
 
 std::vector<op_shape> resource_closure_fixpoint(std::span<const op_shape> shapes)
@@ -232,13 +319,114 @@ list_schedule_result list_schedule_scan(const sequencing_graph& graph,
     return result;
 }
 
+std::vector<timed_op> longest_chain_dp(std::span<const timed_op> items)
+{
+    if (items.empty()) {
+        return {};
+    }
+    std::vector<timed_op> sorted(items.begin(), items.end());
+    std::sort(sorted.begin(), sorted.end(),
+              [](const timed_op& a, const timed_op& b) {
+                  if (a.start != b.start) {
+                      return a.start < b.start;
+                  }
+                  if (a.finish() != b.finish()) {
+                      return a.finish() < b.finish();
+                  }
+                  return a.op < b.op;
+              });
+    const std::size_t n = sorted.size();
+    constexpr std::size_t npos = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> dp(n, 1);
+    std::vector<std::size_t> back(n, npos);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < i; ++j) {
+            if (precedes(sorted[j], sorted[i]) && dp[j] + 1 > dp[i]) {
+                dp[i] = dp[j] + 1;
+                back[i] = j;
+            }
+        }
+    }
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+        if (dp[i] > dp[best]) {
+            best = i;
+        }
+    }
+    std::vector<timed_op> chain;
+    for (std::size_t at = best; at != npos; at = back[at]) {
+        chain.push_back(sorted[at]);
+    }
+    std::reverse(chain.begin(), chain.end());
+    return chain;
+}
+
 binding bind_select_reference(const wordlength_compatibility_graph& wcg,
                               std::span<const int> start,
                               std::span<const int> latencies,
-                              bind_options options)
+                              const bind_options& options)
 {
-    options.cache_chains = false;
-    return bind_select(wcg, start, latencies, options);
+    const std::size_t n = wcg.graph().size();
+    binding result;
+    std::vector<bool> covered(n, false);
+    std::vector<timed_op> chain;
+    std::size_t n_covered = 0;
+    while (n_covered < n) {
+        const res_id best_r =
+            select_by_full_scan(wcg, start, latencies, covered, chain);
+        MWL_ASSERT(best_r.is_valid() && !chain.empty());
+        for (const timed_op& item : chain) {
+            MWL_ASSERT(!covered[item.op.value()]);
+            covered[item.op.value()] = true;
+        }
+        n_covered += chain.size();
+
+        // Growth: swallow the first earlier clique that still fits, and
+        // repeat until none does. A chain's starts are distinct, so
+        // sorting by start restores its execution order.
+        bool absorbed = options.enable_growth;
+        while (absorbed) {
+            absorbed = false;
+            for (std::size_t j = 0; j < result.cliques.size(); ++j) {
+                const std::vector<op_id>& prev = result.cliques[j].ops;
+                if (!can_absorb_copying(wcg, best_r, chain, prev, start,
+                                        latencies)) {
+                    continue;
+                }
+                for (const op_id o : prev) {
+                    chain.push_back(make_timed(o, start, latencies));
+                }
+                std::sort(chain.begin(), chain.end(),
+                          [](const timed_op& a, const timed_op& b) {
+                              return a.start < b.start;
+                          });
+                result.cliques.erase(result.cliques.begin() +
+                                     static_cast<std::ptrdiff_t>(j));
+                absorbed = true;
+                break;
+            }
+        }
+
+        binding_clique clique;
+        clique.resource = best_r;
+        for (const timed_op& item : chain) {
+            clique.ops.push_back(item.op);
+        }
+        result.cliques.push_back(std::move(clique));
+    }
+
+    // Wordlength selection proper: each clique moves to the cheapest
+    // resource type still satisfying Eqn. 4.
+    for (binding_clique& k : result.cliques) {
+        const res_id cheapest = cheapest_common_resource_scan(wcg, k.ops);
+        MWL_ASSERT(cheapest.is_valid()); // the clique's own resource covers
+        if (wcg.area(cheapest) < wcg.area(k.resource)) {
+            k.resource = cheapest;
+        }
+    }
+
+    finalize_binding(result, n, wcg);
+    return result;
 }
 
 dpalloc_result dpalloc_from_scratch(const sequencing_graph& graph,
@@ -256,9 +444,7 @@ dpalloc_result dpalloc_from_scratch(const sequencing_graph& graph,
 
     wordlength_compatibility_graph wcg(graph, model);
     int capacity = options.initial_capacity;
-    const bind_options bind_opts{.enable_growth = options.enable_growth,
-                                 .reassign_cheapest =
-                                     options.reassign_cheapest};
+    const bind_options bind_opts{.enable_growth = options.enable_growth};
 
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
         ++result.stats.iterations;

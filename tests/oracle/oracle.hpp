@@ -12,8 +12,12 @@
 //     carried bounds or witnesses),
 //   * schedulers that rescan the whole graph for ready operations at every
 //     control step, S(o) built by probing every (operation, member) pair,
-//   * BindSelect's reference arm (every resource's chain recomputed with
-//     the quadratic DP every round),
+//   * the paper's BindSelect whole: every resource's chain recomputed with
+//     the quadratic DP every round, the growth pass's copying absorption
+//     probe, and the closing pass that moves each clique to its cheapest
+//     common resource by full scan -- the pass libmwl skips because the
+//     ratio rule already implies it (DESIGN.md §2.3), so parity with this
+//     reference is what pins that finding,
 //   * a datapath assembled every iteration.
 // Everything else -- the §2.4 candidate choice over those counts, datapath
 // assembly, the Eqn. 2 limits, the bound critical path -- is the library's
@@ -49,11 +53,19 @@ namespace mwl::oracle {
     const sequencing_graph& graph, std::span<const int> latencies,
     const type_limits& limits);
 
-/// bind_select's reference arm: the same binding as the production
-/// selection, by contract. `options.cache_chains` is ignored.
+/// The original O(k^2) longest-chain DP: canonical sort (start, finish,
+/// id), strict-improvement scan (the first maximal predecessor wins),
+/// first-index argmax over chain ends. wcg/chains.hpp's sweep must return
+/// exactly this chain.
+[[nodiscard]] std::vector<timed_op> longest_chain_dp(
+    std::span<const timed_op> items);
+
+/// The paper's BindSelect, cheapest-resource pass included: the same
+/// binding as bind_select, by contract. Reads only
+/// `options.enable_growth`.
 [[nodiscard]] binding bind_select_reference(
     const wordlength_compatibility_graph& wcg, std::span<const int> start,
-    std::span<const int> latencies, bind_options options = {});
+    std::span<const int> latencies, const bind_options& options = {});
 
 /// dpalloc with every cache and fast path replaced by the from-scratch
 /// step above: the same datapath and stats as dpalloc, by contract.
